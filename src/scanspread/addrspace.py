@@ -61,7 +61,10 @@ class HostSet:
     __slots__ = ("_addr", "_addr64")
 
     def __init__(self, addresses):
-        arr = np.asarray(addresses, dtype=np.int64)
+        raw = np.asarray(addresses)
+        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+            raise ParameterError("addresses must be integers")
+        arr = np.asarray(raw, dtype=np.int64)
         if arr.ndim != 1:
             arr = arr.reshape(-1)
         if arr.size and (arr.min() < 0 or arr.max() >= ADDRESS_SPACE):
@@ -136,7 +139,7 @@ def parse_host_list(source: str | Iterable[str], origin: str | None = None) -> H
             values.append(int(IPv4Address(line)))
         except AddressValueError:
             raise HostListParseError(line_no, line, origin) from None
-    hosts = HostSet(values)
+    hosts = HostSet(np.array(values, dtype=np.int64))
     return HostListResult(hosts=hosts, duplicates_dropped=len(values) - hosts.N, lines_ignored=ignored)
 
 

@@ -15,8 +15,8 @@ the command line, input digests, seed, package version and runtime.  Data
 files themselves contain only deterministic content: reruns with the same
 inputs, seed and version are byte-identical regardless of --threads.
 
-Exit codes: 0 success, 2 usage or parameter error, 3 input parse failure,
-4 internal consistency failure.
+Exit codes: 0 success, 2 usage or parameter error, 3 missing, unreadable or
+malformed input, 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -55,16 +57,11 @@ from .epidemic import (
 from .errors import (
     DistributionFormatError,
     HostListParseError,
+    InputFileError,
     InternalConsistencyError,
     ParameterError,
 )
-from .infometrics import (
-    beta_profile,
-    entropy_report,
-    non_uniformity_factor,
-    profiles_from_distribution,
-    shannon_profile,
-)
+from .infometrics import entropy_report, non_uniformity_factor, profiles_from_distribution
 from .rates import (
     ScanContext,
     alpha_rs,
@@ -81,6 +78,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_INTERNAL = 4
+
+# Upper bound on the rows of `defense pp --d-grid`.
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass
@@ -122,21 +122,31 @@ def _write_manifest(path: Path, argv: list[str], input_paths: list[Path],
     _write_json(path, asdict(manifest))
 
 
+@contextmanager
+def _reading_input(path: Path):
+    """Report an OSError while opening or reading an input as InputFileError."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputFileError(f"{path}: {exc.strerror or exc}") from None
+
+
 def _load_input(path: Path, kind: str) -> tuple[str, HostListResult | GroupDistribution]:
     """Sniff and load a host list ('hosts') or distribution CSV ('dist')."""
-    if kind == "auto":
-        kind = "hosts"
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                s = line.strip()
-                if not s:
-                    continue
-                if s.startswith("# l=") or s.startswith("group_index"):
-                    kind = "dist"
-                break
-    if kind == "dist":
-        return "dist", GroupDistribution.from_csv(path)
-    return "hosts", load_host_list(path)
+    with _reading_input(path):
+        if kind == "auto":
+            kind = "hosts"
+            with open(path, "r", encoding="utf-8") as fh:
+                for line in fh:
+                    s = line.strip()
+                    if not s:
+                        continue
+                    if s.startswith("# l=") or s.startswith("group_index"):
+                        kind = "dist"
+                    break
+        if kind == "dist":
+            return "dist", GroupDistribution.from_csv(path)
+        return "hosts", load_host_list(path)
 
 
 def _write_profile_csv(path: Path, rows: list[tuple[int, float]], column: str) -> None:
@@ -168,21 +178,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             parent = aggregate(hosts, 0)
             for l in range(1, l_max + 1):
                 parent = refine(parent, hosts, l)
-        betas = beta_profile(hosts, l_max)
-        shannons = shannon_profile(hosts, l_max)
-        dist_at = {l: aggregate(hosts, l) for l in report_levels}
+        dist = aggregate(hosts, max([l_max, *report_levels]))
     else:
         dist = loaded
         if dist.total == 0:
             raise ParameterError(f"{in_path}: empty distribution")
         l_max = min(args.l_max if args.l_max is not None else dist.l, dist.l)
-        betas, shannons = profiles_from_distribution(dist.coarsen(l_max))
-        usable = [l for l in report_levels if l <= dist.l]
         for l in report_levels:
             if l > dist.l:
                 print(f"warning: skipping l={l} reports; input is at l={dist.l}", file=sys.stderr)
-        report_levels = usable
-        dist_at = {l: dist.coarsen(l) for l in report_levels}
+        report_levels = [l for l in report_levels if l <= dist.l]
+    betas, shannons = profiles_from_distribution(dist.coarsen(l_max))
+    dist_at = {l: dist.coarsen(l) for l in report_levels}
 
     _write_profile_csv(out_dir / "beta_profile.csv", betas, "beta")
     _write_profile_csv(out_dir / "shannon_profile.csv", shannons, "shannon")
@@ -365,6 +372,24 @@ def cmd_simulate_epidemic(args: argparse.Namespace) -> int:
 # -- defense ---------------------------------------------------------------
 
 
+def _d_grid(spec: str) -> list[float]:
+    """Deployment fractions MIN, MIN+STEP, ... up to MAX, at 12 decimals."""
+    try:
+        lo, hi, step = (float(x) for x in spec.split(":"))
+    except ValueError:
+        raise ParameterError(f"bad --d-grid {spec!r}; expected MIN:MAX:STEP") from None
+    if not (0 < lo <= hi and step > 0):
+        raise ParameterError("--d-grid needs 0 < MIN <= MAX and STEP > 0")
+    span = (hi - lo) / step
+    if round(lo + step, 12) == round(lo, 12) or not span < MAX_GRID_POINTS:
+        raise ParameterError(
+            f"--d-grid {spec!r}: STEP must advance MIN at 12 decimals and give at most "
+            f"{MAX_GRID_POINTS} points"
+        )
+    points = (round(lo + i * step, 12) for i in range(math.floor(span) + 2))
+    return [d for d in points if d <= hi + 1e-12]
+
+
 def cmd_defense(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     out_dir = Path(args.out_dir)
@@ -399,18 +424,11 @@ def cmd_defense(args: argparse.Namespace) -> int:
                 ctx = ScanContext(s=args.s, N=int(args.N), beta_overrides={16: beta})
                 result["alpha_rs"] = alpha_rs(ctx)
         if args.d_grid is not None:
-            try:
-                lo, hi, step = (float(x) for x in args.d_grid.split(":"))
-            except ValueError:
-                raise ParameterError(f"bad --d-grid {args.d_grid!r}; expected MIN:MAX:STEP") from None
-            if step <= 0 or lo <= 0 or hi < lo:
-                raise ParameterError("--d-grid needs 0 < MIN <= MAX and STEP > 0")
+            grid = _d_grid(args.d_grid)
             with open(out_dir / "pp_curve.csv", "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("d,p_max\n")
-                d = lo
-                while d <= hi + 1e-12:
+                for d in grid:
                     fh.write(f"{d!r},{pp_requirement(beta, min(d, 1.0))!r}\n")
-                    d = round(d + step, 12)
         _write_json(out_dir / "defense.json", result)
     _write_manifest(out_dir / "manifest.json", args.argv, [], None, t0, None)
     return EXIT_OK
@@ -436,7 +454,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         seed = args.seed
         dist_path = Path(args.dist)
         inputs.append(dist_path)
-        dist = GroupDistribution.from_csv(dist_path)
+        with _reading_input(dist_path):
+            dist = GroupDistribution.from_csv(dist_path)
         hosts = materialize_hosts(dist, args.seed)
         save_host_list(out_path, hosts)
     _write_manifest(Path(str(out_path) + ".manifest.json"), args.argv, inputs, seed, t0, None)
@@ -566,7 +585,7 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = list(argv)
     try:
         return args.func(args)
-    except (HostListParseError, DistributionFormatError) as exc:
+    except (HostListParseError, DistributionFormatError, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InternalConsistencyError as exc:

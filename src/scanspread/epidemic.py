@@ -1,28 +1,31 @@
 """Outbreak simulation: Monte Carlo early-stage rate estimation and a
 deterministic per-subnet mean-field model.
 
-Early stage.  One infected scanner draws `total_scans` targets; each run
-counts probes that land on vulnerable hosts (with multiplicity) and yields a
-rate estimate hits * s / total_scans.  Runs are independent: run i uses the
-i-th child stream spawned from the master seed, so results are reproducible
-and independent of the thread count.
+Early stage.  One infected scanner draws `total_scans` targets by its
+strategy's `TargetLaw` (the same draw `ScannerState.draw_targets` makes);
+each run counts probes that land on vulnerable hosts (with multiplicity) and
+yields a rate estimate hits * s / total_scans.  Runs are independent: run i
+uses the i-th child stream spawned from the master seed, so results are
+reproducible and independent of the thread count.
 
 Full dynamics.  Time advances in ticks.  With n_t infected in total and m_i
 infected in /l group i, each (source, target-group) pair has a per-scan
-probability q of hitting one specific address; a target address survives a
-tick with probability prod (1 - q)**(s * sources * tick), so
+probability q of hitting one specific address, so a target address in group
+i survives a tick with probability exp(E_i), E_i = sum s * tick * sources *
+log1p(-q).  One survival operator advances every family,
 
-    m_i(t+1) = m_i(t) + (N_i - m_i(t)) * (1 - survival_i(t))
+    m_i(t+1) = min(m_i(t) + pp * (N_i - m_i(t)) * (-expm1(E_i)), N_i)
 
-computed with log1p/expm1.  When every source scans by the same group law
-(rs/is/optis) survival_i depends only on n_t and the recursion summed over
-groups reduces exactly to the single-population form
+with pp the proactive-protection factor (1 without protection).  A family
+only supplies its exponent E(m, n_t): rs/is/optis sources all scan alike,
+ls splits home-block sources from the rest, and 2lls splits sources in the
+same /16, the same /8 and elsewhere.  For rs/is/optis E_i depends on n_t
+alone, and summed over groups the recursion reduces exactly to the
+single-population form
 
     n(t+1) = n(t) + (N - n(t)) * (1 - (1 - 1/omega)**(s * n(t) * tick))
 
-for uniform q.  LS and 2LLS scanners aim differently at their own block, so
-survival splits into per-source-location factors (home vs elsewhere, and for
-2LLS same /16, same /8, elsewhere).
+for uniform q.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .addrspace import (
     materialize_hosts,
 )
 from .errors import ParameterError, UnsupportedStrategyError
-from .strategies import ScanStrategy, group_scan_distribution
+from .strategies import ScanStrategy, TargetLaw, group_scan_distribution
 
 
 @dataclass(frozen=True)
@@ -100,73 +103,34 @@ def _resolve_hosts(cfg: EarlyStageConfig) -> HostSet:
     return hosts
 
 
-def _dist_for(cfg: EarlyStageConfig, hosts: HostSet, l: int) -> GroupDistribution:
-    if cfg.dist is not None and cfg.dist.l >= l:
-        return cfg.dist.coarsen(l)
-    return aggregate(hosts, l)
-
-
 class _EarlyEngine:
-    """Per-strategy vectorized single-run kernel, shared across threads."""
+    """Single-run kernel, shared across threads: one TargetLaw draw per run
+    (after the home draw for ls/2lls), or the MSS sweep."""
 
     def __init__(self, cfg: EarlyStageConfig, hosts: HostSet):
         st = cfg.strategy
         self.kind = st.kind
-        self.strategy = st
         self.hosts = hosts
         self.addr = hosts.addresses.astype(np.int64)
         self.N = hosts.N
         self.total = cfg.total_scans
         self.bits = ADDRESS_BITS - st.l
-        self.block = 1 << self.bits
-        self.cum = None
-        self.opt_base = None
-        if st.kind == "is":
-            q = st.q_g if st.q_g is not None else _dist_for(cfg, hosts, st.l).dense_probabilities()
-            self.cum = np.cumsum(q)
-        elif st.kind == "optis":
-            self.opt_base = _dist_for(cfg, hosts, st.l).argmax_index << self.bits
+        dist = None  # only optis and is with q_g = p_g read the host distribution
+        if st.kind == "optis" or (st.kind == "is" and st.q_g is None):
+            dist = cfg.dist if cfg.dist is not None and cfg.dist.l >= st.l else aggregate(hosts, st.l)
+        self.law = TargetLaw(st, dist)
 
     def run(self, rng: np.random.Generator) -> int:
-        n = self.total
-        kind = self.kind
-        if kind == "rs":
-            return self.hosts.count_members(rng.integers(0, ADDRESS_SPACE, size=n, dtype=np.int64))
-        if kind == "is":
-            g = np.searchsorted(self.cum, rng.random(n), side="right")
-            np.minimum(g, self.cum.size - 1, out=g)
-            t = (g.astype(np.int64) << self.bits) + rng.integers(0, self.block, size=n, dtype=np.int64)
-            return self.hosts.count_members(t)
-        if kind == "optis":
-            return self.hosts.count_members(self.opt_base + rng.integers(0, self.block, size=n, dtype=np.int64))
-        if kind == "ls":
-            home = int(self.addr[rng.integers(0, self.N)]) >> self.bits << self.bits
-            local = rng.random(n) < self.strategy.p_a
-            k = int(np.count_nonzero(local))
-            t = np.empty(n, dtype=np.int64)
-            t[local] = home + rng.integers(0, self.block, size=k, dtype=np.int64)
-            t[~local] = rng.integers(0, ADDRESS_SPACE, size=n - k, dtype=np.int64)
-            return self.hosts.count_members(t)
-        if kind == "2lls":
-            a = int(self.addr[rng.integers(0, self.N)])
-            home16 = a >> 16 << 16
-            home8 = a >> 24 << 24
-            u = rng.random(n)
-            in16 = u < self.strategy.p_c
-            in8 = (~in16) & (u < self.strategy.p_c + self.strategy.p_b)
-            k16 = int(np.count_nonzero(in16))
-            k8 = int(np.count_nonzero(in8))
-            t = np.empty(n, dtype=np.int64)
-            t[in16] = home16 + rng.integers(0, 1 << 16, size=k16, dtype=np.int64)
-            t[in8] = home8 + rng.integers(0, 1 << 24, size=k8, dtype=np.int64)
-            rest = ~(in16 | in8)
-            t[rest] = rng.integers(0, ADDRESS_SPACE, size=n - k16 - k8, dtype=np.int64)
-            return self.hosts.count_members(t)
-        # mss, stage 2 in isolation: sweep anchored at a random vulnerable
-        # host's block, starting just past it.  Sequential scanning is
-        # deterministic given the anchor, so hits are an exact interval count.
-        anchor = int(self.addr[rng.integers(0, self.N)])
-        return _sweep_hits(self.hosts, anchor, self.bits, n)
+        if self.kind == "mss":
+            # stage 2 in isolation: sweep anchored at a random vulnerable
+            # host's block, starting just past it.  Sequential scanning is
+            # deterministic given the anchor, so hits are an exact interval count.
+            anchor = int(self.addr[rng.integers(0, self.N)])
+            return _sweep_hits(self.hosts, anchor, self.bits, self.total)
+        home = None
+        if self.law.needs_home:
+            home = int(self.addr[rng.integers(0, self.N)]) >> self.bits
+        return self.hosts.count_members(self.law.draw(rng, self.total, home))
 
 
 def _sweep_hits(hosts: HostSet, anchor: int, bits: int, n_scans: int) -> int:
@@ -202,6 +166,19 @@ def _run_all(engine_run, streams, threads: int) -> np.ndarray:
     return hits
 
 
+def _result(cfg: EarlyStageConfig, total_scans: int, hits: np.ndarray) -> EarlyStageResult:
+    scale = cfg.s / total_scans
+    return EarlyStageResult(
+        strategy=cfg.strategy.label,
+        total_scans=total_scans,
+        runs=cfg.runs,
+        seed=cfg.seed,
+        mean_alpha=float(hits.mean()) * scale,
+        var_alpha=float(hits.var(ddof=1)) * scale * scale,
+        per_run_hits=hits if cfg.record_hits else None,
+    )
+
+
 def estimate_infection_rate(cfg: EarlyStageConfig) -> EarlyStageResult:
     """Monte Carlo estimate of the early-stage rate of cfg.strategy.
 
@@ -212,17 +189,7 @@ def estimate_infection_rate(cfg: EarlyStageConfig) -> EarlyStageResult:
     hosts = _resolve_hosts(cfg)
     engine = _EarlyEngine(cfg, hosts)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.runs)
-    hits = _run_all(engine.run, streams, cfg.threads)
-    scale = cfg.s / cfg.total_scans
-    return EarlyStageResult(
-        strategy=cfg.strategy.label,
-        total_scans=cfg.total_scans,
-        runs=cfg.runs,
-        seed=cfg.seed,
-        mean_alpha=float(hits.mean()) * scale,
-        var_alpha=float(hits.var(ddof=1)) * scale * scale,
-        per_run_hits=hits if cfg.record_hits else None,
-    )
+    return _result(cfg, cfg.total_scans, _run_all(engine.run, streams, cfg.threads))
 
 
 def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[EarlyStageResult]:
@@ -253,19 +220,7 @@ def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[Ea
             anchor = int(addr[rng.integers(0, hosts.N)])
             return 1 + _sweep_hits(hosts, anchor, bits, budget - stage1)
 
-        hits = _run_all(run, seq.spawn(cfg.runs), cfg.threads)
-        scale = cfg.s / budget
-        out.append(
-            EarlyStageResult(
-                strategy=cfg.strategy.label,
-                total_scans=budget,
-                runs=cfg.runs,
-                seed=cfg.seed,
-                mean_alpha=float(hits.mean()) * scale,
-                var_alpha=float(hits.var(ddof=1)) * scale * scale,
-                per_run_hits=hits if cfg.record_hits else None,
-            )
-        )
+        out.append(_result(cfg, budget, _run_all(run, seq.spawn(cfg.runs), cfg.threads)))
     return out
 
 
@@ -316,6 +271,34 @@ class EpidemicTrace:
         return np.arange(self.n.size) * self.tick
 
 
+def _log_survival(st: ScanStrategy, dist: GroupDistribution, s_tick: float):
+    """The family's log-survival exponent (m, n) -> per-group array.
+
+    exp(exponent(m, n)) is the probability that one address of each group
+    escapes every scan of one tick, given m infected per group and n in all.
+    """
+    block = float(1 << (ADDRESS_BITS - st.l))
+    if st.kind in ("rs", "is", "optis"):
+        # every source scans by the same group law: survival depends on n alone
+        log_surv = np.log1p(-group_scan_distribution(st, dist=dist) / block)  # per scan, one address
+        return lambda m, n: s_tick * n * log_surv
+    if st.kind == "ls":
+        c_home = np.log1p(-(st.p_a / block + (1.0 - st.p_a) / ADDRESS_SPACE))
+        c_away = np.log1p(-(1.0 - st.p_a) / ADDRESS_SPACE)
+        return lambda m, n: s_tick * (m * c_home + (n - m) * c_away)
+    # 2lls at l=16: sources in the same /16, the same /8, or elsewhere
+    r = 1.0 - st.p_b - st.p_c
+    c_16 = np.log1p(-(st.p_c / (1 << 16) + st.p_b / (1 << 24) + r / ADDRESS_SPACE))
+    c_8 = np.log1p(-(st.p_b / (1 << 24) + r / ADDRESS_SPACE))
+    c_far = np.log1p(-r / ADDRESS_SPACE)
+
+    def exponent(m: np.ndarray, n: float) -> np.ndarray:
+        m8 = np.repeat(m.reshape(256, 256).sum(axis=1), 256)
+        return s_tick * (m * c_16 + (m8 - m) * c_8 + (n - m8) * c_far)
+
+    return exponent
+
+
 def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
     """Run the per-subnet recursion for cfg.horizon ticks.
 
@@ -342,9 +325,7 @@ def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
             raise ParameterError(f"initial group {i0} out of range for l={l}")
         if pop[i0] < 1:
             raise ParameterError(f"initial group {i0} has no vulnerable hosts")
-    bits = ADDRESS_BITS - l
-    block = float(1 << bits)
-    s_tick = cfg.s * cfg.tick
+    exponent = _log_survival(st, dist, cfg.s * cfg.tick)
     pp_factor = 1.0
     if cfg.pp is not None:
         d, p = cfg.pp
@@ -359,41 +340,12 @@ def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
         per_subnet = np.empty((cfg.horizon + 1, m_groups))
         per_subnet[0] = m
 
-    if st.kind in ("rs", "is", "optis"):
-        q = group_scan_distribution(st, dist=dist)
-        log_surv = np.log1p(-q / block)  # per scan, one specific address
-        for t in range(1, cfg.horizon + 1):
-            n = m.sum()
-            inc = (pop - m) * (-np.expm1(s_tick * n * log_surv))
-            m = np.minimum(m + pp_factor * inc, pop)
-            n_series[t] = m.sum()
-            if per_subnet is not None:
-                per_subnet[t] = m
-    elif st.kind == "ls":
-        c_home = np.log1p(-(st.p_a / block + (1.0 - st.p_a) / ADDRESS_SPACE))
-        c_away = np.log1p(-(1.0 - st.p_a) / ADDRESS_SPACE)
-        for t in range(1, cfg.horizon + 1):
-            n = m.sum()
-            log_surv = s_tick * (m * c_home + (n - m) * c_away)
-            inc = (pop - m) * (-np.expm1(log_surv))
-            m = np.minimum(m + pp_factor * inc, pop)
-            n_series[t] = m.sum()
-            if per_subnet is not None:
-                per_subnet[t] = m
-    else:  # 2lls at l=16
-        r = 1.0 - st.p_b - st.p_c
-        c_16 = np.log1p(-(st.p_c / (1 << 16) + st.p_b / (1 << 24) + r / ADDRESS_SPACE))
-        c_8 = np.log1p(-(st.p_b / (1 << 24) + r / ADDRESS_SPACE))
-        c_far = np.log1p(-r / ADDRESS_SPACE)
-        for t in range(1, cfg.horizon + 1):
-            n = m.sum()
-            m8 = np.repeat(m.reshape(256, 256).sum(axis=1), 256)
-            log_surv = s_tick * (m * c_16 + (m8 - m) * c_8 + (n - m8) * c_far)
-            inc = (pop - m) * (-np.expm1(log_surv))
-            m = np.minimum(m + pp_factor * inc, pop)
-            n_series[t] = m.sum()
-            if per_subnet is not None:
-                per_subnet[t] = m
+    for t in range(1, cfg.horizon + 1):
+        inc = (pop - m) * (-np.expm1(exponent(m, n_series[t - 1])))
+        m = np.minimum(m + pp_factor * inc, pop)
+        n_series[t] = m.sum()
+        if per_subnet is not None:
+            per_subnet[t] = m
 
     return EpidemicTrace(
         strategy=st.label,

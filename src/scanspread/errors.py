@@ -35,5 +35,9 @@ class DistributionFormatError(ScanSpreadError, ValueError):
     """A group-distribution CSV file is malformed or internally inconsistent."""
 
 
+class InputFileError(ScanSpreadError, OSError):
+    """An input file cannot be opened or read; the message starts with its path."""
+
+
 class InternalConsistencyError(ScanSpreadError, RuntimeError):
     """An internal invariant was violated; results cannot be trusted."""

@@ -130,45 +130,23 @@ def l2_distance_to_uniform(dist: GroupDistribution) -> float:
     return occupied_terms + empty * u * u
 
 
-def _level_counts(addr_sorted: np.ndarray, l: int) -> np.ndarray:
-    """Run lengths of the level-l group ids of sorted addresses."""
-    if l == 0:
-        return np.array([addr_sorted.size], dtype=np.int64)
-    g = addr_sorted >> np.int64(32 - l)
-    change = np.flatnonzero(g[1:] != g[:-1])
-    starts = np.r_[0, change + 1]
-    ends = np.r_[starts[1:], g.size]
-    return (ends - starts).astype(np.int64)
+def _hosts_profile(hosts: HostSet, l_max: int, metric) -> list[tuple[int, float]]:
+    """[(l, metric(dist at l))] for l = 0..l_max, coarsened from one aggregation."""
+    l_max = check_prefix_level(l_max)
+    if hosts.N == 0:
+        raise ParameterError("profiles need a non-empty host set")
+    dist = aggregate(hosts, l_max)
+    return [(l, metric(dist.coarsen(l))) for l in range(l_max + 1)]
 
 
 def beta_profile(hosts: HostSet, l_max: int) -> list[tuple[int, float]]:
     """[(l, beta(l))] for l = 0..l_max over the host set's aggregations."""
-    l_max = check_prefix_level(l_max)
-    if hosts.N == 0:
-        raise ParameterError("beta profile needs a non-empty host set")
-    addr = hosts.addresses.astype(np.int64)
-    n = hosts.N
-    out = []
-    for l in range(l_max + 1):
-        c = _level_counts(addr, l)
-        ssq = int(np.dot(c, c)) if n < (1 << 31) else int(sum(int(v) * int(v) for v in c))
-        out.append((l, math.ldexp(ssq / (n * n), l)))
-    return out
+    return _hosts_profile(hosts, l_max, lambda d: non_uniformity_factor(d).beta)
 
 
 def shannon_profile(hosts: HostSet, l_max: int) -> list[tuple[int, float]]:
     """[(l, H(l))] for l = 0..l_max; non-decreasing in l with steps <= 1."""
-    l_max = check_prefix_level(l_max)
-    if hosts.N == 0:
-        raise ParameterError("shannon profile needs a non-empty host set")
-    addr = hosts.addresses.astype(np.int64)
-    n = hosts.N
-    log2n = math.log2(n)
-    out = []
-    for l in range(l_max + 1):
-        c = _level_counts(addr, l)
-        out.append((l, log2n - _sum_c_log2_c(c) / n))
-    return out
+    return _hosts_profile(hosts, l_max, shannon_entropy)
 
 
 def profiles_from_distribution(dist: GroupDistribution) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:
@@ -181,7 +159,3 @@ def profiles_from_distribution(dist: GroupDistribution) -> tuple[list[tuple[int,
         shannons.append((l, shannon_entropy(d)))
     return betas, shannons
 
-
-def beta_for_hosts(hosts: HostSet, l: int) -> NonUniformity:
-    """Convenience: aggregate then compute beta at one level."""
-    return non_uniformity_factor(aggregate(hosts, l))

@@ -209,21 +209,70 @@ def group_scan_distribution(
         q = np.zeros(m)
         q[d.argmax_index] = 1.0
         return q
-    if kind == "ls":
-        if home_subnet is None or not 0 <= home_subnet < m:
-            raise ParameterError(f"ls needs a home group index in [0, 2**{l})")
-        q = np.full(m, (1.0 - strategy.p_a) / m)
-        q[home_subnet] += strategy.p_a
-        return q
-    # 2lls at l=16: home /16 plus uniform over the home /8's 256 children
-    if home_subnet is None or not 0 <= home_subnet < m:
-        raise ParameterError("2lls needs a home /16 group index in [0, 2**16)")
-    r = 1.0 - strategy.p_b - strategy.p_c
-    q = np.full(m, r / m)
-    home8 = home_subnet >> 8
-    q[home8 << 8 : (home8 + 1) << 8] += strategy.p_b / 256.0
-    q[home_subnet] += strategy.p_c
+    # ls/2lls: the rest uniform, each home tier's mass spread over its groups
+    law = TargetLaw(strategy)
+    tiers = law.home_tiers(home_subnet)
+    q = np.full(m, (1.0 - tiers[-1][0]) / m)
+    below = 0.0
+    for cum, start, size in tiers:
+        q[start >> law.bits : (start + size) >> law.bits] += (cum - below) * law.block / size
+        below = cum
     return q
+
+
+class TargetLaw:
+    """Per-scan target law of one strategy: set up once (cumulative q_g for
+    is, the argmax block for optis), then `draw` n targets at a time.  ls and
+    2lls aim at tiers around the scanner's home group; mss draws its uniform
+    random phase."""
+
+    __slots__ = ("strategy", "bits", "block", "needs_home", "_cum", "_base")
+
+    def __init__(self, strategy: ScanStrategy, dist: GroupDistribution | None = None):
+        self.strategy = strategy
+        self.bits = ADDRESS_BITS - strategy.l
+        self.block = 1 << self.bits
+        self.needs_home = strategy.kind in ("ls", "2lls")
+        self._cum = None
+        self._base = None
+        if strategy.kind == "is":
+            q = strategy.q_g
+            if q is None:
+                q = _resolve_p(dist, strategy.l, "is with q_g = p_g").dense_probabilities()
+            self._cum = np.cumsum(q)
+        elif strategy.kind == "optis":
+            self._base = _resolve_p(dist, strategy.l, "optis").argmax_index << self.bits
+
+    def home_tiers(self, home: int | None) -> tuple[tuple[float, int, int], ...]:
+        """(cumulative probability, block start, block size) of the blocks
+        around home group `home` (the /16 index for 2lls), innermost first."""
+        st = self.strategy
+        if home is None or not 0 <= home < (1 << st.l):
+            raise ParameterError(f"{st.kind} needs a home group index in [0, 2**{st.l})")
+        if st.kind == "ls":
+            return ((st.p_a, home << self.bits, self.block),)
+        return ((st.p_c, home << 16, 1 << 16), (st.p_c + st.p_b, (home >> 8) << 24, 1 << 24))
+
+    def draw(self, rng: np.random.Generator, n: int, home: int | None = None) -> np.ndarray:
+        """n target addresses (int64) of independent scans."""
+        kind = self.strategy.kind
+        if kind == "is":
+            g = np.searchsorted(self._cum, rng.random(n), side="right")
+            np.minimum(g, self._cum.size - 1, out=g)
+            return (g.astype(np.int64) << self.bits) + rng.integers(0, self.block, size=n, dtype=np.int64)
+        if kind == "optis":
+            return self._base + rng.integers(0, self.block, size=n, dtype=np.int64)
+        if not self.needs_home:  # rs, and the random phase of mss
+            return rng.integers(0, ADDRESS_SPACE, size=n, dtype=np.int64)
+        u = rng.random(n)
+        out = np.empty(n, dtype=np.int64)
+        rest = np.ones(n, dtype=bool)
+        for cum, start, size in self.home_tiers(home):
+            tier = rest & (u < cum)
+            out[tier] = start + rng.integers(0, size, size=int(np.count_nonzero(tier)), dtype=np.int64)
+            rest &= ~tier
+        out[rest] = rng.integers(0, ADDRESS_SPACE, size=int(np.count_nonzero(rest)), dtype=np.int64)
+        return out
 
 
 class ScannerState:
@@ -234,71 +283,26 @@ class ScannerState:
     `on_hit` is a no-op for them.
     """
 
-    __slots__ = (
-        "strategy", "rng", "bits", "block",
-        "_cum", "_base", "_home_base", "_home16", "_home8",
-        "phase", "block_start", "cursor",
-    )
+    __slots__ = ("strategy", "rng", "bits", "block", "home", "_law", "phase", "block_start", "cursor")
 
     def __init__(self, strategy: ScanStrategy, rng: np.random.Generator,
                  home_subnet: int | None = None, dist: GroupDistribution | None = None):
         self.strategy = strategy
         self.rng = rng
-        self.bits = ADDRESS_BITS - strategy.l
-        self.block = 1 << self.bits
-        self._cum = None
-        self._base = None
-        self._home_base = None
-        self._home16 = None
-        self._home8 = None
+        self._law = TargetLaw(strategy, dist)
+        self.bits = self._law.bits
+        self.block = self._law.block
+        self.home = home_subnet
+        if self._law.needs_home:
+            self._law.home_tiers(home_subnet)  # rejects a missing or out-of-range home
         self.phase = "random"
         self.block_start = None
         self.cursor = None
-        kind = strategy.kind
-        if kind == "is":
-            q = strategy.q_g
-            if q is None:
-                q = _resolve_p(dist, strategy.l, "is with q_g = p_g").dense_probabilities()
-            self._cum = np.cumsum(q)
-        elif kind == "optis":
-            d = _resolve_p(dist, strategy.l, "optis")
-            self._base = d.argmax_index << self.bits
-        elif kind == "ls":
-            if home_subnet is None or not 0 <= home_subnet < (1 << strategy.l):
-                raise ParameterError(f"ls needs a home group index in [0, 2**{strategy.l})")
-            self._home_base = home_subnet << self.bits
-        elif kind == "2lls":
-            if home_subnet is None or not 0 <= home_subnet < (1 << 16):
-                raise ParameterError("2lls needs a home /16 group index")
-            self._home16 = home_subnet << 16
-            self._home8 = (home_subnet >> 8) << 24
 
     def next_target(self) -> int:
         """Draw the next target address."""
-        rng = self.rng
-        kind = self.strategy.kind
-        if kind == "rs":
-            return int(rng.integers(0, ADDRESS_SPACE))
-        if kind == "is":
-            g = int(np.searchsorted(self._cum, rng.random(), side="right"))
-            g = min(g, self._cum.size - 1)
-            return (g << self.bits) + int(rng.integers(0, self.block))
-        if kind == "optis":
-            return self._base + int(rng.integers(0, self.block))
-        if kind == "ls":
-            if rng.random() < self.strategy.p_a:
-                return self._home_base + int(rng.integers(0, self.block))
-            return int(rng.integers(0, ADDRESS_SPACE))
-        if kind == "2lls":
-            u = rng.random()
-            if u < self.strategy.p_c:
-                return self._home16 + int(rng.integers(0, 1 << 16))
-            if u < self.strategy.p_c + self.strategy.p_b:
-                return self._home8 + int(rng.integers(0, 1 << 24))
-            return int(rng.integers(0, ADDRESS_SPACE))
-        # mss
-        if self.phase == "random":
-            return int(rng.integers(0, ADDRESS_SPACE))
+        if self.phase == "random":  # only mss leaves it, on its first hit
+            return int(self._law.draw(self.rng, 1, self.home)[0])
         target = self.block_start + self.cursor
         self.cursor = (self.cursor + 1) % self.block
         return target
@@ -314,40 +318,14 @@ class ScannerState:
     def draw_targets(self, n: int) -> np.ndarray:
         """Vectorized batch of n targets (int64).
 
-        Follows the same per-scan law as next_target but consumes the stream
-        differently, so batches and single draws are not interleavable.  For
-        MSS in the sequential phase the batch does not transition state.
+        Outside the MSS sweep this is `TargetLaw.draw`, the same call the
+        Monte Carlo engine makes, so a batch consumes the stream exactly as
+        one engine run does after its home draw.  next_target is the n = 1
+        case.  For MSS in the sequential phase the batch continues the sweep
+        and does not transition state.
         """
-        rng = self.rng
-        kind = self.strategy.kind
-        if kind == "rs" or (kind == "mss" and self.phase == "random"):
-            return rng.integers(0, ADDRESS_SPACE, size=n, dtype=np.int64)
-        if kind == "is":
-            g = np.searchsorted(self._cum, rng.random(n), side="right")
-            np.minimum(g, self._cum.size - 1, out=g)
-            return (g.astype(np.int64) << self.bits) + rng.integers(0, self.block, size=n, dtype=np.int64)
-        if kind == "optis":
-            return self._base + rng.integers(0, self.block, size=n, dtype=np.int64)
-        if kind == "ls":
-            local = rng.random(n) < self.strategy.p_a
-            k = int(np.count_nonzero(local))
-            out = np.empty(n, dtype=np.int64)
-            out[local] = self._home_base + rng.integers(0, self.block, size=k, dtype=np.int64)
-            out[~local] = rng.integers(0, ADDRESS_SPACE, size=n - k, dtype=np.int64)
-            return out
-        if kind == "2lls":
-            u = rng.random(n)
-            in16 = u < self.strategy.p_c
-            in8 = (~in16) & (u < self.strategy.p_c + self.strategy.p_b)
-            out = np.empty(n, dtype=np.int64)
-            k16 = int(np.count_nonzero(in16))
-            k8 = int(np.count_nonzero(in8))
-            out[in16] = self._home16 + rng.integers(0, 1 << 16, size=k16, dtype=np.int64)
-            out[in8] = self._home8 + rng.integers(0, 1 << 24, size=k8, dtype=np.int64)
-            rest = ~(in16 | in8)
-            out[rest] = rng.integers(0, ADDRESS_SPACE, size=n - k16 - k8, dtype=np.int64)
-            return out
-        # mss sequential sweep
+        if self.phase == "random":
+            return self._law.draw(self.rng, n, self.home)
         offs = (self.cursor + np.arange(n, dtype=np.int64)) % self.block
         self.cursor = int((self.cursor + n) % self.block)
         return self.block_start + offs

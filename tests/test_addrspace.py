@@ -65,6 +65,13 @@ def test_hostset_rejects_out_of_range():
         ss.HostSet([2**32])
 
 
+def test_hostset_rejects_non_integral_addresses():
+    for bad in ([1.7, 2.2], [1.0, float("nan")], np.array([3.5])):
+        with pytest.raises(ParameterError):
+            ss.HostSet(bad)
+    assert list(ss.HostSet([2.0, 1.0, 2**32 - 1.0])) == [1, 2, 2**32 - 1]
+
+
 def test_hostset_interval_and_membership():
     h = ss.HostSet([5, 10, 15, 2**32 - 1])
     assert h.count_in_interval(5, 15) == 2

@@ -113,6 +113,17 @@ def test_bad_dist_csv_exits_3(tmp_path):
     assert run_cli("analyze", str(p)) == 3
 
 
+def test_missing_or_unreadable_input_exits_3(tmp_path, capsys):
+    missing = tmp_path / "no" / "such.txt"
+    assert run_cli("analyze", str(missing), "--out-dir", str(tmp_path / "a")) == 3
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+    assert run_cli("analyze", str(tmp_path), "--out-dir", str(tmp_path / "b")) == 3  # a directory
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
+    assert run_cli("synth", "hosts", "--dist", str(missing), "--seed", "1",
+                   "--out", str(tmp_path / "h.txt")) == 3
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+
 def test_usage_errors_exit_2(dist_file, tmp_path):
     assert run_cli("rates", "--s", "100") == 2  # no input, no --N
     assert run_cli("rates", "--s", "100", "--N", "10", "--strategy", "foo:l=2") == 2
@@ -274,6 +285,13 @@ def test_defense_pp_point_and_curve(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [float(r["d"]) for r in rows] == [0.5, 0.75, 1.0]
     assert float(rows[-1]["p_max"]) == pytest.approx(0.02)
+
+
+@pytest.mark.parametrize("grid", ["0.5:0.5:1e-13", "0.1:1.0:1e-13"])
+def test_defense_pp_grid_without_progress_exits_2(tmp_path, grid):
+    out = tmp_path / "o"
+    assert run_cli("defense", "pp", "--beta", "50", "--d-grid", grid, "--out-dir", str(out)) == 2
+    assert not (out / "pp_curve.csv").exists()
 
 
 def test_defense_ipv6(tmp_path):

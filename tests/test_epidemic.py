@@ -6,6 +6,7 @@ import pytest
 import scanspread as ss
 from scanspread.epidemic import _sweep_hits
 from scanspread.errors import ParameterError, UnsupportedStrategyError
+from scanspread.strategies import ScannerState
 
 
 def zipf_hosts(l=8, n=50000, dist_seed=7, mat_seed=11):
@@ -128,6 +129,30 @@ def test_variance_ordering_on_uneven_blocks():
     assert results["mss:l=8"].var_alpha > 2.0 * results["is:l=8"].var_alpha
 
 
+@pytest.mark.parametrize("token", ["rs", "is:l=8", "optis:l=8", "ls:l=8,pa=0.75", "2lls:pb=0.25,pc=0.5"])
+def test_engine_and_scanner_state_draw_the_same_targets(token):
+    # run i of the engine = ScannerState.draw_targets on child stream i, with
+    # the home (ls/2lls) drawn first from that stream as the engine does
+    _, hosts = zipf_hosts()
+    st = ss.parse_strategy(token)
+    cfg = ss.EarlyStageConfig(st, s=100.0, total_scans=100_000, runs=20, seed=4,
+                              hosts=hosts, record_hits=True)
+    hits = ss.estimate_infection_rate(cfg).per_run_hits
+    addr = hosts.addresses.astype(np.int64)
+    bits = 32 - st.l
+    dist = ss.aggregate(hosts, st.l)
+    want = []
+    for seq in np.random.SeedSequence(4).spawn(20):
+        rng = np.random.default_rng(seq)
+        home = None
+        if st.kind in ("ls", "2lls"):
+            home = int(addr[rng.integers(0, hosts.N)]) >> bits
+        state = ScannerState(st, rng, home_subnet=home, dist=dist)
+        want.append(hosts.count_members(state.draw_targets(100_000)))
+    assert hits.tolist() == want
+    assert sum(want) > 0
+
+
 # -- MSS from a cold start -------------------------------------------------
 
 
@@ -230,9 +255,11 @@ def test_propagate_2lls_with_no_first_byte_mass_matches_ls():
     assert np.allclose(two.n, loc.n, rtol=1e-10)
 
 
-def test_propagate_respects_bounds_and_monotonicity():
-    d = ss.synth_zipf(8, 1.0, 20000, seed=3)
-    cfg = ss.EpidemicConfig(ss.ScanStrategy.importance(8), d, s=2000.0, horizon=400,
+@pytest.mark.parametrize("token", ["is:l=8", "ls:l=16,pa=0.75", "2lls:pb=0.25,pc=0.5"])
+def test_propagate_respects_bounds_and_monotonicity(token):
+    st = ss.parse_strategy(token)
+    d = ss.synth_zipf(st.l, 1.0, 20000, seed=3)
+    cfg = ss.EpidemicConfig(st, d, s=2000.0, horizon=400,
                             record_per_subnet=True)
     trace = ss.propagate(cfg)
     assert np.all(np.diff(trace.n) >= 0)
@@ -240,6 +267,8 @@ def test_propagate_respects_bounds_and_monotonicity():
     pop = d.dense_counts()
     assert np.all(trace.per_subnet <= pop + 1e-9)
     assert np.all(trace.per_subnet >= 0)
+    assert np.all(np.diff(trace.per_subnet, axis=0) >= 0)
+    assert np.allclose(trace.per_subnet.sum(axis=1), trace.n, rtol=1e-12)
     assert trace.n[-1] <= d.total + 1e-6
     # the dense groups saturate quickly; the starved zipf tail keeps the
     # total short of the full population
