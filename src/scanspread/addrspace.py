@@ -32,6 +32,22 @@ ADDRESS_SPACE = 1 << ADDRESS_BITS
 # Dense 2**l arrays are only materialized up to this level (8 MiB of int64).
 MAX_DENSE_LEVEL = 20
 
+# Lines, hosts or draws per step of the host-list kernels: bounds their
+# temporary arrays to a few MB whatever the input size.
+_CHUNK = 1 << 16
+
+# The bytes of canonical host-list text, the only input the vectorized parser reads.
+_CANONICAL_BYTES = b"0123456789.\n"
+_DOT, _NL, _ZERO = ord("."), ord("\n"), ord("0")
+
+# Text of each octet value: its digits, zero bytes up to 3, then '.'.
+_OCTET_TEXT = np.frombuffer(
+    b"".join(str(v).encode().ljust(3, b"\0") + b"." for v in range(256)), dtype=np.uint8
+).reshape(256, 4)
+
+# _sample_distinct draws a permutation prefix only for blocks up to this size.
+_PERMUTE_MAX_BLOCK = 1 << 22
+
 
 def check_prefix_level(l: int) -> int:
     if not isinstance(l, (int, np.integer)) or isinstance(l, bool):
@@ -69,7 +85,11 @@ class HostSet:
             arr = arr.reshape(-1)
         if arr.size and (arr.min() < 0 or arr.max() >= ADDRESS_SPACE):
             raise ParameterError("addresses must lie in [0, 2**32)")
-        arr = np.unique(arr)
+        arr = np.sort(arr)
+        keep = np.empty(arr.size, dtype=bool)
+        keep[:1] = True
+        np.not_equal(arr[1:], arr[:-1], out=keep[1:])
+        arr = arr[keep]
         self._addr64 = arr
         self._addr = arr.astype(np.uint32)
         self._addr.flags.writeable = False
@@ -79,6 +99,11 @@ class HostSet:
     def addresses(self) -> np.ndarray:
         """Sorted unique addresses as a read-only uint32 array."""
         return self._addr
+
+    @property
+    def _addresses64(self) -> np.ndarray:
+        """The same addresses as a read-only int64 array (package-internal)."""
+        return self._addr64
 
     @property
     def N(self) -> int:
@@ -125,12 +150,42 @@ def parse_host_list(source: str | Iterable[str], origin: str | None = None) -> H
 
     Blank lines and lines starting with '#' are ignored (and counted).  Any
     other malformed line raises HostListParseError with its line number.
+
+    Canonical text -- a str of ASCII digits, '.' and '\\n' only, blank lines
+    included -- is parsed by a vectorized kernel.  Any other text, and any
+    iterable of lines, goes through the per-line IPv4Address loop that
+    defines the format; both give the same result and the same error.
     """
     if isinstance(source, str):
+        if source.isascii():
+            data = source.encode("ascii")
+            if _is_canonical(data):
+                return _parse_canonical(data, origin)
         source = source.splitlines()
+    return _parse_host_lines(source, origin)
+
+
+def load_host_list(path: str | Path) -> HostListResult:
+    """Parse a host-list file (UTF-8), as parse_host_list does its text.
+
+    A canonical file -- bytes that are only ASCII digits, '.' and '\\n' --
+    is parsed by the vectorized kernel; any other file is read again in text
+    mode (universal newlines) and goes through the per-line loop.
+    """
+    path = Path(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _is_canonical(data):
+        return _parse_canonical(data, str(path))
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_host_lines(fh, str(path))
+
+
+def _parse_host_lines(lines: Iterable[str], origin: str | None) -> HostListResult:
+    """Per-line reference parser: the definition of the host-list format."""
     values = []
     ignored = 0
-    for line_no, raw in enumerate(source, start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             ignored += 1
@@ -139,26 +194,85 @@ def parse_host_list(source: str | Iterable[str], origin: str | None = None) -> H
             values.append(int(IPv4Address(line)))
         except AddressValueError:
             raise HostListParseError(line_no, line, origin) from None
-    hosts = HostSet(np.array(values, dtype=np.int64))
-    return HostListResult(hosts=hosts, duplicates_dropped=len(values) - hosts.N, lines_ignored=ignored)
+    return _host_list_result(np.array(values, dtype=np.int64), ignored)
 
 
-def load_host_list(path: str | Path) -> HostListResult:
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_host_list(fh, origin=str(path))
+def _host_list_result(values: np.ndarray, ignored: int) -> HostListResult:
+    hosts = HostSet(values)
+    return HostListResult(hosts=hosts, duplicates_dropped=values.size - hosts.N, lines_ignored=ignored)
 
 
-def _dotted(a: int) -> str:
-    return f"{(a >> 24) & 255}.{(a >> 16) & 255}.{(a >> 8) & 255}.{a & 255}"
+def _is_canonical(data: bytes) -> bool:
+    return not data.translate(None, _CANONICAL_BYTES)
+
+
+def _parse_canonical(data: bytes, origin: str | None) -> HostListResult:
+    """Vectorized parser of canonical host-list bytes, _CHUNK lines at a time.
+
+    A line is an address when it has exactly 3 dots and each octet has 1-3
+    digits, no leading zero and a value of at most 255: the rules
+    IPv4Address applies to such text.  Empty lines are blank.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    step = 16 * _CHUNK
+    ends = [np.flatnonzero(buf[lo:lo + step] == _NL) + lo for lo in range(0, buf.size, step)]
+    if buf.size and buf[-1] != _NL:
+        ends.append(np.array([buf.size]))  # a last line without its newline
+    ends = np.concatenate(ends) if ends else np.zeros(0, dtype=np.int64)
+    values = []
+    ignored = 0
+    for first in range(0, ends.size, _CHUNK):
+        lo = int(ends[first - 1]) + 1 if first else 0
+        seg = buf[lo:ends[min(first + _CHUNK, ends.size) - 1]]
+        e = ends[first:first + _CHUNK] - lo
+        s = np.empty_like(e)
+        s[0] = 0
+        s[1:] = e[:-1] + 1
+        addr, valid = _parse_canonical_lines(seg, s, e)
+        blank = s == e
+        bad = np.flatnonzero(~(valid | blank))
+        if bad.size:
+            i = int(bad[0])
+            raise HostListParseError(first + i + 1, seg[s[i]:e[i]].tobytes().decode("ascii"), origin)
+        values.append(addr)
+        ignored += int(np.count_nonzero(blank))
+    return _host_list_result(np.concatenate(values) if values else np.zeros(0, dtype=np.int64), ignored)
+
+
+def _parse_canonical_lines(seg: np.ndarray, s: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Addresses of the valid lines [s, e) of `seg`, in line order, and the
+    mask of valid lines."""
+    dots = np.flatnonzero(seg == _DOT)
+    first_dot = np.searchsorted(dots, s)
+    valid = np.searchsorted(dots, e) - first_dot == 3
+    d = dots[first_dot[valid, None] + np.arange(3)]
+    lo = np.column_stack([s[valid], d + 1])  # the 4 octets are [lo, hi)
+    hi = np.column_stack([d, e[valid]])
+    width = hi - lo
+    octet = np.zeros(width.shape, dtype=np.int64)
+    for j, weight in enumerate((1, 10, 100)):  # digits from the right
+        digit = seg[np.maximum(hi - 1 - j, 0)].astype(np.int64) - _ZERO
+        octet += np.where(width > j, digit * weight, 0)
+    leading_zero = (width > 1) & (seg[np.minimum(lo, seg.size - 1)] == _ZERO)
+    ok = ((width >= 1) & (width <= 3) & ~leading_zero & (octet <= 255)).all(axis=1)
+    valid[valid] = ok
+    octet = octet[ok]
+    return (octet[:, 0] << 24) | (octet[:, 1] << 16) | (octet[:, 2] << 8) | octet[:, 3], valid
 
 
 def save_host_list(path: str | Path, hosts: HostSet) -> None:
-    """Write one dotted-quad per line, ascending; deterministic bytes."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for a in hosts.addresses:
-            fh.write(_dotted(int(a)))
-            fh.write("\n")
+    """Write one dotted-quad per line, ascending; deterministic bytes.
+
+    Each chunk of addresses is laid out as 16 bytes per address from
+    _OCTET_TEXT; dropping the padding zeros leaves the text.
+    """
+    addr = hosts.addresses
+    with open(path, "wb") as fh:
+        for lo in range(0, addr.size, _CHUNK):
+            octets = addr[lo:lo + _CHUNK].astype(">u4").view(np.uint8).reshape(-1, 4)
+            text = _OCTET_TEXT[octets].reshape(-1, 16)
+            text[:, 15] = _NL
+            fh.write(text[text != 0])
 
 
 class GroupDistribution:
@@ -446,7 +560,7 @@ def _sample_distinct(rng: np.random.Generator, k: int, size: int) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if k == size:
         return np.arange(size, dtype=np.int64)
-    if size <= (1 << 22) and 3 * k > size:
+    if size <= _PERMUTE_MAX_BLOCK and 3 * k > size:
         return rng.permutation(size)[:k].astype(np.int64)
     chosen = np.zeros(0, dtype=np.int64)
     while chosen.size < k:
@@ -464,8 +578,23 @@ def materialize_hosts(dist: GroupDistribution, seed: int) -> HostSet:
     """Draw a concrete HostSet matching `dist`: each group's hosts are
     distinct addresses placed uniformly at random within the group's block.
 
-    Deterministic for a given (dist, seed); groups are filled in ascending
-    index order from a single seeded stream.
+    Deterministic for a given (dist, seed).  Stream contract: groups are
+    filled in ascending index order from one seeded stream, each exactly as
+    `_sample_distinct(rng, count, block)` would fill it.
+    - A group with count == block (an arange) or one drawn as a permutation
+      prefix is a break point, filled on its own in stream order.
+    - Between break points, the rejection-sampled groups are taken in runs
+      whose first batches -- count + (count >> 1) + 16 draws each -- start
+      within _CHUNK draws of the run's start.  A run's batches come from one
+      `rng.integers` call: a block of 2**b addresses consumes exactly one
+      32-bit word per draw, so this is the stream the groups would draw one
+      by one.  Each group keeps the first `count` distinct values of its
+      batch in draw order.
+    - A group whose batch holds fewer than `count` distinct values (in
+      practice only in blocks above _PERMUTE_MAX_BLOCK) needs more batches: the
+      stream is restored to the run's start, the batches before that group
+      are drawn again, `_sample_distinct` fills the group, and the next run
+      starts after it.
     """
     bits = block_bits(dist.l)
     block = 1 << bits
@@ -476,13 +605,57 @@ def materialize_hosts(dist: GroupDistribution, seed: int) -> HostSet:
             f"group {bad} needs {dist.count_of(bad)} distinct hosts but a /{dist.l} block has {block} addresses"
         )
     rng = np.random.default_rng(seed)
+    counts = dist.counts
+    bases = dist.indices << bits
+    breaks = np.flatnonzero((counts == block) | ((block <= _PERMUTE_MAX_BLOCK) & (3 * counts > block)))
     parts = []
-    for idx, cnt in zip(dist.indices, dist.counts):
-        offs = _sample_distinct(rng, int(cnt), block)
-        parts.append((int(idx) << bits) + offs)
+    start = 0
+    for stop in [*breaks.tolist(), counts.size]:
+        while start < stop:
+            k = counts[start:min(stop, start + _CHUNK)]
+            batch = k + (k >> 1) + 16
+            begin = np.cumsum(batch) - batch
+            m = int(np.searchsorted(begin, _CHUNK))
+            state = rng.bit_generator.state
+            draws = rng.integers(0, block, int(begin[m - 1] + batch[m - 1]), dtype=np.int64)
+            hosts, filled = _first_distinct(draws, bases[start:start + m], k[:m], batch[:m])
+            parts.append(hosts)
+            del draws  # before a replay draws its own batches
+            if filled < m:  # replay the stream up to this group and fill it alone
+                rng.bit_generator.state = state
+                rng.integers(0, block, int(begin[filled]), dtype=np.int64)
+                parts.append(int(bases[start + filled]) + _sample_distinct(rng, int(k[filled]), block))
+                m = filled + 1
+            start += m
+        if stop < counts.size:
+            parts.append(int(bases[stop]) + _sample_distinct(rng, int(counts[stop]), block))
+            start = stop + 1
     if not parts:
         return HostSet([])
     return HostSet(np.concatenate(parts))
+
+
+def _first_distinct(draws: np.ndarray, bases: np.ndarray, k: np.ndarray, batch: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per group, the first k distinct values of its batch in draw order.
+
+    `draws` holds the groups' batches of offsets back to back (overwritten
+    with the addresses they name).  Returns the
+    hosts of the groups before the first one whose batch has fewer than k
+    distinct values, and that group's position (len(k) if there is none).
+    """
+    gid = np.repeat(np.arange(k.size), batch)
+    draws += bases[gid]  # blocks are disjoint: an address names its group
+    order = np.argsort(draws, kind="stable")
+    ranked = draws[order]
+    keep = np.ones(draws.size, dtype=bool)
+    keep[order[1:][ranked[1:] == ranked[:-1]]] = False  # repeats of an earlier draw
+    del order, ranked
+    gid, hosts = gid[keep], draws[keep]
+    distinct = np.bincount(gid, minlength=k.size)
+    short = np.flatnonzero(distinct < k)
+    filled = int(short[0]) if short.size else k.size
+    rank = np.arange(gid.size) - (np.cumsum(distinct) - distinct)[gid]
+    return hosts[(rank < k[gid]) & (gid < filled)], filled
 
 
 @dataclass(frozen=True)

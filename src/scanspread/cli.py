@@ -15,8 +15,8 @@ the command line, input digests, seed, package version and runtime.  Data
 files themselves contain only deterministic content: reruns with the same
 inputs, seed and version are byte-identical regardless of --threads.
 
-Exit codes: 0 success, 2 usage or parameter error, 3 missing, unreadable or
-malformed input, 4 internal consistency failure.
+Exit codes: 0 success, 2 usage or parameter error, 3 missing, unreadable,
+non-UTF-8 or malformed input, 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .rates import (
     rate_table,
     write_rates_csv,
 )
-from .strategies import ScanStrategy, parse_strategy
+from .strategies import parse_strategy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -124,11 +124,14 @@ def _write_manifest(path: Path, argv: list[str], input_paths: list[Path],
 
 @contextmanager
 def _reading_input(path: Path):
-    """Report an OSError while opening or reading an input as InputFileError."""
+    """Report an OSError while opening or reading an input, or input that is
+    not UTF-8, as InputFileError."""
     try:
         yield
     except OSError as exc:
         raise InputFileError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputFileError(f"{path}: {exc}") from None
 
 
 def _load_input(path: Path, kind: str) -> tuple[str, HostListResult | GroupDistribution]:

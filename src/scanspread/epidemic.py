@@ -111,7 +111,7 @@ class _EarlyEngine:
         st = cfg.strategy
         self.kind = st.kind
         self.hosts = hosts
-        self.addr = hosts.addresses.astype(np.int64)
+        self.addr = hosts._addresses64
         self.N = hosts.N
         self.total = cfg.total_scans
         self.bits = ADDRESS_BITS - st.l
@@ -205,7 +205,7 @@ def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[Ea
     if not scan_budgets or any(int(b) < 1 for b in scan_budgets):
         raise ParameterError("scan budgets must be positive integers")
     hosts = _resolve_hosts(cfg)
-    addr = hosts.addresses.astype(np.int64)
+    addr = hosts._addresses64
     bits = ADDRESS_BITS - cfg.strategy.l
     p_first = hosts.N / ADDRESS_SPACE
     budget_seqs = np.random.SeedSequence(cfg.seed).spawn(len(scan_budgets))

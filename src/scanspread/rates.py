@@ -42,7 +42,7 @@ import numpy as np
 from .addrspace import ADDRESS_SPACE, GroupDistribution, HostSet, aggregate
 from .errors import ParameterError
 from .infometrics import NonUniformity, non_uniformity_factor
-from .strategies import MAX_VECTOR_LEVEL, ScanStrategy
+from .strategies import ScanStrategy
 
 # Code Red v2 reference point: 360k infected hosts scanning at 358/min.
 CODE_RED_POPULATION = 360_000

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scanspread as ss
+from scanspread import addrspace
 from scanspread.addrspace import _sample_distinct, block_size, write_ccdf_csv
 from scanspread.errors import (
     CapacityError,
@@ -55,6 +56,101 @@ def test_host_list_round_trip(tmp_path, four_hosts):
     assert ss.load_host_list(path).hosts == four_hosts
 
 
+octet = st.integers(0, 255).map(str)
+address_line = st.lists(octet, min_size=4, max_size=4).map(".".join)
+canonical_good = st.one_of(address_line, st.just(""))
+bad_octet = st.one_of(
+    octet.map(lambda o: "0" + o),  # leading zero
+    st.integers(256, 999).map(str),
+    st.integers(1000, 99999).map(str),  # more than 3 digits
+    st.just(""),  # empty octet
+)
+canonical_bad = st.one_of(
+    st.tuples(st.lists(octet, min_size=4, max_size=4), st.integers(0, 3), bad_octet).map(
+        lambda t: ".".join(t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:])),
+    st.lists(octet, min_size=1, max_size=3).map(".".join),  # too few octets
+    st.lists(octet, min_size=5, max_size=6).map(".".join),  # too many
+    st.sampled_from(["...", "1.2.3.4.", ".1.2.3.4"]),
+)
+other_line = st.one_of(
+    st.sampled_from(["# comment", "#10.0.0.1", "   ", "\t"]),
+    st.tuples(st.sampled_from([" ", "\t", " \t"]), st.one_of(canonical_good, canonical_bad),
+              st.sampled_from(["", " ", "\t"])).map("".join),  # surrounding whitespace
+    st.sampled_from(["\u0661.2.3.4", "1.2.3.\u0664", "10.0.0.\uff11"]),  # non-ASCII digits
+)
+
+
+@st.composite
+def host_list_texts(draw):
+    """Valid and blank lines with a few others inserted: invalid ones and,
+    unless the text is to stay canonical, comments, padded lines and
+    non-ASCII digits."""
+    canonical = draw(st.booleans())
+    lines = draw(st.lists(canonical_good, max_size=30))
+    for _ in range(draw(st.integers(0, 3))):
+        line = draw(canonical_bad if canonical else st.one_of(canonical_bad, other_line))
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    end = "\n" if canonical else draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines)
+    if lines and draw(st.booleans()):
+        text += end  # else no final newline
+    return text
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except HostListParseError as exc:
+        return ("error", exc.line_no, exc.text, exc.origin)
+
+
+@given(text=host_list_texts())
+@settings(max_examples=300, deadline=None)
+def test_parsers_agree_with_the_per_line_loop(tmp_path_factory, text):
+    # the IPv4Address loop defines the format; the vectorized parser must
+    # give the same result or fail on the same line with the same text
+    expected = _outcome(addrspace._parse_host_lines, text.splitlines(), "src")
+    assert _outcome(ss.parse_host_list, text, "src") == expected
+    path = tmp_path_factory.mktemp("hosts") / "list.txt"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(expected, tuple):
+        expected = expected[:3] + (str(path),)
+    assert _outcome(ss.load_host_list, path) == expected
+
+
+def test_canonical_parse_spans_chunks_and_reports_the_bad_line(tmp_path):
+    hosts = ss.HostSet(np.random.default_rng(1).integers(0, 2**32, 3 * addrspace._CHUNK))
+    path = tmp_path / "hosts.txt"
+    ss.save_host_list(path, hosts)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[addrspace._CHUNK + 7:addrspace._CHUNK + 7] = ["", lines[0]]  # a blank and a duplicate
+    path.write_text("\n".join(lines), encoding="utf-8")  # no final newline
+    res = ss.load_host_list(path)
+    assert (res.hosts, res.duplicates_dropped, res.lines_ignored) == (hosts, 1, 1)
+    lines[2 * addrspace._CHUNK + 3] = "10.0.0.256"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(HostListParseError) as exc:
+        ss.load_host_list(path)
+    assert (exc.value.line_no, exc.value.text) == (2 * addrspace._CHUNK + 4, "10.0.0.256")
+    assert str(exc.value).startswith(f"{path}:{2 * addrspace._CHUNK + 4}: ")
+
+
+def _dotted(a: int) -> str:
+    return f"{(a >> 24) & 255}.{(a >> 16) & 255}.{(a >> 8) & 255}.{a & 255}"
+
+
+@pytest.mark.parametrize("addrs", [
+    [0, 2**32 - 1, (1 << 24) | (10 << 16) | (100 << 8) | 255],  # 0.0.0.0, 255.255.255.255, 1.10.100.255
+    np.random.default_rng(3).integers(0, 2**32, 2 * addrspace._CHUNK + 5),
+    [],
+])
+def test_save_host_list_bytes_match_dotted_quads(tmp_path, addrs):
+    hosts = ss.HostSet(addrs)
+    path = tmp_path / "hosts.txt"
+    ss.save_host_list(path, hosts)
+    assert path.read_bytes() == "".join(_dotted(int(a)) + "\n" for a in hosts.addresses).encode("ascii")
+
+
 # -- HostSet ---------------------------------------------------------------
 
 
@@ -70,6 +166,16 @@ def test_hostset_rejects_non_integral_addresses():
         with pytest.raises(ParameterError):
             ss.HostSet(bad)
     assert list(ss.HostSet([2.0, 1.0, 2**32 - 1.0])) == [1, 2, 2**32 - 1]
+
+
+@given(addrs=st.lists(st.integers(0, 2**32 - 1), max_size=60), repeats=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_hostset_dedupes_like_unique(addrs, repeats):
+    raw = np.array(addrs * repeats, dtype=np.int64)
+    np.random.default_rng(len(addrs)).shuffle(raw)
+    hosts = ss.HostSet(raw)
+    assert np.array_equal(hosts.addresses, np.unique(raw))
+    assert hosts.addresses.dtype == np.uint32
 
 
 def test_hostset_interval_and_membership():
@@ -259,6 +365,64 @@ def test_materialize_full_block():
 def test_materialize_capacity_error():
     with pytest.raises(CapacityError):
         ss.materialize_hosts(ss.GroupDistribution(28, [0], [17]), seed=0)
+
+
+def _materialize_reference(dist, seed, permute_max=1 << 22):
+    """The per-group loop materialize_hosts replaced, with its sampler."""
+
+    def sample_distinct(rng, k, size):
+        if k == size:
+            return np.arange(size, dtype=np.int64)
+        if size <= permute_max and 3 * k > size:
+            return rng.permutation(size)[:k].astype(np.int64)
+        chosen = np.zeros(0, dtype=np.int64)
+        while chosen.size < k:
+            need = k - chosen.size
+            batch = rng.integers(0, size, size=need + (need >> 1) + 16, dtype=np.int64)
+            pool = np.concatenate([chosen, batch])
+            _, first = np.unique(pool, return_index=True)
+            first.sort()
+            pool = pool[first]
+            chosen = pool[: min(k, pool.size)]
+        return chosen
+
+    bits = 32 - dist.l
+    rng = np.random.default_rng(seed)
+    parts = [(int(i) << bits) + sample_distinct(rng, int(c), 1 << bits) for i, c in zip(dist.indices, dist.counts)]
+    return np.unique(np.concatenate(parts)).astype(np.uint32)
+
+
+@pytest.mark.parametrize("dist, seed", [
+    (ss.synth_zipf(16, 1.0, 448894, seed=2), 5),  # the paper fixture; its top group is a permutation
+    (ss.synth_zipf(8, 1.0, 20000, seed=4), 5),
+    (ss.synth_uniform(300, 16, 357), 21),
+    (ss.GroupDistribution(20, [0, 3, 9, 100], [5, 2000, 4000, 3]), 1),  # permutation groups
+    (ss.GroupDistribution(28, [7, 8, 100], [16, 3, 16]), 0),  # full blocks
+], ids=["zipf16", "zipf8", "uniform", "permutation", "full_block"])
+def test_materialize_is_byte_identical_to_the_per_group_loop(dist, seed):
+    assert np.array_equal(ss.materialize_hosts(dist, seed).addresses, _materialize_reference(dist, seed))
+
+
+def test_materialize_replays_a_group_its_first_batch_cannot_fill(monkeypatch):
+    # Groups whose first batch holds too few distinct values exist only in
+    # blocks too large to permute (2**23 addresses and up at the default
+    # threshold, where the loop takes tens of seconds); without the
+    # permutation path the same happens in /24 blocks.
+    monkeypatch.setattr(addrspace, "_PERMUTE_MAX_BLOCK", 0)
+    counts = np.random.default_rng(8).integers(1, 256, 500)
+    counts[[0, 1, 300, 499]] = [250, 255, 256, 240]
+    dist = ss.GroupDistribution(24, np.arange(0, 1000, 2), counts)
+    replayed = []
+    sample = addrspace._sample_distinct
+
+    def spy(rng, k, size):
+        replayed.append(k < size)
+        return sample(rng, k, size)
+
+    monkeypatch.setattr(addrspace, "_sample_distinct", spy)
+    got = ss.materialize_hosts(dist, 9).addresses
+    assert sum(replayed) > 100
+    assert np.array_equal(got, _materialize_reference(dist, 9, permute_max=0))
 
 
 @given(seed=st.integers(0, 2**31), k=st.integers(1, 40), bits=st.integers(2, 12))

@@ -124,6 +124,19 @@ def test_missing_or_unreadable_input_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("kind, data", [
+    ("hosts", b"10.0.0.1\n10.0.\xff.2\n"),
+    ("dist", b"# l=8 N=1\ngroup_index,count\n10,1\xff\n"),
+    ("auto", b"\xff10.0.0.1\n"),
+], ids=["hosts", "dist", "auto"])
+def test_non_utf8_input_exits_3(tmp_path, capsys, kind, data):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(data)
+    assert run_cli("analyze", str(p), "--kind", kind, "--out-dir", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and "can't decode byte 0xff" in err
+
+
 def test_usage_errors_exit_2(dist_file, tmp_path):
     assert run_cli("rates", "--s", "100") == 2  # no input, no --N
     assert run_cli("rates", "--s", "100", "--N", "10", "--strategy", "foo:l=2") == 2
