@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from ipaddress import AddressValueError, IPv4Address
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -64,11 +64,6 @@ def block_bits(l: int) -> int:
 
 def block_size(l: int) -> int:
     return 1 << block_bits(l)
-
-
-def group_of(address: int, l: int) -> int:
-    """Group index of an address at level l."""
-    return int(address) >> block_bits(l)
 
 
 class HostSet:
@@ -315,15 +310,6 @@ class GroupDistribution:
         nz = np.flatnonzero(dense)
         return cls(l, nz, dense[nz])
 
-    @classmethod
-    def from_pairs(cls, l: int, pairs: Mapping[int, int] | Iterable[tuple[int, int]]) -> "GroupDistribution":
-        if isinstance(pairs, Mapping):
-            pairs = pairs.items()
-        items = list(pairs)
-        idx = [i for i, _ in items]
-        cnt = [c for _, c in items]
-        return cls(l, idx, cnt)
-
     @property
     def l(self) -> int:
         return self._l
@@ -566,11 +552,10 @@ def _sample_distinct(rng: np.random.Generator, k: int, size: int) -> np.ndarray:
     while chosen.size < k:
         need = k - chosen.size
         batch = rng.integers(0, size, size=need + (need >> 1) + 16, dtype=np.int64)
-        pool = np.concatenate([chosen, batch])
-        _, first = np.unique(pool, return_index=True)
-        first.sort()
-        pool = pool[first]
-        chosen = pool[: min(k, pool.size)]
+        fresh = batch[_first_occurrences(batch)]
+        taken = np.append(np.sort(chosen), size)  # `size` is above every draw
+        fresh = fresh[taken[np.searchsorted(taken, fresh)] != fresh]
+        chosen = np.concatenate([chosen, fresh[:need]])
     return chosen
 
 
@@ -635,6 +620,15 @@ def materialize_hosts(dist: GroupDistribution, seed: int) -> HostSet:
     return HostSet(np.concatenate(parts))
 
 
+def _first_occurrences(values: np.ndarray) -> np.ndarray:
+    """Mask of the values that do not repeat an earlier value."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    keep = np.ones(values.size, dtype=bool)
+    keep[order[1:][ranked[1:] == ranked[:-1]]] = False
+    return keep
+
+
 def _first_distinct(draws: np.ndarray, bases: np.ndarray, k: np.ndarray, batch: np.ndarray) -> tuple[np.ndarray, int]:
     """Per group, the first k distinct values of its batch in draw order.
 
@@ -645,11 +639,7 @@ def _first_distinct(draws: np.ndarray, bases: np.ndarray, k: np.ndarray, batch: 
     """
     gid = np.repeat(np.arange(k.size), batch)
     draws += bases[gid]  # blocks are disjoint: an address names its group
-    order = np.argsort(draws, kind="stable")
-    ranked = draws[order]
-    keep = np.ones(draws.size, dtype=bool)
-    keep[order[1:][ranked[1:] == ranked[:-1]]] = False  # repeats of an earlier draw
-    del order, ranked
+    keep = _first_occurrences(draws)
     gid, hosts = gid[keep], draws[keep]
     distinct = np.bincount(gid, minlength=k.size)
     short = np.flatnonzero(distinct < k)

@@ -15,8 +15,9 @@ the command line, input digests, seed, package version and runtime.  Data
 files themselves contain only deterministic content: reruns with the same
 inputs, seed and version are byte-identical regardless of --threads.
 
-Exit codes: 0 success, 2 usage or parameter error, 3 missing, unreadable,
-non-UTF-8 or malformed input, 4 internal consistency failure.
+Exit codes: 0 success, 2 usage or parameter error or an output path that
+cannot be written, 3 missing, unreadable, non-UTF-8 or malformed input, 4
+internal consistency failure.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -83,18 +83,6 @@ EXIT_INTERNAL = 4
 MAX_GRID_POINTS = 1_000_000
 
 
-@dataclass
-class RunManifest:
-    """Provenance of one CLI run; written next to the data outputs."""
-
-    command: list[str]
-    inputs: dict[str, str]
-    seed: int | None
-    version: str
-    runtime_seconds: float
-    threads: int | None
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -109,19 +97,6 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _write_manifest(path: Path, argv: list[str], input_paths: list[Path],
-                    seed: int | None, t0: float, threads: int | None) -> None:
-    manifest = RunManifest(
-        command=["scanspread"] + argv,
-        inputs={str(p): _sha256(p) for p in input_paths},
-        seed=seed,
-        version=__version__,
-        runtime_seconds=time.perf_counter() - t0,
-        threads=threads,
-    )
-    _write_json(path, asdict(manifest))
-
-
 @contextmanager
 def _reading_input(path: Path):
     """Report an OSError while opening or reading an input, or input that is
@@ -134,8 +109,9 @@ def _reading_input(path: Path):
         raise InputFileError(f"{path}: {exc}") from None
 
 
-def _load_input(path: Path, kind: str) -> tuple[str, HostListResult | GroupDistribution]:
-    """Sniff and load a host list ('hosts') or distribution CSV ('dist')."""
+def _load_input(path: Path, kind: str) -> tuple[HostListResult | None, GroupDistribution | None]:
+    """Sniff and load a host list or a distribution CSV: returns
+    (host list, None) or (None, distribution)."""
     with _reading_input(path):
         if kind == "auto":
             kind = "hosts"
@@ -148,8 +124,8 @@ def _load_input(path: Path, kind: str) -> tuple[str, HostListResult | GroupDistr
                         kind = "dist"
                     break
         if kind == "dist":
-            return "dist", GroupDistribution.from_csv(path)
-        return "hosts", load_host_list(path)
+            return None, GroupDistribution.from_csv(path)
+        return load_host_list(path), None
 
 
 def _write_profile_csv(path: Path, rows: list[tuple[int, float]], column: str) -> None:
@@ -162,15 +138,13 @@ def _write_profile_csv(path: Path, rows: list[tuple[int, float]], column: str) -
 # -- analyze ---------------------------------------------------------------
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_analyze(args: argparse.Namespace) -> None:
     in_path = Path(args.input)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    kind, loaded = _load_input(in_path, args.kind)
+    loaded, dist = _load_input(in_path, args.kind)
     report_levels = sorted(set(args.report_l or [8, 16]))
 
-    if kind == "hosts":
+    if loaded is not None:
         hosts = loaded.hosts
         if hosts.N == 0:
             raise ParameterError(f"{in_path}: no hosts")
@@ -183,7 +157,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 parent = refine(parent, hosts, l)
         dist = aggregate(hosts, max([l_max, *report_levels]))
     else:
-        dist = loaded
         if dist.total == 0:
             raise ParameterError(f"{in_path}: empty distribution")
         l_max = min(args.l_max if args.l_max is not None else dist.l, dist.l)
@@ -207,8 +180,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "h_inf": rep.h_inf,
             "beta": non_uniformity_factor(d).beta,
         })
-    _write_manifest(out_dir / "manifest.json", args.argv, [in_path], None, t0, None)
-    return EXIT_OK
 
 
 # -- rates -----------------------------------------------------------------
@@ -248,42 +219,22 @@ def _build_context(args: argparse.Namespace, dist: GroupDistribution | None,
     )
 
 
-def cmd_rates(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dist = hosts = None
-    inputs = []
+def cmd_rates(args: argparse.Namespace) -> None:
+    loaded = dist = None
     if args.input is not None:
-        in_path = Path(args.input)
-        inputs.append(in_path)
-        kind, loaded = _load_input(in_path, args.kind)
-        if kind == "dist":
-            dist = loaded
-        else:
-            hosts = loaded.hosts
+        loaded, dist = _load_input(Path(args.input), args.kind)
     strategies = [parse_strategy(tok) for tok in (args.strategy or ["rs"])]
-    ctx = _build_context(args, dist, hosts)
+    ctx = _build_context(args, dist, loaded.hosts if loaded else None)
     reports = rate_table(strategies, ctx)
-    write_rates_csv(reports, out_dir / "rates.csv", time_unit=args.time_unit)
-    _write_manifest(out_dir / "manifest.json", args.argv, inputs, None, t0, None)
-    return EXIT_OK
+    write_rates_csv(reports, Path(args.out_dir) / "rates.csv", time_unit=args.time_unit)
 
 
 # -- simulate --------------------------------------------------------------
 
 
-def cmd_simulate_early(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate_early(args: argparse.Namespace) -> None:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    in_path = Path(args.input)
-    kind, loaded = _load_input(in_path, args.kind)
-    hosts = dist = None
-    if kind == "hosts":
-        hosts = loaded.hosts
-    else:
-        dist = loaded
+    loaded, dist = _load_input(Path(args.input), args.kind)
     strategy = parse_strategy(args.strategy)
     mat_seed = args.mat_seed if args.mat_seed is not None else args.seed
     cfg = EarlyStageConfig(
@@ -292,7 +243,7 @@ def cmd_simulate_early(args: argparse.Namespace) -> int:
         total_scans=args.scans,
         runs=args.runs,
         seed=args.seed,
-        hosts=hosts,
+        hosts=loaded.hosts if loaded else None,
         dist=dist,
         materialize_seed=mat_seed,
         threads=args.threads,
@@ -315,21 +266,14 @@ def cmd_simulate_early(args: argparse.Namespace) -> int:
             "mean_alpha": r.mean_alpha,
             "var_alpha": r.var_alpha,
         })
-    _write_manifest(out_dir / "manifest.json", args.argv, [in_path], args.seed, t0, args.threads)
-    return EXIT_OK
 
 
-def cmd_simulate_epidemic(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate_epidemic(args: argparse.Namespace) -> None:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    in_path = Path(args.input)
-    kind, loaded = _load_input(in_path, args.kind)
+    loaded, dist = _load_input(Path(args.input), args.kind)
     strategy = parse_strategy(args.strategy)
-    if kind == "hosts":
+    if loaded is not None:
         dist = aggregate(loaded.hosts, strategy.l)
-    else:
-        dist = loaded
     initial: int | str = args.initial
     if initial != "densest":
         initial = int(initial)
@@ -368,8 +312,6 @@ def cmd_simulate_epidemic(args: argparse.Namespace) -> int:
         t = time_to_fraction(trace, frac)
         summary[f"t_{args.time_unit}_to_{frac}"] = t
     _write_json(out_dir / "epidemic_summary.json", summary)
-    _write_manifest(out_dir / "manifest.json", args.argv, [in_path], None, t0, None)
-    return EXIT_OK
 
 
 # -- defense ---------------------------------------------------------------
@@ -393,10 +335,8 @@ def _d_grid(spec: str) -> list[float]:
     return [d for d in points if d <= hi + 1e-12]
 
 
-def cmd_defense(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_defense(args: argparse.Namespace) -> None:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.mode == "ipv6":
         if args.s is None or args.N is None or args.beta32 is None:
             raise ParameterError("ipv6 mode needs --s, --N and --beta32")
@@ -433,36 +373,25 @@ def cmd_defense(args: argparse.Namespace) -> int:
                 for d in grid:
                     fh.write(f"{d!r},{pp_requirement(beta, min(d, 1.0))!r}\n")
         _write_json(out_dir / "defense.json", result)
-    _write_manifest(out_dir / "manifest.json", args.argv, [], None, t0, None)
-    return EXIT_OK
 
 
 # -- synth -----------------------------------------------------------------
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_synth(args: argparse.Namespace) -> None:
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    seed = None
-    inputs = []
     if args.shape == "uniform":
         dist = synth_uniform(args.groups, args.l, args.per_group)
         dist.to_csv(out_path)
     elif args.shape == "zipf":
-        seed = args.seed
         dist = synth_zipf(args.l, args.exponent, args.hosts, args.seed)
         dist.to_csv(out_path)
     else:  # hosts
-        seed = args.seed
         dist_path = Path(args.dist)
-        inputs.append(dist_path)
         with _reading_input(dist_path):
             dist = GroupDistribution.from_csv(dist_path)
         hosts = materialize_hosts(dist, args.seed)
         save_host_list(out_path, hosts)
-    _write_manifest(Path(str(out_path) + ".manifest.json"), args.argv, inputs, seed, t0, None)
-    return EXIT_OK
 
 
 # -- parser ----------------------------------------------------------------
@@ -581,22 +510,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: its data files, then the manifest recording the
+    command line, input digests, seed, threads, version and runtime."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.argv = list(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
+    if args.command == "synth":
+        manifest = Path(f"{Path(args.out)}.manifest.json")
+    else:
+        manifest = Path(args.out_dir) / "manifest.json"
+    inputs = [Path(p) for p in (getattr(args, "input", None), getattr(args, "dist", None)) if p is not None]
     try:
-        return args.func(args)
+        manifest.parent.mkdir(parents=True, exist_ok=True)
+        args.func(args)
+        _write_json(manifest, {
+            "command": ["scanspread", *argv],
+            "inputs": {str(p): _sha256(p) for p in inputs},
+            "seed": getattr(args, "seed", None),
+            "threads": getattr(args, "threads", None),
+            "version": __version__,
+            "runtime_seconds": time.perf_counter() - t0,
+        })
     except (HostListParseError, DistributionFormatError, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except OSError as exc:  # an output path that cannot be created or written
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ for uniform q.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -156,6 +157,7 @@ def _run_all(engine_run, streams, threads: int) -> np.ndarray:
     def work(i: int) -> None:
         hits[i] = engine_run(np.random.default_rng(streams[i]))
 
+    threads = min(threads, os.cpu_count() or 1)  # at most one worker per CPU, however many are asked for
     if threads == 1:
         for i in range(len(streams)):
             work(i)

@@ -367,28 +367,31 @@ def test_materialize_capacity_error():
         ss.materialize_hosts(ss.GroupDistribution(28, [0], [17]), seed=0)
 
 
+def _sample_distinct_reference(rng, k, size, permute_max=1 << 22):
+    """The sampler materialize_hosts used per group: each batch re-dedupes
+    the whole pool of values chosen so far plus the new draws."""
+    if k == size:
+        return np.arange(size, dtype=np.int64)
+    if size <= permute_max and 3 * k > size:
+        return rng.permutation(size)[:k].astype(np.int64)
+    chosen = np.zeros(0, dtype=np.int64)
+    while chosen.size < k:
+        need = k - chosen.size
+        batch = rng.integers(0, size, size=need + (need >> 1) + 16, dtype=np.int64)
+        pool = np.concatenate([chosen, batch])
+        _, first = np.unique(pool, return_index=True)
+        first.sort()
+        pool = pool[first]
+        chosen = pool[: min(k, pool.size)]
+    return chosen
+
+
 def _materialize_reference(dist, seed, permute_max=1 << 22):
     """The per-group loop materialize_hosts replaced, with its sampler."""
-
-    def sample_distinct(rng, k, size):
-        if k == size:
-            return np.arange(size, dtype=np.int64)
-        if size <= permute_max and 3 * k > size:
-            return rng.permutation(size)[:k].astype(np.int64)
-        chosen = np.zeros(0, dtype=np.int64)
-        while chosen.size < k:
-            need = k - chosen.size
-            batch = rng.integers(0, size, size=need + (need >> 1) + 16, dtype=np.int64)
-            pool = np.concatenate([chosen, batch])
-            _, first = np.unique(pool, return_index=True)
-            first.sort()
-            pool = pool[first]
-            chosen = pool[: min(k, pool.size)]
-        return chosen
-
     bits = 32 - dist.l
     rng = np.random.default_rng(seed)
-    parts = [(int(i) << bits) + sample_distinct(rng, int(c), 1 << bits) for i, c in zip(dist.indices, dist.counts)]
+    parts = [(int(i) << bits) + _sample_distinct_reference(rng, int(c), 1 << bits, permute_max)
+             for i, c in zip(dist.indices, dist.counts)]
     return np.unique(np.concatenate(parts)).astype(np.uint32)
 
 
@@ -434,6 +437,18 @@ def test_sample_distinct_is_distinct_and_in_range(seed, k, bits):
     assert got.size == k
     assert np.unique(got).size == k
     assert got.min() >= 0 and got.max() < size
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("bits, k", [(8, 128), (8, 200), (8, 255), (12, 2048), (12, 3500), (12, 4095),
+                                     (16, 40000), (16, 60000)])
+def test_sample_distinct_matches_the_whole_pool_sampler(monkeypatch, seed, bits, k):
+    # Without the permutation path these k need several batches each.
+    monkeypatch.setattr(addrspace, "_PERMUTE_MAX_BLOCK", 0)
+    size = 1 << bits
+    got = _sample_distinct(np.random.default_rng(seed), k, size)
+    want = _sample_distinct_reference(np.random.default_rng(seed), k, size, permute_max=0)
+    assert np.array_equal(got, want)
 
 
 def test_block_size_values():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -137,6 +138,23 @@ def test_non_utf8_input_exits_3(tmp_path, capsys, kind, data):
     assert err.startswith(f"error: {p}: ") and "can't decode byte 0xff" in err
 
 
+@pytest.mark.parametrize("make, argv, culprit, reason", [
+    ("file", ["defense", "pp", "--beta", "50", "--out-dir", "{target}/x"], "{target}/x", "Not a directory"),
+    ("file", ["synth", "uniform", "--l", "8", "--groups", "2", "--per-group", "3", "--out", "{target}/d.csv"],
+     "{target}", "File exists"),
+    ("dir", ["synth", "uniform", "--l", "8", "--groups", "2", "--per-group", "3", "--out", "{target}"],
+     "{target}", "Is a directory"),
+], ids=["out_dir_under_a_file", "out_under_a_file", "out_is_a_directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, make, argv, culprit, reason):
+    target = tmp_path / "target"
+    if make == "dir":
+        target.mkdir()
+    else:
+        target.write_text("")
+    assert run_cli(*(a.format(target=target) for a in argv)) == 2
+    assert capsys.readouterr().err == f"error: {culprit.format(target=target)}: {reason}\n"
+
+
 def test_usage_errors_exit_2(dist_file, tmp_path):
     assert run_cli("rates", "--s", "100") == 2  # no input, no --N
     assert run_cli("rates", "--s", "100", "--N", "10", "--strategy", "foo:l=2") == 2
@@ -159,6 +177,44 @@ def test_internal_error_exits_4(hosts_file, tmp_path, monkeypatch):
 
 def test_version_flag():
     assert run_cli("--version") == 0
+
+
+@pytest.mark.parametrize("argv, inputs, seed, threads", [
+    (["analyze", "{hosts}"], ["{hosts}"], None, None),
+    (["rates", "{dist}", "--s", "10"], ["{dist}"], None, None),
+    (["rates", "--s", "10", "--N", "100"], [], None, None),
+    (["simulate", "early", "{dist}", "--strategy", "rs", "--s", "1", "--scans", "10", "--runs", "5",
+      "--seed", "7"], ["{dist}"], 7, 1),
+    (["simulate", "early", "{dist}", "--strategy", "mss:l=8", "--s", "1", "--runs", "5", "--seed", "5",
+      "--threads", "2", "--budgets", "10,100"], ["{dist}"], 5, 2),
+    (["simulate", "epidemic", "{hosts}", "--strategy", "rs:l=8", "--s", "1", "--horizon", "3"],
+     ["{hosts}"], None, None),
+    (["defense", "pp", "--beta", "50"], [], None, None),
+    (["defense", "ipv6", "--s", "1", "--N", "10", "--beta32", "2"], [], None, None),
+    (["synth", "uniform", "--l", "8", "--groups", "2", "--per-group", "3"], [], None, None),
+    (["synth", "zipf", "--l", "8", "--exponent", "1.0", "--hosts", "50", "--seed", "4"], [], 4, None),
+    (["synth", "hosts", "--dist", "{dist}", "--seed", "9"], ["{dist}"], 9, None),
+], ids=["analyze", "rates", "rates_no_input", "early", "early_budgets", "epidemic", "defense_pp",
+        "defense_ipv6", "synth_uniform", "synth_zipf", "synth_hosts"])
+def test_manifest_records_the_run(hosts_file, dist_file, tmp_path, argv, inputs, seed, threads):
+    files = {"{hosts}": str(hosts_file), "{dist}": str(dist_file)}
+    argv = [files.get(a, a) for a in argv]
+    out = tmp_path / "o"
+    if argv[0] == "synth":
+        argv += ["--out", str(out / "data")]
+        manifest = out / "data.manifest.json"
+    else:
+        argv += ["--out-dir", str(out)]
+        manifest = out / "manifest.json"
+    assert run_cli(*argv) == 0
+    m = json.loads(manifest.read_text())
+    assert set(m) == {"command", "inputs", "seed", "threads", "version", "runtime_seconds"}
+    assert m["command"] == ["scanspread", *argv]
+    assert m["inputs"] == {files[p]: hashlib.sha256(Path(files[p]).read_bytes()).hexdigest() for p in inputs}
+    assert m["seed"] == seed
+    assert m["threads"] == threads
+    assert m["version"] == ss.__version__
+    assert m["runtime_seconds"] >= 0
 
 
 # -- rates -----------------------------------------------------------------

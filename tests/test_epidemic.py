@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 import scanspread as ss
+from scanspread import epidemic
 from scanspread.epidemic import _sweep_hits
 from scanspread.errors import ParameterError, UnsupportedStrategyError
 from scanspread.strategies import ScannerState
@@ -77,6 +79,37 @@ def test_early_estimate_is_deterministic():
     other = ss.EarlyStageConfig(ss.ScanStrategy.rs(), s=100.0, total_scans=20000,
                                 runs=200, seed=6, hosts=hosts, record_hits=True)
     assert not np.array_equal(a.per_run_hits, ss.estimate_infection_rate(other).per_run_hits)
+
+
+def test_thread_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # A fake pool records its size and maps serially, so no thread starts.
+    hosts = ss.HostSet(np.arange(0, 1 << 16, 7))
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    def go(threads):
+        cfg = ss.EarlyStageConfig(ss.ScanStrategy.optimal(16), s=1.0, total_scans=100, runs=50,
+                                  seed=3, hosts=hosts, dist=ss.aggregate(hosts, 16),
+                                  threads=threads, record_hits=True)
+        return ss.estimate_infection_rate(cfg).per_run_hits
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(epidemic, "ThreadPoolExecutor", SerialPool)
+    got = go(10**6)
+    assert sizes and max(sizes) <= 2
+    assert got.sum() > 0 and np.array_equal(got, go(1))
 
 
 def test_early_estimate_scaling_identities(four_hosts):
