@@ -273,7 +273,8 @@ def save_host_list(path: str | Path, hosts: HostSet) -> None:
 class GroupDistribution:
     """Host counts per /l prefix group, stored sparse (occupied groups only).
 
-    Canonical form: `indices` sorted ascending, matching `counts` all >= 1.
+    Canonical form: `indices` sorted ascending, matching `counts` all >= 1
+    and at most block_size(l); a larger count raises CapacityError.
     Probabilities are counts / total.
     """
 
@@ -295,6 +296,13 @@ class GroupDistribution:
             raise ParameterError(f"group index out of range for l={self._l}")
         if idx.size > 1 and np.any(idx[1:] == idx[:-1]):
             raise ParameterError("duplicate group indices")
+        block = block_size(self._l)
+        over = cnt > block
+        if np.any(over):
+            bad = np.argmax(over)
+            raise CapacityError(
+                f"group {idx[bad]} needs {cnt[bad]} distinct hosts but a /{self._l} block has {block} addresses"
+            )
         self._indices = idx
         self._counts = cnt
         self._indices.flags.writeable = False
@@ -406,11 +414,7 @@ class GroupDistribution:
         return GroupDistribution(to_l, parent[starts] if parent.size else parent, sums)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# l={self._l} N={self._total}\n")
-            fh.write("group_index,count\n")
-            for i, c in zip(self._indices, self._counts):
-                fh.write(f"{int(i)},{int(c)}\n")
+        write_table(path, ["group_index", "count"], [self._indices, self._counts], [f"l={self._l} N={self._total}"])
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "GroupDistribution":
@@ -583,12 +587,6 @@ def materialize_hosts(dist: GroupDistribution, seed: int) -> HostSet:
     """
     bits = block_bits(dist.l)
     block = 1 << bits
-    over = dist.counts > block
-    if np.any(over):
-        bad = int(dist.indices[np.argmax(over)])
-        raise CapacityError(
-            f"group {bad} needs {dist.count_of(bad)} distinct hosts but a /{dist.l} block has {block} addresses"
-        )
     rng = np.random.default_rng(seed)
     counts = dist.counts
     bases = dist.indices << bits
@@ -673,7 +671,23 @@ def ccdf(dist: GroupDistribution) -> list[CcdfPoint]:
 
 
 def write_ccdf_csv(points: list[CcdfPoint], path: str | Path) -> None:
+    write_table(path, ["threshold", "fraction"], list(zip(*((p.threshold, p.fraction) for p in points))))
+
+
+def write_table(path: str | Path, header: Iterable[str], columns: Iterable, comments: Iterable[str] = ()) -> None:
+    """Write a CSV data file: a `# <comment>` line per comment, the header, then
+    one '\\n'-terminated row per position of the equal-length columns.  Text
+    cells are quoted as the csv module quotes them (only those holding ',' or
+    '"'); numbers are the repr of Python ints and floats, never numpy scalars."""
+    arrays = [np.asarray(col) for col in columns]
+    step = max(1, _CHUNK // max(1, len(arrays)))  # rows per step: about _CHUNK cells
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("threshold,fraction\n")
-        for p in points:
-            fh.write(f"{p.threshold},{p.fraction!r}\n")
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(arrays[0]) if arrays else 0, step):
+            cells = [map(_csv_text if a.dtype.kind == "U" else repr, a[lo:lo + step].tolist()) for a in arrays]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+
+
+def _csv_text(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if "," in cell or '"' in cell else cell

@@ -15,9 +15,9 @@ the command line, input digests, seed, package version and runtime.  Data
 files themselves contain only deterministic content: reruns with the same
 inputs, seed and version are byte-identical regardless of --threads.
 
-Exit codes: 0 success, 2 usage or parameter error or an output path that
-cannot be written, 3 missing, unreadable, non-UTF-8 or malformed input, 4
-internal consistency failure.
+Exit codes: 0 success, 2 usage or parameter error (inf and nan included) or
+an output path that cannot be written, 3 missing, unreadable, non-UTF-8 or
+malformed input, 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .addrspace import (
     synth_uniform,
     synth_zipf,
     write_ccdf_csv,
+    write_table,
 )
 from .epidemic import (
     EarlyStageConfig,
@@ -85,7 +86,7 @@ MAX_GRID_POINTS = 1_000_000
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
+    with _reading_input(path), open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
@@ -109,6 +110,17 @@ def _reading_input(path: Path):
         raise InputFileError(f"{path}: {exc}") from None
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float options: a number other than inf and nan."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+_finite_float.__name__ = "finite float"  # argparse names the type in its usage errors
+
+
 def _load_input(path: Path, kind: str) -> tuple[HostListResult | None, GroupDistribution | None]:
     """Sniff and load a host list or a distribution CSV: returns
     (host list, None) or (None, distribution)."""
@@ -126,13 +138,6 @@ def _load_input(path: Path, kind: str) -> tuple[HostListResult | None, GroupDist
         if kind == "dist":
             return None, GroupDistribution.from_csv(path)
         return load_host_list(path), None
-
-
-def _write_profile_csv(path: Path, rows: list[tuple[int, float]], column: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"l,{column}\n")
-        for l, v in rows:
-            fh.write(f"{l},{v!r}\n")
 
 
 # -- analyze ---------------------------------------------------------------
@@ -167,8 +172,8 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     betas, shannons = profiles_from_distribution(dist.coarsen(l_max))
     dist_at = {l: dist.coarsen(l) for l in report_levels}
 
-    _write_profile_csv(out_dir / "beta_profile.csv", betas, "beta")
-    _write_profile_csv(out_dir / "shannon_profile.csv", shannons, "shannon")
+    write_table(out_dir / "beta_profile.csv", ["l", "beta"], list(zip(*betas)))
+    write_table(out_dir / "shannon_profile.csv", ["l", "shannon"], list(zip(*shannons)))
     for l, d in dist_at.items():
         write_ccdf_csv(ccdf(d), out_dir / f"ccdf_l{l}.csv")
         rep = entropy_report(d)
@@ -195,7 +200,7 @@ def _build_context(args: argparse.Namespace, dist: GroupDistribution | None,
     for item in args.beta or []:
         level, _, value = item.partition("=")
         try:
-            beta_overrides[int(level)] = float(value)
+            beta_overrides[int(level)] = _finite_float(value)
         except ValueError:
             raise ParameterError(f"bad --beta entry {item!r}; expected L=VALUE") from None
     max_p_overrides = None
@@ -251,10 +256,8 @@ def cmd_simulate_early(args: argparse.Namespace) -> None:
     if args.budgets:
         budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
         results = estimate_mss_full(cfg, budgets)
-        with open(out_dir / "mss_budgets.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"total_scans,mean_alpha_per_{args.time_unit},var_alpha\n")
-            for r in results:
-                fh.write(f"{r.total_scans},{r.mean_alpha!r},{r.var_alpha!r}\n")
+        write_table(out_dir / "mss_budgets.csv", ["total_scans", f"mean_alpha_per_{args.time_unit}", "var_alpha"],
+                    list(zip(*((r.total_scans, r.mean_alpha, r.var_alpha) for r in results))))
     else:
         r = estimate_infection_rate(cfg)
         _write_json(out_dir / "early.json", {
@@ -295,18 +298,13 @@ def cmd_simulate_epidemic(args: argparse.Namespace) -> None:
         record_per_subnet=args.per_subnet,
     )
     trace = propagate(cfg)
-    with open(out_dir / "trace.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# strategy={trace.strategy} s={args.s!r} tick={args.tick!r} N={trace.total_population}\n")
-        fh.write(f"t_{args.time_unit},n_t\n")
-        for k, n in enumerate(trace.n):
-            fh.write(f"{k * trace.tick!r},{float(n)!r}\n")
+    time_col = f"t_{args.time_unit}"
+    write_table(out_dir / "trace.csv", [time_col, "n_t"], [trace.times(), trace.n],
+                [f"strategy={trace.strategy} s={args.s!r} tick={args.tick!r} N={trace.total_population}"])
     if trace.per_subnet is not None:
-        occupied = dist.coarsen(strategy.l).indices
-        with open(out_dir / "per_subnet.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"t_{args.time_unit}," + ",".join(f"m_{int(g)}" for g in occupied) + "\n")
-            for k in range(trace.per_subnet.shape[0]):
-                row = trace.per_subnet[k, occupied]
-                fh.write(f"{k * trace.tick!r}," + ",".join(repr(float(v)) for v in row) + "\n")
+        occupied = dist.coarsen(strategy.l).indices.tolist()
+        write_table(out_dir / "per_subnet.csv", [time_col, *(f"m_{g}" for g in occupied)],
+                    [trace.times(), *(trace.per_subnet[:, g] for g in occupied)])
     summary = {"total_population": trace.total_population}
     for frac in (0.5, 0.9, 0.99):
         t = time_to_fraction(trace, frac)
@@ -368,10 +366,8 @@ def cmd_defense(args: argparse.Namespace) -> None:
                 result["alpha_rs"] = alpha_rs(ctx)
         if args.d_grid is not None:
             grid = _d_grid(args.d_grid)
-            with open(out_dir / "pp_curve.csv", "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("d,p_max\n")
-                for d in grid:
-                    fh.write(f"{d!r},{pp_requirement(beta, min(d, 1.0))!r}\n")
+            write_table(out_dir / "pp_curve.csv", ["d", "p_max"],
+                        [grid, [pp_requirement(beta, min(d, 1.0)) for d in grid]])
         _write_json(out_dir / "defense.json", result)
 
 
@@ -427,12 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("auto", "hosts", "dist"), default="auto")
     p.add_argument("--strategy", action="append", metavar="TOKEN",
                    help="strategy token, repeatable (default: rs); e.g. ls:l=16,pa=0.75")
-    p.add_argument("--s", type=float, required=True, help="scans per time unit per infected host")
-    p.add_argument("--N", type=float, default=None, help="vulnerable population (default: from input)")
-    p.add_argument("--beta8", type=float, default=None, help="inject beta at l=8")
-    p.add_argument("--beta16", type=float, default=None, help="inject beta at l=16")
+    p.add_argument("--s", type=_finite_float, required=True, help="scans per time unit per infected host")
+    p.add_argument("--N", type=_finite_float, default=None, help="vulnerable population (default: from input)")
+    p.add_argument("--beta8", type=_finite_float, default=None, help="inject beta at l=8")
+    p.add_argument("--beta16", type=_finite_float, default=None, help="inject beta at l=16")
     p.add_argument("--beta", action="append", metavar="L=VALUE", help="inject beta at any level (repeatable)")
-    p.add_argument("--maxp", type=float, default=None, help="inject the largest group probability")
+    p.add_argument("--maxp", type=_finite_float, default=None, help="inject the largest group probability")
     _add_common_out(p)
     p.set_defaults(func=cmd_rates)
 
@@ -443,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("input", help="host list or distribution CSV (materialized with --mat-seed)")
     pe.add_argument("--kind", choices=("auto", "hosts", "dist"), default="auto")
     pe.add_argument("--strategy", required=True, metavar="TOKEN")
-    pe.add_argument("--s", type=float, required=True)
+    pe.add_argument("--s", type=_finite_float, required=True)
     pe.add_argument("--scans", type=int, default=1000, help="scans per run (default 1000)")
     pe.add_argument("--runs", type=int, default=10000, help="independent runs (default 10000)")
     pe.add_argument("--seed", type=int, required=True)
@@ -459,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("input", help="host list or distribution CSV")
     pd.add_argument("--kind", choices=("auto", "hosts", "dist"), default="auto")
     pd.add_argument("--strategy", required=True, metavar="TOKEN")
-    pd.add_argument("--s", type=float, required=True)
-    pd.add_argument("--tick", type=float, default=1.0, help="tick length in time units (default 1)")
+    pd.add_argument("--s", type=_finite_float, required=True)
+    pd.add_argument("--tick", type=_finite_float, default=1.0, help="tick length in time units (default 1)")
     pd.add_argument("--horizon", type=int, required=True, help="number of ticks")
     pd.add_argument("--initial", default="densest",
                     help="seed group index, or 'densest' (default)")
@@ -472,13 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("defense", help="defense analyses")
     p.add_argument("mode", choices=("pp", "ipv6"))
-    p.add_argument("--beta", dest="beta_value", type=float, default=None,
+    p.add_argument("--beta", dest="beta_value", type=_finite_float, default=None,
                    help="pp: non-uniformity factor the scanner exploits")
-    p.add_argument("--d", type=float, default=None, help="pp: deployment fraction")
+    p.add_argument("--d", type=_finite_float, default=None, help="pp: deployment fraction")
     p.add_argument("--d-grid", default=None, metavar="MIN:MAX:STEP", help="pp: sweep deployment fractions")
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--N", type=float, default=None)
-    p.add_argument("--beta32", type=float, default=None, help="ipv6: beta over the 2**32 top-level groups")
+    p.add_argument("--s", type=_finite_float, default=None)
+    p.add_argument("--N", type=_finite_float, default=None)
+    p.add_argument("--beta32", type=_finite_float, default=None, help="ipv6: beta over the 2**32 top-level groups")
     _add_common_out(p)
     p.set_defaults(func=cmd_defense)
 
@@ -494,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pz = syn_sub.add_parser("zipf", help="Zipf-ranked counts on permuted groups")
     pz.add_argument("--l", type=int, required=True)
-    pz.add_argument("--exponent", type=float, required=True)
+    pz.add_argument("--exponent", type=_finite_float, required=True)
     pz.add_argument("--hosts", type=int, required=True, help="total host count")
     pz.add_argument("--seed", type=int, required=True)
     pz.add_argument("--out", required=True)
@@ -510,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command: its data files, then the manifest recording the
-    command line, input digests, seed, threads, version and runtime."""
+    """Run one command: hash its inputs, write its data files, then the manifest
+    recording the command line, input digests, seed, threads, version and runtime."""
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
@@ -523,10 +519,11 @@ def main(argv: list[str] | None = None) -> int:
     inputs = [Path(p) for p in (getattr(args, "input", None), getattr(args, "dist", None)) if p is not None]
     try:
         manifest.parent.mkdir(parents=True, exist_ok=True)
+        digests = {str(p): _sha256(p) for p in inputs}  # before the command can overwrite an input
         args.func(args)
         _write_json(manifest, {
             "command": ["scanspread", *argv],
-            "inputs": {str(p): _sha256(p) for p in inputs},
+            "inputs": digests,
             "seed": getattr(args, "seed", None),
             "threads": getattr(args, "threads", None),
             "version": __version__,

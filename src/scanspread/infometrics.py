@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .addrspace import GroupDistribution, HostSet, aggregate, check_prefix_level
+from .addrspace import GroupDistribution, HostSet, aggregate
 from .errors import ParameterError
 
 # Orders this close to 1 are rejected; the q -> 1 limit is shannon_entropy.
@@ -130,23 +130,14 @@ def l2_distance_to_uniform(dist: GroupDistribution) -> float:
     return occupied_terms + empty * u * u
 
 
-def _hosts_profile(hosts: HostSet, l_max: int, metric) -> list[tuple[int, float]]:
-    """[(l, metric(dist at l))] for l = 0..l_max, coarsened from one aggregation."""
-    l_max = check_prefix_level(l_max)
-    if hosts.N == 0:
-        raise ParameterError("profiles need a non-empty host set")
-    dist = aggregate(hosts, l_max)
-    return [(l, metric(dist.coarsen(l))) for l in range(l_max + 1)]
-
-
 def beta_profile(hosts: HostSet, l_max: int) -> list[tuple[int, float]]:
     """[(l, beta(l))] for l = 0..l_max over the host set's aggregations."""
-    return _hosts_profile(hosts, l_max, lambda d: non_uniformity_factor(d).beta)
+    return profiles_from_distribution(aggregate(hosts, l_max))[0]
 
 
 def shannon_profile(hosts: HostSet, l_max: int) -> list[tuple[int, float]]:
     """[(l, H(l))] for l = 0..l_max; non-decreasing in l with steps <= 1."""
-    return _hosts_profile(hosts, l_max, shannon_entropy)
+    return profiles_from_distribution(aggregate(hosts, l_max))[1]
 
 
 def profiles_from_distribution(dist: GroupDistribution) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:

@@ -31,7 +31,6 @@ The time unit is carried symbolically: alpha inherits the unit of s.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +38,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .addrspace import ADDRESS_SPACE, GroupDistribution, HostSet, aggregate
+from .addrspace import ADDRESS_SPACE, GroupDistribution, HostSet, aggregate, write_table
 from .errors import ParameterError
 from .infometrics import NonUniformity, non_uniformity_factor
 from .strategies import ScanStrategy
@@ -183,12 +182,8 @@ def rate_table(strategies: Iterable[ScanStrategy], ctx: ScanContext) -> list[Rat
 
 
 def write_rates_csv(reports: Iterable[RateReport], path: str | Path, time_unit: str = "second") -> None:
-    # strategy tokens contain commas, so these fields get quoted
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["strategy", "uncertainty_bits", "info_bits", f"alpha_per_{time_unit}"])
-        for r in reports:
-            writer.writerow([r.strategy, repr(r.uncertainty_bits), repr(r.info_bits), repr(r.alpha)])
+    rows = [(r.strategy, r.uncertainty_bits, r.info_bits, r.alpha) for r in reports]
+    write_table(path, ["strategy", "uncertainty_bits", "info_bits", f"alpha_per_{time_unit}"], list(zip(*rows)))
 
 
 # -- defenses --------------------------------------------------------------

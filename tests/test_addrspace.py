@@ -1,3 +1,7 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +9,7 @@ from hypothesis import strategies as st
 
 import scanspread as ss
 from scanspread import addrspace
-from scanspread.addrspace import _sample_distinct, block_size, write_ccdf_csv
+from scanspread.addrspace import _sample_distinct, block_size, write_ccdf_csv, write_table
 from scanspread.errors import (
     CapacityError,
     DistributionFormatError,
@@ -252,6 +256,8 @@ def test_distribution_validation():
         ss.GroupDistribution(4, [1, 1], [1, 2])  # duplicate
     with pytest.raises(ParameterError):
         ss.GroupDistribution(4, [1], [-2])
+    with pytest.raises(CapacityError, match="group 3 needs 17 distinct hosts but a /28 block has 16 addresses"):
+        ss.GroupDistribution(28, [1, 3], [16, 17])
 
 
 def test_distribution_dense_round_trip():
@@ -494,3 +500,33 @@ def test_ccdf_csv(tmp_path, four_hosts):
     lines = path.read_text().splitlines()
     assert lines[0] == "threshold,fraction"
     assert len(lines) == 4
+
+
+def test_write_table_formats_numbers_with_repr_and_text_like_csv(tmp_path):
+    text = ["ls:l=16,pa=0.75", 'say "hi"', "rs", "is:l=16", "2lls:pb=0.25,pc=0.5", "mss:l=16", "optis:l=8"]
+    floats = np.array([0.1, 1 / 3, 1e-300, -0.0, math.inf, math.nan, 2.0**53 + 2])
+    ints = [0, -1, 2**53 + 1, 7, np.int64(2**62), 1 << 40, -(2**63)]
+    scalars = [np.float64(0.25)] * 7
+    path = tmp_path / "t.csv"
+    write_table(path, ["name", "x", "k", "y"], [text, floats, ints, scalars], ["l=16 N=4, a comment, with commas"])
+    want = io.StringIO()
+    want.write("# l=16 N=4, a comment, with commas\n")
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["name", "x", "k", "y"])
+    writer.writerows(zip(text, map(repr, floats.tolist()), map(repr, map(int, ints)), ["0.25"] * 7))
+    assert path.read_bytes() == want.getvalue().encode()
+    assert path.read_text().splitlines()[2:] == [
+        '"ls:l=16,pa=0.75",0.1,0,0.25',
+        '"say ""hi""",0.3333333333333333,-1,0.25',
+        "rs,1e-300,9007199254740993,0.25",
+        "is:l=16,-0.0,7,0.25",
+        '"2lls:pb=0.25,pc=0.5",inf,4611686018427387904,0.25',
+        "mss:l=16,nan,1099511627776,0.25",
+        "optis:l=8,9007199254740994.0,-9223372036854775808,0.25",
+    ]
+
+
+def test_write_table_of_no_rows_is_its_header(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["threshold", "fraction"], [[], np.zeros(0)])
+    assert path.read_bytes() == b"threshold,fraction\n"

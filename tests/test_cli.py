@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,48 @@ def test_unwritable_output_exits_2(tmp_path, capsys, make, argv, culprit, reason
     assert capsys.readouterr().err == f"error: {culprit.format(target=target)}: {reason}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["rates", "--s", "inf", "--N", "100"],
+    ["rates", "--s", "1", "--N", "inf"],
+    ["rates", "--s", "1", "--N", "nan"],
+    ["rates", "--s", "1", "--N", "100", "--beta16", "nan", "--strategy", "is:l=16"],
+    ["rates", "--s", "1", "--N", "100", "--beta", "16=inf", "--strategy", "is:l=16"],
+    ["rates", "--s", "1", "--N", "100", "--maxp", "nan", "--strategy", "optis:l=8"],
+    ["simulate", "early", "{dist}", "--strategy", "rs", "--s", "inf", "--scans", "10", "--runs", "5",
+     "--seed", "1"],
+    ["simulate", "epidemic", "{dist}", "--strategy", "rs:l=8", "--s", "inf", "--horizon", "3"],
+    ["simulate", "epidemic", "{dist}", "--strategy", "rs:l=8", "--s", "1", "--tick", "inf", "--horizon", "3"],
+    ["defense", "pp", "--beta", "inf", "--d", "0.5"],
+    ["defense", "pp", "--beta", "50", "--d", "0.5", "--s", "inf", "--N", "10"],
+    ["defense", "ipv6", "--s", "1", "--N", "inf", "--beta32", "2"],
+    ["defense", "ipv6", "--s", "1", "--N", "10", "--beta32", "inf"],
+], ids=["rates_s", "rates_N_inf", "rates_N_nan", "rates_beta16", "rates_beta_entry", "rates_maxp", "early_s",
+        "epidemic_s", "epidemic_tick", "pp_beta", "pp_s", "ipv6_N", "ipv6_beta32"])
+def test_non_finite_numbers_exit_2(dist_file, tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    argv = [str(dist_file) if a == "{dist}" else a for a in argv]
+    assert run_cli(*argv, "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error:" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_synth_exits_2_for_groups_over_capacity(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert run_cli("synth", "zipf", "--l", "16", "--exponent", "1", "--hosts", "100000000000",
+                   "--seed", "1", "--out", str(out)) == 2
+    assert "distinct hosts but a /16 block has 65536 addresses" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_distribution_csv_over_capacity_exits_3(tmp_path, capsys):
+    p = tmp_path / "d.csv"
+    p.write_text("# l=30 N=7\ngroup_index,count\n1,2\n5,5\n", encoding="utf-8")
+    assert run_cli("rates", str(p), "--s", "1", "--out-dir", str(tmp_path / "o")) == 3
+    assert capsys.readouterr().err == (
+        f"error: {p}: group 5 needs 5 distinct hosts but a /30 block has 4 addresses\n")
+
+
 def test_usage_errors_exit_2(dist_file, tmp_path):
     assert run_cli("rates", "--s", "100") == 2  # no input, no --N
     assert run_cli("rates", "--s", "100", "--N", "10", "--strategy", "foo:l=2") == 2
@@ -215,6 +258,19 @@ def test_manifest_records_the_run(hosts_file, dist_file, tmp_path, argv, inputs,
     assert m["threads"] == threads
     assert m["version"] == ss.__version__
     assert m["runtime_seconds"] >= 0
+
+
+def test_manifest_hashes_an_input_before_the_command_overwrites_it(dist_file):
+    digest = hashlib.sha256(dist_file.read_bytes()).hexdigest()
+    assert run_cli("synth", "hosts", "--dist", str(dist_file), "--seed", "1", "--out", str(dist_file)) == 0
+    manifest = json.loads(Path(f"{dist_file}.manifest.json").read_text())
+    assert manifest["inputs"] == {str(dist_file): digest}
+    assert ss.load_host_list(dist_file).hosts.N == 4  # the host list did replace the distribution
+
+
+def test_version_matches_pyproject():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'(?m)^version = "([^"]+)"$', pyproject).group(1) == ss.__version__
 
 
 # -- rates -----------------------------------------------------------------
@@ -416,3 +472,59 @@ def test_synth_hosts_materializes(dist_file, tmp_path):
     assert list(got.counts) == [3, 1]
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert manifest["seed"] == 9
+
+
+# -- byte format -----------------------------------------------------------
+
+# sha256 of the data files of a 40-host zipf /8 distribution: they pin the byte
+# format of the tables.  Their numbers come from integer arithmetic, float
+# division and math.log2, so their bytes do not depend on the machine.
+GOLDEN_SHA256 = {
+    "dist.csv": "784a38bc86f578fa5bacdc44cb3c957dd010a28e3894ac243403e50caef461ba",
+    "a/beta_profile.csv": "efe15aff70275f20d8b928444b4c88481e91ae13f2ba31f994dcbd341b096caa",
+    "a/shannon_profile.csv": "205dbd0436a164f7459f20249e43dddc72e7af7240d0dcb2255df1ee34a1d05e",
+    "a/ccdf_l8.csv": "35eb23a5195cf4f5c289a4abcd2cbea02a814a630b7356c8ca8c062d801e9bf5",
+    "r/rates.csv": "aa7848e974a44c752fa95413977376631d50afa5ebdf89175bafece7922a9626",
+    "d/pp_curve.csv": "f69dc8c923420b8d81eb386f2a27912dfd108e73539ea93339dbe8143d3a01df",
+}
+
+
+def test_data_files_keep_their_bytes(tmp_path):
+    dist = str(tmp_path / "dist.csv")
+    assert run_cli("synth", "zipf", "--l", "8", "--exponent", "1.5", "--hosts", "40", "--seed", "2",
+                   "--out", dist) == 0
+    assert run_cli("analyze", dist, "--report-l", "8", "--out-dir", str(tmp_path / "a")) == 0
+    assert run_cli("rates", dist, "--s", "100", "--beta16", "40.25", "--strategy", "rs",
+                   "--strategy", "is:l=8", "--strategy", "optis:l=8", "--strategy", "ls:l=8,pa=0.75",
+                   "--strategy", "2lls:pb=0.25,pc=0.5", "--strategy", "mss:l=8",
+                   "--out-dir", str(tmp_path / "r")) == 0
+    assert run_cli("defense", "pp", "--beta", "50", "--d-grid", "0.9:1.0:0.05",
+                   "--out-dir", str(tmp_path / "d")) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256
+    assert (tmp_path / "r/rates.csv").read_text().splitlines()[4] == (
+        '"ls:l=8,pa=0.75",2.727603490962515,5.272396509037485,3.599561750888825e-05')
+
+
+def test_epidemic_tables_keep_their_bytes(tmp_path):
+    """trace.csv and per_subnet.csv hold what these per-row loops write for the
+    same trace.  The trace's numbers come from numpy's log1p and expm1, whose
+    last bit can differ between machines, so they are not hashed."""
+    dist = ss.synth_zipf(8, 1.5, 40, seed=2)
+    dist.to_csv(tmp_path / "dist.csv")
+    out = tmp_path / "e"
+    assert run_cli("simulate", "epidemic", str(tmp_path / "dist.csv"), "--strategy", "is:l=8",
+                   "--s", "10000000", "--tick", "0.1", "--horizon", "6", "--per-subnet",
+                   "--out-dir", str(out)) == 0
+    trace = ss.propagate(ss.EpidemicConfig(ss.parse_strategy("is:l=8"), dist, s=1e7, horizon=6,
+                                           tick=0.1, record_per_subnet=True))
+    want = "# strategy=is:l=8 s=10000000.0 tick=0.1 N=40\nt_second,n_t\n"
+    for k, n in enumerate(trace.n):
+        want += f"{k * 0.1!r},{float(n)!r}\n"
+    assert (out / "trace.csv").read_bytes() == want.encode()
+    assert "\n0.30000000000000004," in want
+
+    want = "t_second," + ",".join(f"m_{int(g)}" for g in dist.indices) + "\n"
+    for k in range(7):
+        want += f"{k * 0.1!r}," + ",".join(repr(float(v)) for v in trace.per_subnet[k, dist.indices]) + "\n"
+    assert (out / "per_subnet.csv").read_bytes() == want.encode()

@@ -158,3 +158,5 @@ def test_profiles_from_distribution_match_host_route(four_hosts):
 def test_profile_rejects_empty():
     with pytest.raises(ParameterError):
         ss.beta_profile(ss.HostSet([]), 8)
+    with pytest.raises(ParameterError):
+        ss.shannon_profile(ss.HostSet([]), 8)
