@@ -1,7 +1,7 @@
 """Non-uniformity metrics of vulnerable-host distributions and propagation
 models for address-space scanning strategies."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .addrspace import (
     CcdfPoint,

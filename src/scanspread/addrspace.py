@@ -29,7 +29,8 @@ from .errors import (
 ADDRESS_BITS = 32
 ADDRESS_SPACE = 1 << ADDRESS_BITS
 
-# Dense 2**l arrays are only materialized up to this level (8 MiB of int64).
+# Highest level at which a dense 2**l array is an input or an output (a
+# synth_zipf draw, an explicit q_g, group_scan_distribution): 8 MiB of int64.
 MAX_DENSE_LEVEL = 20
 
 # Lines, hosts or draws per step of the host-list kernels: bounds their
@@ -387,18 +388,6 @@ class GroupDistribution:
 
     def probabilities_occupied(self) -> np.ndarray:
         return self._counts / self._total
-
-    def dense_counts(self) -> np.ndarray:
-        if self._l > MAX_DENSE_LEVEL:
-            raise ParameterError(f"dense view infeasible for l={self._l} (max {MAX_DENSE_LEVEL})")
-        dense = np.zeros(1 << self._l, dtype=np.int64)
-        dense[self._indices] = self._counts
-        return dense
-
-    def dense_probabilities(self) -> np.ndarray:
-        if self._total == 0:
-            raise ParameterError("empty distribution has no probabilities")
-        return self.dense_counts() / self._total
 
     def coarsen(self, to_l: int) -> "GroupDistribution":
         """Re-aggregate to a smaller prefix level by summing child groups."""

@@ -15,9 +15,10 @@ the command line, input digests, seed, package version and runtime.  Data
 files themselves contain only deterministic content: reruns with the same
 inputs, seed and version are byte-identical regardless of --threads.
 
-Exit codes: 0 success, 2 usage or parameter error (inf and nan included) or
-an output path that cannot be written, 3 missing, unreadable, non-UTF-8 or
-malformed input, 4 internal consistency failure.
+Exit codes: 0 success, 2 usage or parameter error (inf and nan included), an
+output path that cannot be written or a run that runs out of memory, 3
+missing, unreadable, non-UTF-8 or malformed input, 4 internal consistency
+failure.
 """
 
 from __future__ import annotations
@@ -121,6 +122,18 @@ def _finite_float(text: str) -> float:
 _finite_float.__name__ = "finite float"  # argparse names the type in its usage errors
 
 
+def _count(text: str) -> int:
+    """argparse type of --N: a finite number with no fractional part, such as
+    448894 or 4.48894e5."""
+    value = _finite_float(text)
+    if value != math.floor(value):
+        raise ValueError(text)
+    return int(value)
+
+
+_count.__name__ = "integral number"
+
+
 def _load_input(path: Path, kind: str) -> tuple[HostListResult | None, GroupDistribution | None]:
     """Sniff and load a host list or a distribution CSV: returns
     (host list, None) or (None, distribution)."""
@@ -216,7 +229,7 @@ def _build_context(args: argparse.Namespace, dist: GroupDistribution | None,
             raise ParameterError("need --N when no input file is given")
     return ScanContext(
         s=args.s,
-        N=int(n),
+        N=n,
         dist=dist,
         hosts=hosts,
         beta_overrides=beta_overrides or None,
@@ -304,7 +317,7 @@ def cmd_simulate_epidemic(args: argparse.Namespace) -> None:
     if trace.per_subnet is not None:
         occupied = dist.coarsen(strategy.l).indices.tolist()
         write_table(out_dir / "per_subnet.csv", [time_col, *(f"m_{g}" for g in occupied)],
-                    [trace.times(), *(trace.per_subnet[:, g] for g in occupied)])
+                    [trace.times(), *trace.per_subnet.T])
     summary = {"total_population": trace.total_population}
     for frac in (0.5, 0.9, 0.99):
         t = time_to_fraction(trace, frac)
@@ -338,12 +351,12 @@ def cmd_defense(args: argparse.Namespace) -> None:
     if args.mode == "ipv6":
         if args.s is None or args.N is None or args.beta32 is None:
             raise ParameterError("ipv6 mode needs --s, --N and --beta32")
-        alpha = ipv6_alpha(args.s, int(args.N), args.beta32)
+        alpha = ipv6_alpha(args.s, args.N, args.beta32)
         reference = code_red_alpha_per_second()
         _write_json(out_dir / "defense.json", {
             "mode": "ipv6",
             "s": args.s,
-            "N": int(args.N),
+            "N": args.N,
             "beta32": args.beta32,
             "alpha_per_second": alpha,
             "code_red_alpha_per_second": reference,
@@ -362,7 +375,7 @@ def cmd_defense(args: argparse.Namespace) -> None:
             result["d"] = args.d
             result["p_max"] = pp_requirement(beta, args.d)
             if args.s is not None and args.N is not None:
-                ctx = ScanContext(s=args.s, N=int(args.N), beta_overrides={16: beta})
+                ctx = ScanContext(s=args.s, N=args.N, beta_overrides={16: beta})
                 result["alpha_rs"] = alpha_rs(ctx)
         if args.d_grid is not None:
             grid = _d_grid(args.d_grid)
@@ -424,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", action="append", metavar="TOKEN",
                    help="strategy token, repeatable (default: rs); e.g. ls:l=16,pa=0.75")
     p.add_argument("--s", type=_finite_float, required=True, help="scans per time unit per infected host")
-    p.add_argument("--N", type=_finite_float, default=None, help="vulnerable population (default: from input)")
+    p.add_argument("--N", type=_count, default=None, help="vulnerable population (default: from input)")
     p.add_argument("--beta8", type=_finite_float, default=None, help="inject beta at l=8")
     p.add_argument("--beta16", type=_finite_float, default=None, help="inject beta at l=16")
     p.add_argument("--beta", action="append", metavar="L=VALUE", help="inject beta at any level (repeatable)")
@@ -473,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_finite_float, default=None, help="pp: deployment fraction")
     p.add_argument("--d-grid", default=None, metavar="MIN:MAX:STEP", help="pp: sweep deployment fractions")
     p.add_argument("--s", type=_finite_float, default=None)
-    p.add_argument("--N", type=_finite_float, default=None)
+    p.add_argument("--N", type=_count, default=None)
     p.add_argument("--beta32", type=_finite_float, default=None, help="ipv6: beta over the 2**32 top-level groups")
     _add_common_out(p)
     p.set_defaults(func=cmd_defense)
@@ -540,6 +553,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # an input or option too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
 

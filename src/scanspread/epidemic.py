@@ -30,6 +30,7 @@ for uniform q.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from .addrspace import (
     materialize_hosts,
 )
 from .errors import ParameterError, UnsupportedStrategyError
-from .strategies import ScanStrategy, TargetLaw, group_scan_distribution
+from .strategies import ScanStrategy, TargetLaw
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,7 @@ class EpidemicTrace:
 
 
 def _log_survival(st: ScanStrategy, dist: GroupDistribution, s_tick: float):
-    """The family's log-survival exponent (m, n) -> per-group array.
+    """The family's log-survival exponent (m, n) -> array over dist's occupied groups.
 
     exp(exponent(m, n)) is the probability that one address of each group
     escapes every scan of one tick, given m infected per group and n in all.
@@ -282,7 +283,8 @@ def _log_survival(st: ScanStrategy, dist: GroupDistribution, s_tick: float):
     block = float(1 << (ADDRESS_BITS - st.l))
     if st.kind in ("rs", "is", "optis"):
         # every source scans by the same group law: survival depends on n alone
-        log_surv = np.log1p(-group_scan_distribution(st, dist=dist) / block)  # per scan, one address
+        q = TargetLaw(st, dist).group_probabilities(dist.indices)
+        log_surv = np.log1p(-q / block)  # per scan, one address
         return lambda m, n: s_tick * n * log_surv
     if st.kind == "ls":
         c_home = np.log1p(-(st.p_a / block + (1.0 - st.p_a) / ADDRESS_SPACE))
@@ -293,9 +295,10 @@ def _log_survival(st: ScanStrategy, dist: GroupDistribution, s_tick: float):
     c_16 = np.log1p(-(st.p_c / (1 << 16) + st.p_b / (1 << 24) + r / ADDRESS_SPACE))
     c_8 = np.log1p(-(st.p_b / (1 << 24) + r / ADDRESS_SPACE))
     c_far = np.log1p(-r / ADDRESS_SPACE)
+    _, starts, runs = np.unique(dist.indices >> 8, return_index=True, return_counts=True)  # one run per /8
 
     def exponent(m: np.ndarray, n: float) -> np.ndarray:
-        m8 = np.repeat(m.reshape(256, 256).sum(axis=1), 256)
+        m8 = np.repeat(np.add.reduceat(m, starts), runs)
         return s_tick * (m * c_16 + (m8 - m) * c_8 + (n - m8) * c_far)
 
     return exponent
@@ -305,8 +308,9 @@ def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
     """Run the per-subnet recursion for cfg.horizon ticks.
 
     Infected counts are real-valued (mean-field); n[0] = 1 seeded in the
-    initial group.  MSS is stateful per scanner and has no group law, so it
-    is not representable here.
+    initial group.  `per_subnet` has one column per occupied group, in the
+    order of `cfg.dist.coarsen(l).indices`.  MSS is stateful per scanner and
+    has no group law, so it is not representable here.
     """
     st = cfg.strategy
     if st.kind == "mss":
@@ -314,19 +318,24 @@ def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
     l = st.l
     if cfg.dist.l < l:
         raise ParameterError(f"distribution at l={cfg.dist.l} cannot drive a strategy at l={l}")
+    if l == ADDRESS_BITS:  # a scan can hit a one-address group with certainty: log1p(-1) = -inf
+        raise ParameterError("the mean-field model needs l <= 31")
     dist = cfg.dist.coarsen(l)
     if dist.total == 0:
         raise ParameterError("empty distribution")
-    pop = dist.dense_counts().astype(np.float64)
+    if not math.isfinite(cfg.s * cfg.tick * dist.total):
+        raise ParameterError(f"s * tick * N = {cfg.s!r} * {cfg.tick!r} * {dist.total} is not finite")
+    pop = dist.counts.astype(np.float64)
     m_groups = pop.size
     if cfg.initial == "densest":
-        i0 = dist.argmax_index
+        i0 = int(np.argmax(pop))
     else:
-        i0 = int(cfg.initial)
-        if not 0 <= i0 < m_groups:
-            raise ParameterError(f"initial group {i0} out of range for l={l}")
-        if pop[i0] < 1:
-            raise ParameterError(f"initial group {i0} has no vulnerable hosts")
+        g0 = int(cfg.initial)
+        if not 0 <= g0 < dist.n_groups:
+            raise ParameterError(f"initial group {g0} out of range for l={l}")
+        i0 = int(np.searchsorted(dist.indices, g0))
+        if i0 == m_groups or dist.indices[i0] != g0:
+            raise ParameterError(f"initial group {g0} has no vulnerable hosts")
     exponent = _log_survival(st, dist, cfg.s * cfg.tick)
     pp_factor = 1.0
     if cfg.pp is not None:

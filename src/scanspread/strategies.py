@@ -24,13 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .addrspace import ADDRESS_BITS, ADDRESS_SPACE, GroupDistribution, check_prefix_level
+from .addrspace import ADDRESS_BITS, ADDRESS_SPACE, MAX_DENSE_LEVEL, GroupDistribution, check_prefix_level
 from .errors import ParameterError, UnsupportedStrategyError
 
 KINDS = ("rs", "is", "optis", "ls", "2lls", "mss")
-
-# group-probability vectors are only materialized densely up to this level
-MAX_VECTOR_LEVEL = 16
 
 
 def _fmt(x: float) -> str:
@@ -62,8 +59,8 @@ class ScanStrategy:
         if self.q_g is not None:
             if self.kind != "is":
                 raise ParameterError("explicit q_g is only meaningful for kind 'is'")
-            if self.l > MAX_VECTOR_LEVEL:
-                raise ParameterError(f"explicit q_g needs l <= {MAX_VECTOR_LEVEL}")
+            if self.l > MAX_DENSE_LEVEL:
+                raise ParameterError(f"explicit q_g needs l <= {MAX_DENSE_LEVEL}")
             q = np.asarray(self.q_g, dtype=np.float64).reshape(-1)
             if q.size != (1 << self.l):
                 raise ParameterError(f"q_g must have length 2**{self.l}")
@@ -175,8 +172,8 @@ def parse_strategy(token: str) -> ScanStrategy:
 
 
 def _resolve_p(dist: GroupDistribution | None, l: int, what: str) -> GroupDistribution:
-    if dist is None:
-        raise ParameterError(f"{what} needs a host distribution")
+    if dist is None or dist.total == 0:
+        raise ParameterError(f"{what} needs a non-empty host distribution")
     if dist.l < l:
         raise ParameterError(f"{what} needs a distribution at l >= {l}, got l={dist.l}")
     return dist.coarsen(l)
@@ -195,22 +192,13 @@ def group_scan_distribution(
     kind, l = strategy.kind, strategy.l
     if kind == "mss":
         raise UnsupportedStrategyError("mss is stateful; it has no per-scan group distribution")
-    if l > MAX_VECTOR_LEVEL:
-        raise ParameterError(f"dense q_g vector infeasible for l={l} (max {MAX_VECTOR_LEVEL})")
+    if l > MAX_DENSE_LEVEL:
+        raise ParameterError(f"dense q_g vector infeasible for l={l} (max {MAX_DENSE_LEVEL})")
     m = 1 << l
-    if kind == "rs":
-        return np.full(m, 1.0 / m)
-    if kind == "is":
-        if strategy.q_g is not None:
-            return strategy.q_g.copy()
-        return _resolve_p(dist, l, "is with q_g = p_g").dense_probabilities()
-    if kind == "optis":
-        d = _resolve_p(dist, l, "optis")
-        q = np.zeros(m)
-        q[d.argmax_index] = 1.0
-        return q
+    law = TargetLaw(strategy, dist)
+    if not law.needs_home:
+        return law.group_probabilities(np.arange(m))
     # ls/2lls: the rest uniform, each home tier's mass spread over its groups
-    law = TargetLaw(strategy)
     tiers = law.home_tiers(home_subnet)
     q = np.full(m, (1.0 - tiers[-1][0]) / m)
     below = 0.0
@@ -221,27 +209,42 @@ def group_scan_distribution(
 
 
 class TargetLaw:
-    """Per-scan target law of one strategy: set up once (cumulative q_g for
-    is, the argmax block for optis), then `draw` n targets at a time.  ls and
-    2lls aim at tiers around the scanner's home group; mss draws its uniform
-    random phase."""
+    """Per-scan target law of one strategy: set up once (q_g and its cumulative
+    sum over the groups with q_g > 0 for is, the argmax block for optis), then
+    `draw` n targets at a time.  ls and 2lls aim at tiers around the scanner's
+    home group; mss draws its uniform random phase."""
 
-    __slots__ = ("strategy", "bits", "block", "needs_home", "_cum", "_base")
+    __slots__ = ("strategy", "bits", "block", "needs_home", "_groups", "_q", "_cum", "_base")
 
     def __init__(self, strategy: ScanStrategy, dist: GroupDistribution | None = None):
         self.strategy = strategy
         self.bits = ADDRESS_BITS - strategy.l
         self.block = 1 << self.bits
         self.needs_home = strategy.kind in ("ls", "2lls")
-        self._cum = None
-        self._base = None
+        self._groups = self._q = self._cum = self._base = None
         if strategy.kind == "is":
-            q = strategy.q_g
-            if q is None:
-                q = _resolve_p(dist, strategy.l, "is with q_g = p_g").dense_probabilities()
-            self._cum = np.cumsum(q)
+            if strategy.q_g is None:
+                d = _resolve_p(dist, strategy.l, "is with q_g = p_g")
+                self._groups, self._q = d.indices, d.probabilities_occupied()
+            else:
+                self._groups = np.flatnonzero(strategy.q_g)
+                self._q = strategy.q_g[self._groups]
+            self._cum = np.cumsum(self._q)  # a sequential sum: the dense cumsum at these groups
         elif strategy.kind == "optis":
             self._base = _resolve_p(dist, strategy.l, "optis").argmax_index << self.bits
+
+    def group_probabilities(self, groups: np.ndarray) -> np.ndarray:
+        """q_g at the given group indices for rs, is and optis: the one
+        definition of those laws."""
+        kind = self.strategy.kind
+        if kind == "rs":
+            return np.full(np.shape(groups), 1.0 / (1 << self.strategy.l))
+        if kind == "optis":
+            return (groups == self._base >> self.bits).astype(np.float64)
+        if kind != "is":
+            raise UnsupportedStrategyError(f"{kind} has no group law that is the same for every scanner")
+        pos = np.minimum(np.searchsorted(self._groups, groups), self._groups.size - 1)
+        return np.where(self._groups[pos] == groups, self._q[pos], 0.0)
 
     def home_tiers(self, home: int | None) -> tuple[tuple[float, int, int], ...]:
         """(cumulative probability, block start, block size) of the blocks
@@ -259,7 +262,7 @@ class TargetLaw:
         if kind == "is":
             g = np.searchsorted(self._cum, rng.random(n), side="right")
             np.minimum(g, self._cum.size - 1, out=g)
-            return (g.astype(np.int64) << self.bits) + rng.integers(0, self.block, size=n, dtype=np.int64)
+            return (self._groups[g] << self.bits) + rng.integers(0, self.block, size=n, dtype=np.int64)
         if kind == "optis":
             return self._base + rng.integers(0, self.block, size=n, dtype=np.int64)
         if not self.needs_home:  # rs, and the random phase of mss

@@ -167,12 +167,13 @@ def test_unwritable_output_exits_2(tmp_path, capsys, make, argv, culprit, reason
      "--seed", "1"],
     ["simulate", "epidemic", "{dist}", "--strategy", "rs:l=8", "--s", "inf", "--horizon", "3"],
     ["simulate", "epidemic", "{dist}", "--strategy", "rs:l=8", "--s", "1", "--tick", "inf", "--horizon", "3"],
+    ["simulate", "epidemic", "{dist}", "--strategy", "optis:l=8", "--s", "1e308", "--horizon", "3"],
     ["defense", "pp", "--beta", "inf", "--d", "0.5"],
     ["defense", "pp", "--beta", "50", "--d", "0.5", "--s", "inf", "--N", "10"],
     ["defense", "ipv6", "--s", "1", "--N", "inf", "--beta32", "2"],
     ["defense", "ipv6", "--s", "1", "--N", "10", "--beta32", "inf"],
 ], ids=["rates_s", "rates_N_inf", "rates_N_nan", "rates_beta16", "rates_beta_entry", "rates_maxp", "early_s",
-        "epidemic_s", "epidemic_tick", "pp_beta", "pp_s", "ipv6_N", "ipv6_beta32"])
+        "epidemic_s", "epidemic_tick", "epidemic_s_tick_N", "pp_beta", "pp_s", "ipv6_N", "ipv6_beta32"])
 def test_non_finite_numbers_exit_2(dist_file, tmp_path, capsys, argv):
     out = tmp_path / "o"
     argv = [str(dist_file) if a == "{dist}" else a for a in argv]
@@ -180,6 +181,39 @@ def test_non_finite_numbers_exit_2(dist_file, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err and "error:" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["rates", "--s", "100"], "rates.csv"),
+    (["defense", "pp", "--beta", "50", "--d", "0.5", "--s", "100"], "defense.json"),
+    (["defense", "ipv6", "--s", "1", "--beta32", "2"], "defense.json"),
+], ids=["rates", "pp", "ipv6"])
+def test_population_must_be_integral(tmp_path, capsys, argv, data):
+    for bad in ["1.9", "2.9", "1e-3", "-0.5"]:
+        out = tmp_path / bad
+        assert run_cli(*argv, "--N", bad, "--out-dir", str(out)) == 2
+        assert "argument --N: invalid integral number value" in capsys.readouterr().err
+        assert not out.exists()
+    written = []
+    for good in ["448894", "4.48894e5"]:
+        out = tmp_path / good
+        assert run_cli(*argv, "--N", good, "--out-dir", str(out)) == 0
+        written.append((out / data).read_bytes())
+    assert written[0] == written[1]
+    if argv[1] == "ipv6":
+        assert json.loads(written[0])["N"] == 448894
+
+
+def test_out_of_memory_exits_2(dist_file, tmp_path, capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr(cli, "cmd_rates", exhausted)
+    out = tmp_path / "o"
+    assert run_cli("rates", str(dist_file), "--s", "1", "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)\n")
+    assert not (out / "manifest.json").exists()
 
 
 def test_synth_exits_2_for_groups_over_capacity(tmp_path, capsys):
@@ -387,6 +421,22 @@ def test_simulate_epidemic_outputs(dist_file, tmp_path):
         assert summary[key] is None or summary[key] >= 0.0
 
 
+def test_importance_above_the_dense_limit_runs(hosts_file, tmp_path):
+    # is:l=24 needs no 2**24 array: Monte Carlo and dynamics both run
+    hosts = ss.materialize_hosts(ss.synth_zipf(16, 1.0, 5000, seed=1), seed=2)
+    ss.save_host_list(tmp_path / "h.txt", hosts)
+    early, epi = tmp_path / "early", tmp_path / "epi"
+    assert run_cli("simulate", "early", str(tmp_path / "h.txt"), "--strategy", "is:l=24", "--s", "100",
+                   "--scans", "1000", "--runs", "2000", "--seed", "3", "--out-dir", str(early)) == 0
+    r = json.loads((early / "early.json").read_text())
+    want = ss.alpha_for(ss.parse_strategy("is:l=24"), ss.ScanContext(s=100.0, N=hosts.N, hosts=hosts)).alpha
+    assert abs(r["mean_alpha"] - want) < 4 * math.sqrt(r["var_alpha"] / r["runs"])
+    assert run_cli("simulate", "epidemic", str(tmp_path / "h.txt"), "--strategy", "is:l=24", "--s", "100",
+                   "--horizon", "20", "--per-subnet", "--out-dir", str(epi)) == 0
+    header = (epi / "per_subnet.csv").read_text().splitlines()[0].split(",")
+    assert len(header) == 1 + ss.aggregate(hosts, 24).occupied
+
+
 def test_simulate_epidemic_hosts_input_aggregates(hosts_file, dist_file, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     common = ["--strategy", "rs:l=8", "--s", "1000", "--horizon", "10"]
@@ -526,5 +576,5 @@ def test_epidemic_tables_keep_their_bytes(tmp_path):
 
     want = "t_second," + ",".join(f"m_{int(g)}" for g in dist.indices) + "\n"
     for k in range(7):
-        want += f"{k * 0.1!r}," + ",".join(repr(float(v)) for v in trace.per_subnet[k, dist.indices]) + "\n"
+        want += f"{k * 0.1!r}," + ",".join(repr(float(v)) for v in trace.per_subnet[k]) + "\n"
     assert (out / "per_subnet.csv").read_bytes() == want.encode()

@@ -254,6 +254,55 @@ def test_mss_full_deterministic(four_hosts):
 # -- per-subnet dynamics ---------------------------------------------------
 
 
+def dense_propagate(st, d, s, horizon):
+    """The per-subnet recursion over all 2**l groups, empty ones included, as
+    a literal loop (tick 1, seeded in the densest group): the reference the
+    occupied-group propagate must match.  Returns n(t) and the occupied
+    groups' columns."""
+    size, block = 1 << st.l, 2.0 ** (32 - st.l)
+    pop = np.zeros(size)
+    pop[d.indices] = d.counts
+    q = None  # the group law of rs, is and optis
+    if st.kind == "rs":
+        q = np.full(size, 1.0 / size)
+    elif st.kind == "is":
+        q = pop / pop.sum()
+    elif st.kind == "optis":
+        q = np.zeros(size)
+        q[np.argmax(pop)] = 1.0
+    m = np.zeros(size)
+    m[np.argmax(pop)] = 1.0
+    n, rows = [1.0], [m[d.indices]]
+    for _ in range(horizon):
+        if q is not None:
+            e = s * n[-1] * np.log1p(-q / block)
+        elif st.kind == "ls":
+            home = np.log1p(-(st.p_a / block + (1 - st.p_a) / 2**32))
+            e = s * (m * home + (n[-1] - m) * np.log1p(-(1 - st.p_a) / 2**32))
+        else:
+            r = 1 - st.p_b - st.p_c
+            m8 = np.repeat(m.reshape(256, 256).sum(axis=1), 256)
+            e = s * (m * np.log1p(-(st.p_c / 2**16 + st.p_b / 2**24 + r / 2**32))
+                     + (m8 - m) * np.log1p(-(st.p_b / 2**24 + r / 2**32)) + (n[-1] - m8) * np.log1p(-r / 2**32))
+        m = np.minimum(m + (pop - m) * -np.expm1(e), pop)
+        n.append(m.sum())
+        rows.append(m[d.indices])
+    return np.array(n), np.array(rows)
+
+
+@pytest.mark.parametrize("fixture", ["zipf16", "uniform16"])
+@pytest.mark.parametrize("token", ["rs", "is:l=16", "optis:l=16", "ls:l=16,pa=0.75", "2lls:pb=0.25,pc=0.5"])
+def test_propagate_over_occupied_groups_matches_the_dense_recursion(fixture, token):
+    d = ss.synth_zipf(16, 1.0, 448894, seed=2) if fixture == "zipf16" else ss.synth_uniform(1256, 16, 357)
+    st = ss.parse_strategy(token)
+    trace = ss.propagate(ss.EpidemicConfig(st, d, s=2000.0, horizon=60, record_per_subnet=True))
+    n, per_group = dense_propagate(st, d, 2000.0, 60)
+    assert trace.per_subnet.shape == per_group.shape == (61, d.occupied)
+    np.testing.assert_allclose(trace.n, n, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(trace.per_subnet, per_group, rtol=1e-12, atol=0)
+    assert n[-1] > 10 * n[0]  # the outbreak grows, so the comparison covers real dynamics
+
+
 def test_propagate_rs_reduces_to_single_population():
     dist = ss.synth_uniform(64, 8, 100)
     cfg = ss.EpidemicConfig(ss.ScanStrategy.rs(l=8), dist, s=358.0, horizon=80)
@@ -297,7 +346,7 @@ def test_propagate_respects_bounds_and_monotonicity(token):
     trace = ss.propagate(cfg)
     assert np.all(np.diff(trace.n) >= 0)
     assert trace.n[0] == 1.0
-    pop = d.dense_counts()
+    pop = d.counts
     assert np.all(trace.per_subnet <= pop + 1e-9)
     assert np.all(trace.per_subnet >= 0)
     assert np.all(np.diff(trace.per_subnet, axis=0) >= 0)
@@ -312,14 +361,38 @@ def test_propagate_seeding_rules():
     d = ss.GroupDistribution(8, [3, 9, 20], [7, 7, 2])
     tr = ss.propagate(ss.EpidemicConfig(ss.ScanStrategy.rs(l=8), d, s=100.0, horizon=1,
                                         record_per_subnet=True))
-    assert tr.per_subnet[0, 3] == 1.0  # densest, tie to the lowest index
+    col = {int(g): k for k, g in enumerate(d.indices)}  # per_subnet columns: the occupied groups
+    assert tr.per_subnet.shape == (2, 3)
+    assert tr.per_subnet[0].tolist() == [1.0, 0.0, 0.0]
+    assert tr.per_subnet[0, col[3]] == 1.0  # densest, tie to the lowest index
     tr = ss.propagate(ss.EpidemicConfig(ss.ScanStrategy.rs(l=8), d, s=100.0, horizon=1,
                                         initial=20, record_per_subnet=True))
-    assert tr.per_subnet[0, 20] == 1.0
+    assert tr.per_subnet[0, col[20]] == 1.0 and tr.per_subnet[0].sum() == 1.0
+    tr = ss.propagate(ss.EpidemicConfig(ss.ScanStrategy.rs(l=8), d, s=100.0, horizon=1,
+                                        initial=9, record_per_subnet=True))
+    assert tr.per_subnet[0].tolist() == [0.0, 1.0, 0.0]  # group 9 is the middle column
     with pytest.raises(ParameterError):
         ss.propagate(ss.EpidemicConfig(ss.ScanStrategy.rs(l=8), d, s=100.0, horizon=1, initial=4))
     with pytest.raises(ParameterError):
         ss.propagate(ss.EpidemicConfig(ss.ScanStrategy.rs(l=8), d, s=100.0, horizon=1, initial=256))
+
+
+def test_propagate_rejects_a_non_finite_exponent():
+    # s * tick * N = inf would make inf * 0 = nan in the exponent of empty-q groups
+    d = ss.synth_uniform(1256, 16, 357)
+    with pytest.raises(ParameterError, match="is not finite"):
+        ss.propagate(ss.EpidemicConfig(ss.ScanStrategy.optimal(16), d, s=1e308, horizon=3))
+
+
+def test_propagate_runs_above_the_dense_limit_and_below_l32(four_hosts):
+    for token in ["is:l=24", "optis:l=24", "ls:l=24,pa=0.75", "rs:l=31"]:
+        st = ss.parse_strategy(token)
+        trace = ss.propagate(ss.EpidemicConfig(st, ss.aggregate(four_hosts, st.l), s=1e6, horizon=5,
+                                               record_per_subnet=True))
+        assert trace.per_subnet.shape[1] == ss.aggregate(four_hosts, st.l).occupied
+        assert np.all(np.diff(trace.n) >= 0) and trace.n[-1] <= 4
+    with pytest.raises(ParameterError, match="l <= 31"):
+        ss.propagate(ss.EpidemicConfig(ss.ScanStrategy.optimal(32), ss.aggregate(four_hosts, 32), s=1.0, horizon=1))
 
 
 def test_propagate_rejects_mss_and_coarse_input():

@@ -32,7 +32,7 @@ def zipf_ctx(l=8, n=50000, seed=7):
 
 def test_collision_probability_routes(four_hosts):
     d = ss.aggregate(four_hosts, 8)
-    p = d.dense_probabilities()
+    p = ss.group_scan_distribution(ss.ScanStrategy.importance(8), dist=d)
     ssq = d.sum_sq_counts() / d.total**2
     assert ss.collision_probability(d, p) == pytest.approx(ssq, rel=1e-12)
     assert ss.collision_probability(d, np.full(256, 1 / 256)) == pytest.approx(1 / 256, rel=1e-12)
@@ -115,7 +115,7 @@ def test_info_bits_equal_log_gain():
 def test_explicit_q_path_agrees_with_derived_path():
     d, ctx = zipf_ctx()
     implicit = ss.alpha_for(ss.ScanStrategy.importance(8), ctx)
-    explicit = ss.alpha_for(ss.ScanStrategy.importance(8, q_g=d.dense_probabilities()), ctx)
+    explicit = ss.alpha_for(ss.ScanStrategy.importance(8, q_g=ss.group_scan_distribution(ss.ScanStrategy.importance(8), dist=d)), ctx)
     assert explicit.alpha == pytest.approx(implicit.alpha, rel=1e-12)
     assert explicit.collision_probability == pytest.approx(implicit.collision_probability, rel=1e-12)
 

@@ -5,7 +5,7 @@ import pytest
 
 import scanspread as ss
 from scanspread.errors import ParameterError, UnsupportedStrategyError
-from scanspread.strategies import ScannerState
+from scanspread.strategies import ScannerState, TargetLaw
 
 
 # -- tokens ----------------------------------------------------------------
@@ -235,3 +235,59 @@ def test_single_draws_follow_the_same_law():
     state = ScannerState(ss.ScanStrategy.localized(8, 1.0), np.random.default_rng(15), home_subnet=9)
     for _ in range(50):
         assert state.next_target() >> 24 == 9
+
+
+# -- the law over occupied groups ------------------------------------------
+
+
+def dense_importance_draw(q_dense: np.ndarray, l: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """is draws by the cumulative sum of the dense 2**l law, clamped to the
+    last group: the reference for the law kept over occupied groups only."""
+    g = np.searchsorted(np.cumsum(q_dense), rng.random(n), side="right")
+    np.minimum(g, q_dense.size - 1, out=g)
+    return (g.astype(np.int64) << (32 - l)) + rng.integers(0, 1 << (32 - l), size=n, dtype=np.int64)
+
+
+@pytest.mark.parametrize("name", ["zipf16", "uniform16", "explicit8"])
+def test_importance_draws_equal_the_dense_cumulative_law(name):
+    if name == "explicit8":
+        q = np.zeros(256)
+        q[[3, 40, 41, 200]] = [0.1, 0.2, 0.3, 0.4]
+        law, q_dense, l = TargetLaw(ss.ScanStrategy.importance(8, q_g=q)), q, 8
+    else:
+        d = ss.synth_zipf(16, 1.0, 448894, seed=2) if name == "zipf16" else ss.synth_uniform(1256, 16, 357)
+        q_dense = np.zeros(1 << 16)
+        q_dense[d.indices] = d.counts / d.total
+        law, l = TargetLaw(ss.ScanStrategy.importance(16), d), 16
+    got = law.draw(np.random.default_rng(21), 300_000)
+    assert np.array_equal(got, dense_importance_draw(q_dense, l, np.random.default_rng(21), 300_000))
+    assert np.array_equal(law.group_probabilities(np.arange(1 << l)), q_dense)
+
+
+def test_importance_draw_past_the_last_cumulative_value_takes_the_last_occupied_group():
+    # ten groups of 0.1 sum sequentially to 1 - 2**-53, so u = 1 - 2**-53 lies past
+    # cum[-1]: the dense law clamped such a draw to group 255, which is empty
+    d = ss.GroupDistribution(8, np.arange(10, 110, 10), np.ones(10))
+    law = TargetLaw(ss.ScanStrategy.importance(8), d)
+    assert np.cumsum(d.counts / d.total)[-1] <= np.nextafter(1.0, 0.0)
+
+    class Stream:
+        def random(self, n):
+            return np.full(n, np.nextafter(1.0, 0.0))
+
+        def integers(self, lo, hi, size, dtype):
+            return np.zeros(size, dtype=dtype)
+
+    assert (law.draw(Stream(), 3) >> 24).tolist() == [100, 100, 100]
+
+
+def test_group_probabilities_at_occupied_groups(four_hosts):
+    d = ss.aggregate(four_hosts, 24)  # above MAX_DENSE_LEVEL: the law builds no 2**24 array
+    groups = np.array([d.indices[0], 7, d.indices[-1]])
+    assert TargetLaw(ss.ScanStrategy.importance(24), d).group_probabilities(groups).tolist() == [0.5, 0.0, 0.25]
+    assert TargetLaw(ss.ScanStrategy.optimal(24), d).group_probabilities(groups).tolist() == [1.0, 0.0, 0.0]
+    assert TargetLaw(ss.ScanStrategy.rs(24)).group_probabilities(groups).tolist() == [2.0**-24] * 3
+    with pytest.raises(UnsupportedStrategyError):
+        TargetLaw(ss.ScanStrategy.localized(24, 0.5)).group_probabilities(groups)
+    with pytest.raises(ParameterError):
+        ss.group_scan_distribution(ss.ScanStrategy.importance(24), dist=d)  # a dense 2**24 output
