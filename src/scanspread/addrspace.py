@@ -126,12 +126,29 @@ class HostSet:
 
     def count_members(self, targets: np.ndarray) -> int:
         """How many entries of `targets` (with multiplicity) are hosts."""
-        if self._addr64.size == 0:
-            return 0
+        return int(self.count_members_per_row(np.reshape(targets, (1, -1)))[0])
+
+    def count_members_per_row(self, targets: np.ndarray) -> np.ndarray:
+        """Hosts among each row of a (rows, n) target block, with multiplicity.
+
+        One sort for the whole block: each in-range target is packed with its
+        row as `target << shift | row`, so the sorted keys are sorted by
+        target and one searchsorted over them finds every hit.  Targets
+        outside [0, 2**32) are misses.
+        """
         t = np.asarray(targets, dtype=np.int64)
-        idx = np.searchsorted(self._addr64, t)
+        rows = t.shape[0]
+        if self._addr64.size == 0:
+            return np.zeros(rows, dtype=np.int64)
+        shift = max(1, (rows - 1).bit_length())
+        ok = (t >= 0) & (t < ADDRESS_SPACE)
+        keys = (t[ok] << shift) | np.broadcast_to(np.arange(rows, dtype=np.int64)[:, None], t.shape)[ok]
+        keys.sort()
+        found = keys >> shift
+        idx = np.searchsorted(self._addr64, found)
         np.minimum(idx, self._addr64.size - 1, out=idx)
-        return int(np.count_nonzero(self._addr64[idx] == t))
+        hit_rows = keys[self._addr64[idx] == found] & ((1 << shift) - 1)
+        return np.bincount(hit_rows, minlength=rows).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ Subcommands:
 Every command writes its outputs as files plus a manifest sidecar recording
 the command line, input digests, seed, package version and runtime.  Data
 files themselves contain only deterministic content: reruns with the same
-inputs, seed and version are byte-identical regardless of --threads.
+inputs, seed and version are byte-identical.  Monte Carlo runs are serial;
+--threads is accepted and recorded but changes neither outputs nor speed.
 
 Exit codes: 0 success, 2 usage or parameter error (inf and nan included), an
 output path that cannot be written or a run that runs out of memory, 3
@@ -458,7 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--seed", type=int, required=True)
     pe.add_argument("--mat-seed", type=int, default=None,
                     help="seed for materializing a distribution input (default: --seed)")
-    pe.add_argument("--threads", type=int, default=1)
+    pe.add_argument("--threads", type=int, default=1,
+                    help="recorded in the manifest only: runs are serial, and outputs and speed "
+                         "do not depend on it (default 1)")
     pe.add_argument("--budgets", default=None, metavar="B1,B2,...",
                     help="mss only: sweep these scan budgets instead of --scans")
     _add_common_out(pe)

@@ -6,7 +6,9 @@ strategy's `TargetLaw` (the same draw `ScannerState.draw_targets` makes);
 each run counts probes that land on vulnerable hosts (with multiplicity) and
 yields a rate estimate hits * s / total_scans.  Runs are independent: run i
 uses the i-th child stream spawned from the master seed, so results are
-reproducible and independent of the thread count.
+reproducible.  Runs go serially in blocks of about 2**16 targets, one
+membership pass per block; the block size depends on total_scans alone, so
+the `threads` setting changes neither the results nor the work done.
 
 Full dynamics.  Time advances in ticks.  With n_t infected in total and m_i
 infected in /l group i, each (source, target-group) pair has a per-scan
@@ -31,8 +33,6 @@ for uniform q.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +54,8 @@ class EarlyStageConfig:
     """Inputs of a Monte Carlo early-stage estimate.
 
     Hosts come either from `hosts` directly or by materializing `dist` with
-    `materialize_seed`.  `seed` drives the per-run streams.
+    `materialize_seed`.  `seed` drives the per-run streams.  `threads` is
+    validated and kept for the record only: runs are serial.
     """
 
     strategy: ScanStrategy
@@ -98,6 +99,10 @@ class EarlyStageResult:
         return float(np.sqrt(self.var_alpha / self.runs))
 
 
+_BLOCK_TARGETS = 1 << 16  # targets per membership pass: one block of runs
+_SWEEP_ROWS = 1 << 12  # runs per block of an MSS sweep, which draws no targets
+
+
 def _resolve_hosts(cfg: EarlyStageConfig) -> HostSet:
     hosts = cfg.hosts if cfg.hosts is not None else materialize_hosts(cfg.dist, cfg.materialize_seed)
     if hosts.N == 0:
@@ -106,8 +111,9 @@ def _resolve_hosts(cfg: EarlyStageConfig) -> HostSet:
 
 
 class _EarlyEngine:
-    """Single-run kernel, shared across threads: one TargetLaw draw per run
-    (after the home draw for ls/2lls), or the MSS sweep."""
+    """Per-run hits of one block of runs: one TargetLaw draw per run (after
+    the home draw for ls/2lls) and one membership pass for the block, or the
+    MSS sweep."""
 
     def __init__(self, cfg: EarlyStageConfig, hosts: HostSet):
         st = cfg.strategy
@@ -117,56 +123,57 @@ class _EarlyEngine:
         self.N = hosts.N
         self.total = cfg.total_scans
         self.bits = ADDRESS_BITS - st.l
+        self.rows = _SWEEP_ROWS if st.kind == "mss" else max(1, _BLOCK_TARGETS // cfg.total_scans)
         dist = None  # only optis and is with q_g = p_g read the host distribution
         if st.kind == "optis" or (st.kind == "is" and st.q_g is None):
             dist = cfg.dist if cfg.dist is not None and cfg.dist.l >= st.l else aggregate(hosts, st.l)
         self.law = TargetLaw(st, dist)
 
-    def run(self, rng: np.random.Generator) -> int:
+    def run(self, streams) -> np.ndarray:
+        """Hits of run i on child stream `streams[i]`, for each i."""
         if self.kind == "mss":
             # stage 2 in isolation: sweep anchored at a random vulnerable
             # host's block, starting just past it.  Sequential scanning is
             # deterministic given the anchor, so hits are an exact interval count.
-            anchor = int(self.addr[rng.integers(0, self.N)])
-            return _sweep_hits(self.hosts, anchor, self.bits, self.total)
-        home = None
-        if self.law.needs_home:
-            home = int(self.addr[rng.integers(0, self.N)]) >> self.bits
-        return self.hosts.count_members(self.law.draw(rng, self.total, home))
+            anchors = [self.addr[np.random.default_rng(seq).integers(0, self.N)] for seq in streams]
+            return _sweep_hits(self.hosts, anchors, self.bits, self.total)
+        targets = np.empty((len(streams), self.total), dtype=np.int64)
+        for i, seq in enumerate(streams):
+            rng = np.random.default_rng(seq)
+            home = None
+            if self.law.needs_home:
+                home = int(self.addr[rng.integers(0, self.N)]) >> self.bits
+            targets[i] = self.law.draw(rng, self.total, home)
+        return self.hosts.count_members_per_row(targets)
 
 
-def _sweep_hits(hosts: HostSet, anchor: int, bits: int, n_scans: int) -> int:
-    """Hits of a cyclic ascending sweep of anchor's block, from anchor+1."""
+def _sweep_hits(hosts: HostSet, anchor, bits: int, n_scans):
+    """Hits of a cyclic ascending sweep of anchor's block, from anchor+1, for
+    scalar or array-valued anchors and scan counts."""
+    addr = hosts._addresses64
+    anchor = np.asarray(anchor, dtype=np.int64)
     block = 1 << bits
     start = (anchor >> bits) << bits
     offset = (anchor - start + 1) % block
-    full, rem = divmod(n_scans, block)
-    hits = full * hosts.count_in_interval(start, start + block) if full else 0
-    if rem:
-        end = offset + rem
-        if end <= block:
-            hits += hosts.count_in_interval(start + offset, start + end)
-        else:
-            hits += hosts.count_in_interval(start + offset, start + block)
-            hits += hosts.count_in_interval(start, start + end - block)
-    return hits
+    full, rem = np.divmod(np.asarray(n_scans, dtype=np.int64), block)
+    end = offset + rem
+
+    def count(lo, hi):  # hosts in [lo, hi)
+        return np.searchsorted(addr, hi) - np.searchsorted(addr, lo)
+
+    # the full passes, the head from offset to the block end or to end, and
+    # the wrapped tail; an interval kind a run does not scan is empty
+    return (full * count(start, start + block)
+            + count(start + offset, start + np.minimum(end, block))
+            + count(start, start + np.maximum(end - block, 0)))
 
 
-def _run_all(engine_run, streams, threads: int) -> np.ndarray:
-    hits = np.zeros(len(streams), dtype=np.int64)
-
-    def work(i: int) -> None:
-        hits[i] = engine_run(np.random.default_rng(streams[i]))
-
-    threads = min(threads, os.cpu_count() or 1)  # at most one worker per CPU, however many are asked for
-    if threads == 1:
-        for i in range(len(streams)):
-            work(i)
-    else:
-        chunk = max(1, len(streams) // (threads * 8))
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, range(len(streams)), chunksize=chunk))
-    return hits
+def _blocks(seq: np.random.SeedSequence, runs: int, rows: int):
+    """(first run, child streams) per block of `rows` runs.  A block's
+    children are spawned only when it runs; spawning continues the child
+    numbering, so they are the children of one seq.spawn(runs)."""
+    for lo in range(0, runs, rows):
+        yield lo, seq.spawn(min(rows, runs - lo))
 
 
 def _result(cfg: EarlyStageConfig, total_scans: int, hits: np.ndarray) -> EarlyStageResult:
@@ -191,8 +198,10 @@ def estimate_infection_rate(cfg: EarlyStageConfig) -> EarlyStageResult:
     """
     hosts = _resolve_hosts(cfg)
     engine = _EarlyEngine(cfg, hosts)
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.runs)
-    return _result(cfg, cfg.total_scans, _run_all(engine.run, streams, cfg.threads))
+    hits = np.empty(cfg.runs, dtype=np.int64)
+    for lo, streams in _blocks(np.random.SeedSequence(cfg.seed), cfg.runs, engine.rows):
+        hits[lo:lo + len(streams)] = engine.run(streams)
+    return _result(cfg, cfg.total_scans, hits)
 
 
 def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[EarlyStageResult]:
@@ -215,15 +224,18 @@ def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[Ea
     out = []
     for budget, seq in zip(scan_budgets, budget_seqs):
         budget = int(budget)
-
-        def run(rng: np.random.Generator, budget: int = budget) -> int:
-            stage1 = int(rng.geometric(p_first))
-            if stage1 > budget:
-                return 0
-            anchor = int(addr[rng.integers(0, hosts.N)])
-            return 1 + _sweep_hits(hosts, anchor, bits, budget - stage1)
-
-        out.append(_result(cfg, budget, _run_all(run, seq.spawn(cfg.runs), cfg.threads)))
+        hits = np.zeros(cfg.runs, dtype=np.int64)
+        for lo, streams in _blocks(seq, cfg.runs, _SWEEP_ROWS):
+            found, anchors, left = [], [], []  # the runs that find a host within budget
+            for i, child in enumerate(streams):
+                rng = np.random.default_rng(child)
+                stage1 = int(rng.geometric(p_first))
+                if stage1 <= budget:
+                    found.append(lo + i)
+                    anchors.append(addr[rng.integers(0, hosts.N)])
+                    left.append(budget - stage1)
+            hits[found] = 1 + _sweep_hits(hosts, anchors, bits, left)
+        out.append(_result(cfg, budget, hits))
     return out
 
 

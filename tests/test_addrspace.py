@@ -190,6 +190,25 @@ def test_hostset_interval_and_membership():
     assert ss.HostSet([]).count_members(np.array([1, 2])) == 0
 
 
+@given(addrs=st.lists(st.integers(0, 2**32 - 1), max_size=40), rows=st.sampled_from([1, 2, 65, 70]),
+       n=st.integers(0, 9), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_count_members_per_row_matches_isin(addrs, rows, n, data):
+    # duplicates, out-of-range targets and the first and last host mixed in;
+    # host - 2**63 is out of range but equals the host once shifted left
+    hosts = ss.HostSet(addrs)
+    ends = [int(a) for a in hosts.addresses[[0, -1]]] if addrs else []
+    edges = [-1, 0, 2**32 - 1, 2**32] + ends + [a - 2**63 for a in ends]
+    cell = st.one_of(st.sampled_from(edges + addrs[:5]), st.integers(-(2**33), 2**33))
+    block = np.array(data.draw(st.lists(cell, min_size=rows * n, max_size=rows * n)),
+                     dtype=np.int64).reshape(rows, n)
+    got = hosts.count_members_per_row(block)
+    want = np.isin(block, hosts.addresses.astype(np.int64)).sum(axis=1)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    one = hosts.count_members(block)
+    assert type(one) is int and one == sum(hosts.count_members_per_row(row[None, :])[0] for row in block)
+
+
 # -- aggregate / refine ----------------------------------------------------
 
 

@@ -1,5 +1,5 @@
 import math
-import os
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import scanspread as ss
 from scanspread import epidemic
 from scanspread.epidemic import _sweep_hits
 from scanspread.errors import ParameterError, UnsupportedStrategyError
-from scanspread.strategies import ScannerState
+from scanspread.strategies import ScannerState, TargetLaw
 
 
 def zipf_hosts(l=8, n=50000, dist_seed=7, mat_seed=11):
@@ -81,35 +81,27 @@ def test_early_estimate_is_deterministic():
     assert not np.array_equal(a.per_run_hits, ss.estimate_infection_rate(other).per_run_hits)
 
 
-def test_thread_pool_is_capped_at_the_cpu_count(monkeypatch):
-    # A fake pool records its size and maps serially, so no thread starts.
+def test_no_thread_starts_and_threads_change_no_hit(monkeypatch):
+    # runs are serial: with Thread.start raising, a huge thread count still
+    # gives the per-run hits of threads=1
     hosts = ss.HostSet(np.arange(0, 1 << 16, 7))
-    sizes = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+    def no_thread(self):
+        raise AssertionError("a Monte Carlo estimate started a thread")
 
     def go(threads):
-        cfg = ss.EarlyStageConfig(ss.ScanStrategy.optimal(16), s=1.0, total_scans=100, runs=50,
-                                  seed=3, hosts=hosts, dist=ss.aggregate(hosts, 16),
-                                  threads=threads, record_hits=True)
-        return ss.estimate_infection_rate(cfg).per_run_hits
+        optis = ss.EarlyStageConfig(ss.ScanStrategy.optimal(16), s=1.0, total_scans=100, runs=50,
+                                    seed=3, hosts=hosts, dist=ss.aggregate(hosts, 16),
+                                    threads=threads, record_hits=True)
+        mss = ss.EarlyStageConfig(ss.ScanStrategy.sequential(16), s=1.0, total_scans=10**6, runs=50,
+                                  seed=3, hosts=hosts, threads=threads, record_hits=True)
+        return [ss.estimate_infection_rate(optis).per_run_hits,
+                *(r.per_run_hits for r in ss.estimate_mss_full(mss, [10**5, 10**6]))]
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(epidemic, "ThreadPoolExecutor", SerialPool)
-    got = go(10**6)
-    assert sizes and max(sizes) <= 2
-    assert got.sum() > 0 and np.array_equal(got, go(1))
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    got, want = go(10**6), go(1)
+    assert all(h.sum() > 0 for h in got)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_early_estimate_scaling_identities(four_hosts):
@@ -184,6 +176,97 @@ def test_engine_and_scanner_state_draw_the_same_targets(token):
         want.append(hosts.count_members(state.draw_targets(100_000)))
     assert hits.tolist() == want
     assert sum(want) > 0
+
+
+def literal_members(hosts, targets):
+    """Hosts among targets, one unsorted searchsorted (the per-run test the
+    block kernel replaced)."""
+    addr = hosts.addresses.astype(np.int64)
+    idx = np.minimum(np.searchsorted(addr, targets), addr.size - 1)
+    return int(np.count_nonzero(addr[idx] == targets))
+
+
+def literal_sweep(hosts, anchor, bits, n_scans):
+    """The scalar sweep: one count_in_interval per interval a run scans."""
+    block = 1 << bits
+    start = (anchor >> bits) << bits
+    offset = (anchor - start + 1) % block
+    full, rem = divmod(n_scans, block)
+    hits = full * hosts.count_in_interval(start, start + block) if full else 0
+    if rem:
+        end = offset + rem
+        if end <= block:
+            hits += hosts.count_in_interval(start + offset, start + end)
+        else:
+            hits += hosts.count_in_interval(start + offset, start + block)
+            hits += hosts.count_in_interval(start, start + end - block)
+    return hits
+
+
+def literal_early_hits(st, hosts, scans, runs, seed):
+    """Run by run on child stream i: the home or anchor draw, then the
+    TargetLaw draw and its membership test, or the sweep."""
+    addr = hosts.addresses.astype(np.int64)
+    bits = 32 - st.l
+    law = TargetLaw(st, ss.aggregate(hosts, st.l) if st.kind in ("is", "optis") else None)
+    want = []
+    for seq in np.random.SeedSequence(seed).spawn(runs):
+        rng = np.random.default_rng(seq)
+        if st.kind == "mss":
+            want.append(literal_sweep(hosts, int(addr[rng.integers(0, hosts.N)]), bits, scans))
+            continue
+        home = None
+        if law.needs_home:
+            home = int(addr[rng.integers(0, hosts.N)]) >> bits
+        want.append(literal_members(hosts, law.draw(rng, scans, home)))
+    return want
+
+
+@pytest.mark.parametrize("token", ["rs", "is:l=8", "optis:l=8", "ls:l=8,pa=0.75", "2lls:pb=0.25,pc=0.5", "mss:l=8"])
+@pytest.mark.parametrize("scans, runs", [(1000, 200), (70_000, 3), (10, epidemic._SWEEP_ROWS + 300)])
+def test_blocked_runs_give_the_literal_per_run_hits(token, scans, runs):
+    # 1000 scans: blocks of 65 runs and a partial last block; 70,000 scans:
+    # one run per block; 10 scans: more runs than one mss block
+    _, hosts = zipf_hosts()
+    st = ss.parse_strategy(token)
+    cfg = ss.EarlyStageConfig(st, s=100.0, total_scans=scans, runs=runs, seed=17,
+                              hosts=hosts, record_hits=True)
+    got = ss.estimate_infection_rate(cfg).per_run_hits
+    want = literal_early_hits(st, hosts, scans, runs, 17)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert sum(want) > 0
+
+
+@pytest.mark.parametrize("l", [16, 30])
+def test_mss_full_blocks_give_the_literal_per_run_hits(l):
+    # geometric stage 1, then (within budget) the anchor, then the sweep, run
+    # by run; more runs than one block, and one budget whose run 0 leaves an
+    # exact multiple of the block for its sweep
+    hosts = ss.HostSet(np.random.default_rng(2).integers(0, 2**32, size=2**21))
+    bits = 32 - l
+    runs = epidemic._SWEEP_ROWS + 300
+    addr = hosts.addresses.astype(np.int64)
+    p_first = hosts.N / 2**32
+    seqs = np.random.SeedSequence(23).spawn(4)
+    first_stage1 = int(np.random.default_rng(seqs[2].spawn(1)[0]).geometric(p_first))
+    budgets = [10, 3000, first_stage1 + (2 << bits), 3 * 2**16 + 17]
+    cfg = ss.EarlyStageConfig(ss.ScanStrategy.sequential(l), s=1.0, total_scans=10, runs=runs,
+                              seed=23, hosts=hosts, record_hits=True)
+    got = [r.per_run_hits.tolist() for r in ss.estimate_mss_full(cfg, budgets)]
+    want = []
+    for budget, seq in zip(budgets, np.random.SeedSequence(23).spawn(4)):
+        hits = []
+        for child in seq.spawn(runs):
+            rng = np.random.default_rng(child)
+            stage1 = int(rng.geometric(p_first))
+            if stage1 > budget:
+                hits.append(0)
+                continue
+            anchor = int(addr[rng.integers(0, hosts.N)])
+            hits.append(1 + literal_sweep(hosts, anchor, bits, budget - stage1))
+        want.append(hits)
+    assert got == want
+    assert (budgets[2] - first_stage1) % (1 << bits) == 0 and want[2][0] > 1
 
 
 # -- MSS from a cold start -------------------------------------------------
