@@ -507,6 +507,10 @@ def synth_uniform(n_occupied: int, l: int, hosts_per_group: int) -> GroupDistrib
         raise ParameterError(f"n_occupied must be in [1, 2**{l}]")
     if hosts_per_group < 1:
         raise ParameterError("hosts_per_group must be >= 1")
+    if hosts_per_group > block_size(l):  # before an int64 array is asked to hold it
+        raise CapacityError(
+            f"group 0 needs {hosts_per_group} distinct hosts but a /{l} block has {block_size(l)} addresses"
+        )
     idx = np.arange(n_occupied, dtype=np.int64)
     cnt = np.full(n_occupied, hosts_per_group, dtype=np.int64)
     return GroupDistribution(l, idx, cnt)
@@ -527,7 +531,12 @@ def synth_zipf(l: int, exponent: float, n_hosts: int, seed: int) -> GroupDistrib
         raise ParameterError("exponent must be > 0")
     if n_hosts < 1:
         raise ParameterError("n_hosts must be >= 1")
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
     m = 1 << l
+    if n_hosts > ADDRESS_SPACE:  # some group is over capacity, and int64 shares could wrap
+        raise CapacityError(f"{n_hosts} hosts in {m} groups: some group needs at least {-(-n_hosts // m)} "
+                            f"distinct hosts but a /{l} block has {block_size(l)} addresses")
     ranks = np.arange(1, m + 1, dtype=np.float64)
     weights = ranks ** (-float(exponent))
     shares = n_hosts * (weights / weights.sum())
@@ -591,6 +600,8 @@ def materialize_hosts(dist: GroupDistribution, seed: int) -> HostSet:
       are drawn again, `_sample_distinct` fills the group, and the next run
       starts after it.
     """
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
     bits = block_bits(dist.l)
     block = 1 << bits
     rng = np.random.default_rng(seed)

@@ -268,7 +268,10 @@ def cmd_simulate_early(args: argparse.Namespace) -> None:
         threads=args.threads,
     )
     if args.budgets:
-        budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
+        try:
+            budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
+        except ValueError:
+            raise ParameterError(f"bad --budgets {args.budgets!r}; expected B1,B2,...") from None
         results = estimate_mss_full(cfg, budgets)
         write_table(out_dir / "mss_budgets.csv", ["total_scans", f"mean_alpha_per_{args.time_unit}", "var_alpha"],
                     list(zip(*((r.total_scans, r.mean_alpha, r.var_alpha) for r in results))))
@@ -293,7 +296,10 @@ def cmd_simulate_epidemic(args: argparse.Namespace) -> None:
         dist = aggregate(loaded.hosts, strategy.l)
     initial: int | str = args.initial
     if initial != "densest":
-        initial = int(initial)
+        try:
+            initial = int(initial)
+        except ValueError:
+            raise ParameterError(f"bad --initial {args.initial!r}; expected a group index or 'densest'") from None
     pp = None
     if args.pp is not None:
         try:

@@ -72,10 +72,15 @@ class EarlyStageConfig:
     def __post_init__(self):
         if not self.s > 0:
             raise ParameterError("scanning rate s must be > 0")
-        if self.total_scans < 1:
-            raise ParameterError("total_scans must be >= 1")
-        if self.runs < 2:
-            raise ParameterError("need runs >= 2 for a sample variance")
+        # Arrays of runs and of scans are allocated; at most 2**32 entries
+        # keeps every request a MemoryError at worst (numpy raises ValueError
+        # from 2**60 entries and OverflowError past int64).
+        if not 1 <= self.total_scans <= ADDRESS_SPACE:
+            raise ParameterError(f"total_scans must be in [1, 2**{ADDRESS_BITS}]")
+        if not 2 <= self.runs <= ADDRESS_SPACE:
+            raise ParameterError(f"runs must be in [2, 2**{ADDRESS_BITS}] (2 for a sample variance)")
+        if self.seed < 0 or (self.materialize_seed is not None and self.materialize_seed < 0):
+            raise ParameterError("seeds must be >= 0")
         if self.threads < 1:
             raise ParameterError("threads must be >= 1")
         if self.hosts is None and self.dist is None:
@@ -214,8 +219,8 @@ def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[Ea
     """
     if cfg.strategy.kind != "mss":
         raise ParameterError("estimate_mss_full is only defined for mss")
-    if not scan_budgets or any(int(b) < 1 for b in scan_budgets):
-        raise ParameterError("scan budgets must be positive integers")
+    if not scan_budgets or any(not 1 <= int(b) <= ADDRESS_SPACE for b in scan_budgets):  # as total_scans
+        raise ParameterError(f"scan budgets must be integers in [1, 2**{ADDRESS_BITS}]")
     hosts = _resolve_hosts(cfg)
     addr = hosts._addresses64
     bits = ADDRESS_BITS - cfg.strategy.l
@@ -264,8 +269,10 @@ class EpidemicConfig:
     def __post_init__(self):
         if not self.s > 0 or not self.tick > 0:
             raise ParameterError("need s > 0 and tick > 0")
-        if self.horizon < 1:
-            raise ParameterError("horizon must be >= 1 tick")
+        # horizon + 1 values of n(t) are allocated; the bound keeps that a
+        # MemoryError at worst, as for EarlyStageConfig's counts
+        if not 1 <= self.horizon <= ADDRESS_SPACE:
+            raise ParameterError(f"horizon must be in [1, 2**{ADDRESS_BITS}] ticks")
         if self.pp is not None:
             d, p = self.pp
             if not 0.0 < d <= 1.0 or not 0.0 <= p <= 1.0:

@@ -27,11 +27,19 @@ import numpy as np
 from .addrspace import ADDRESS_BITS, ADDRESS_SPACE, MAX_DENSE_LEVEL, GroupDistribution, check_prefix_level
 from .errors import ParameterError, UnsupportedStrategyError
 
-KINDS = ("rs", "is", "optis", "ls", "2lls", "mss")
+# The token grammar: each kind's keys in label order, and the ScanStrategy
+# field and type each key names.  rs alone may leave out l (default 16).
+_TOKEN_KEYS = {
+    "rs": ("l",), "is": ("l",), "optis": ("l",), "ls": ("l", "pa"), "2lls": ("pb", "pc"), "mss": ("l",),
+}
+_KEY_FIELDS = {"l": ("l", int), "pa": ("p_a", float), "pb": ("p_b", float), "pc": ("p_c", float)}
+KINDS = tuple(_TOKEN_KEYS)
 
 
 def _fmt(x: float) -> str:
-    return f"{x:g}"
+    """x as `:g` when that reads back as x, else as repr: exact either way."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,14 +76,17 @@ class ScanStrategy:
                 raise ParameterError("q_g must be non-negative and sum to 1")
             q.flags.writeable = False
             object.__setattr__(self, "q_g", q)
-        if self.kind == "ls":
-            if self.p_a is None or not 0.0 <= self.p_a <= 1.0:
-                raise ParameterError("ls needs p_a in [0, 1]")
-        if self.kind == "2lls":
-            if self.p_b is None or self.p_c is None:
-                raise ParameterError("2lls needs p_b and p_c")
-            if self.p_b < 0 or self.p_c < 0 or self.p_b + self.p_c > 1.0 + 1e-12:
-                raise ParameterError("2lls needs p_b, p_c >= 0 with p_b + p_c <= 1")
+        keys = _TOKEN_KEYS[self.kind]
+        for key, (name, typ) in _KEY_FIELDS.items():
+            if typ is int:  # l, which every kind has
+                continue
+            value = getattr(self, name)
+            if (value is None) == (key in keys):
+                raise ParameterError(f"{self.kind} {'needs' if value is None else 'takes no'} {name}")
+            if value is not None and not 0.0 <= value <= 1.0:  # false for nan
+                raise ParameterError(f"{self.kind} needs {name} in [0, 1], got {value!r}")
+        if self.kind == "2lls" and self.p_b + self.p_c > 1.0 + 1e-12:
+            raise ParameterError("2lls needs p_b + p_c <= 1")
 
     # -- constructors ------------------------------------------------------
 
@@ -109,66 +120,36 @@ class ScanStrategy:
 
     @property
     def label(self) -> str:
-        """Canonical token; parse_strategy(label) round-trips."""
-        if self.kind == "rs":
-            return "rs" if self.l == 16 else f"rs:l={self.l}"
-        if self.kind == "is":
-            return f"is:l={self.l}"
-        if self.kind == "optis":
-            return f"optis:l={self.l}"
-        if self.kind == "ls":
-            return f"ls:l={self.l},pa={_fmt(self.p_a)}"
-        if self.kind == "2lls":
-            return f"2lls:pb={_fmt(self.p_b)},pc={_fmt(self.p_c)}"
-        return f"mss:l={self.l}"
-
-
-_PARAM_KEYS = {
-    "rs": {"l"},
-    "is": {"l"},
-    "optis": {"l"},
-    "ls": {"l", "pa"},
-    "2lls": {"pb", "pc"},
-    "mss": {"l"},
-}
+        """Canonical token; parse_strategy(label) gives this strategy back."""
+        keys = () if self.kind == "rs" and self.l == 16 else _TOKEN_KEYS[self.kind]
+        params = ",".join(f"{key}={_fmt(getattr(self, _KEY_FIELDS[key][0]))}" for key in keys)
+        return f"{self.kind}:{params}" if params else self.kind
 
 
 def parse_strategy(token: str) -> ScanStrategy:
     """Parse a strategy token such as `rs`, `is:l=16` or `ls:l=16,pa=0.75`."""
-    text = token.strip()
-    kind, _, rest = text.partition(":")
+    kind, _, rest = token.strip().partition(":")
     kind = kind.strip()
-    if kind not in KINDS:
+    if kind not in _TOKEN_KEYS:
         raise ParameterError(f"unknown strategy {token!r}; valid kinds: {', '.join(KINDS)}")
-    params: dict[str, str] = {}
-    if rest:
-        for part in rest.split(","):
-            key, sep, val = part.partition("=")
-            key = key.strip()
-            if not sep or key not in _PARAM_KEYS[kind]:
-                raise ParameterError(
-                    f"bad parameter {part.strip()!r} in {token!r}; "
-                    f"{kind} accepts: {', '.join(sorted(_PARAM_KEYS[kind])) or 'none'}"
-                )
-            if key in params:
-                raise ParameterError(f"duplicate parameter {key!r} in {token!r}")
-            params[key] = val.strip()
-    try:
-        if kind == "rs":
-            return ScanStrategy.rs(l=int(params.get("l", 16)))
-        if kind == "is":
-            return ScanStrategy.importance(l=int(params["l"]))
-        if kind == "optis":
-            return ScanStrategy.optimal(l=int(params["l"]))
-        if kind == "ls":
-            return ScanStrategy.localized(l=int(params["l"]), p_a=float(params["pa"]))
-        if kind == "2lls":
-            return ScanStrategy.two_level(p_b=float(params["pb"]), p_c=float(params["pc"]))
-        return ScanStrategy.sequential(l=int(params["l"]))
-    except KeyError as exc:
-        raise ParameterError(f"strategy {token!r} is missing parameter {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ParameterError(f"bad value in strategy token {token!r}: {exc}") from None
+    keys = _TOKEN_KEYS[kind]
+    fields = {}
+    for part in rest.split(",") if rest else ():
+        key, sep, val = part.partition("=")
+        key = key.strip()
+        if not sep or key not in keys:
+            raise ParameterError(f"bad parameter {part.strip()!r} in {token!r}; {kind} accepts: {', '.join(keys)}")
+        name, typ = _KEY_FIELDS[key]
+        if name in fields:
+            raise ParameterError(f"duplicate parameter {key!r} in {token!r}")
+        try:
+            fields[name] = typ(val.strip())
+        except ValueError as exc:
+            raise ParameterError(f"bad value in strategy token {token!r}: {exc}") from None
+    missing = [key for key in keys if _KEY_FIELDS[key][0] not in fields]
+    if missing and kind != "rs":
+        raise ParameterError(f"strategy {token!r} is missing parameter {missing[0]!r}")
+    return ScanStrategy(kind, **fields)
 
 
 def _resolve_p(dist: GroupDistribution | None, l: int, what: str) -> GroupDistribution:

@@ -2,10 +2,16 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import scanspread as ss
 import scanspread.cli as cli
@@ -172,8 +178,10 @@ def test_unwritable_output_exits_2(tmp_path, capsys, make, argv, culprit, reason
     ["defense", "pp", "--beta", "50", "--d", "0.5", "--s", "inf", "--N", "10"],
     ["defense", "ipv6", "--s", "1", "--N", "inf", "--beta32", "2"],
     ["defense", "ipv6", "--s", "1", "--N", "10", "--beta32", "inf"],
+    ["rates", "--s", "1", "--N", "100", "--beta8", "2", "--beta16", "3", "--strategy", "2lls:pb=nan,pc=0.5"],
 ], ids=["rates_s", "rates_N_inf", "rates_N_nan", "rates_beta16", "rates_beta_entry", "rates_maxp", "early_s",
-        "epidemic_s", "epidemic_tick", "epidemic_s_tick_N", "pp_beta", "pp_s", "ipv6_N", "ipv6_beta32"])
+        "epidemic_s", "epidemic_tick", "epidemic_s_tick_N", "pp_beta", "pp_s", "ipv6_N", "ipv6_beta32",
+        "rates_strategy_nan"])
 def test_non_finite_numbers_exit_2(dist_file, tmp_path, capsys, argv):
     out = tmp_path / "o"
     argv = [str(dist_file) if a == "{dist}" else a for a in argv]
@@ -202,6 +210,39 @@ def test_population_must_be_integral(tmp_path, capsys, argv, data):
     assert written[0] == written[1]
     if argv[1] == "ipv6":
         assert json.loads(written[0])["N"] == 448894
+
+
+HUGE = str(10**20)
+EARLY = ["simulate", "early", "{dist}", "--s", "1", "--seed", "1", "--out-dir", "{out}"]
+EPIDEMIC = ["simulate", "epidemic", "{dist}", "--strategy", "rs:l=8", "--s", "1", "--out-dir", "{out}"]
+
+
+@pytest.mark.parametrize("argv, says", [
+    (EARLY + ["--strategy", "rs", "--seed", "-1"], "seeds must be >= 0"),
+    (EARLY + ["--strategy", "rs", "--mat-seed", "-1"], "seeds must be >= 0"),
+    (["synth", "zipf", "--l", "8", "--exponent", "1", "--hosts", "10", "--seed", "-3", "--out", "{out}/d.csv"],
+     "seed must be >= 0"),
+    (["synth", "hosts", "--dist", "{dist}", "--seed", "-3", "--out", "{out}/h.txt"], "seed must be >= 0"),
+    (EARLY + ["--strategy", "mss:l=8", "--budgets", "10,abc"], "bad --budgets '10,abc'"),
+    (EPIDEMIC + ["--horizon", "3", "--initial", "abc"], "bad --initial 'abc'"),
+    (EARLY + ["--strategy", "rs", "--scans", HUGE], "total_scans must be in [1, 2**32]"),
+    (EARLY + ["--strategy", "rs", "--runs", HUGE], "runs must be in [2, 2**32]"),
+    (EARLY + ["--strategy", "mss:l=8", "--scans", "99999999999999999999"], "total_scans must be in [1, 2**32]"),
+    (EARLY + ["--strategy", "mss:l=8", "--budgets", "99999999999999999999"], "scan budgets must be integers in"),
+    (EPIDEMIC + ["--horizon", HUGE], "horizon must be in [1, 2**32] ticks"),
+    (["synth", "uniform", "--l", "8", "--groups", "2", "--per-group", HUGE, "--out", "{out}/d.csv"],
+     f"group 0 needs {HUGE} distinct hosts but a /8 block has 16777216 addresses"),
+    (["synth", "zipf", "--l", "8", "--exponent", "1", "--hosts", HUGE, "--seed", "1", "--out", "{out}/d.csv"],
+     "needs at least 390625000000000000 distinct hosts but a /8 block has 16777216 addresses"),
+], ids=["early_seed", "early_mat_seed", "zipf_seed", "hosts_seed", "budgets_abc", "initial_abc", "scans_huge",
+        "runs_huge", "mss_scans_huge", "mss_budgets_huge", "horizon_huge", "uniform_per_group_huge",
+        "zipf_hosts_huge"])
+def test_negative_seeds_and_out_of_range_integers_exit_2(dist_file, tmp_path, capsys, argv, says):
+    out = tmp_path / "o"
+    assert run_cli(*(a.format(dist=dist_file, out=out) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and says in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_out_of_memory_exits_2(dist_file, tmp_path, capsys, monkeypatch):
@@ -250,6 +291,77 @@ def test_internal_error_exits_4(hosts_file, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "refine", boom)
     assert run_cli("analyze", str(hosts_file), "--check",
                    "--out-dir", str(tmp_path / "o")) == 4
+
+
+# Each subcommand's words and its options with their valid values ("": the
+# positional argument; None: left out; an empty list: a flag).  A case takes
+# a valid value for every option but one or two, which get an edge value or
+# are left out.  No valid value is large, so that no case allocates much or
+# runs long.
+EDGES = [None, "0", "1", "-1", HUGE, "nan", "inf", "1e308", "", "abc", "{empty}", "{dir}"]
+TOKENS = ["rs", "is:l=8", "optis:l=8", "ls:l=8,pa=0.5", "2lls:pb=0.25,pc=0.5", "mss:l=8"]
+INPUTS = ["{dist}", "{hosts}"]
+CONTRACT = {
+    "analyze": (["analyze"], {"": INPUTS, "--kind": [None, "hosts", "dist"], "--l-max": [None, "8"],
+                              "--report-l": [None, "8"], "--check": [], "--out-dir": ["{out}"]}),
+    "rates": (["rates"], {"": [None, *INPUTS], "--strategy": TOKENS, "--s": ["100"], "--N": [None, "40"],
+                          "--beta8": [None, "2"], "--beta16": [None, "3"], "--beta": [None, "16=3"],
+                          "--maxp": [None, "0.5"], "--time-unit": [None, "minute"], "--out-dir": ["{out}"]}),
+    "early": (["simulate", "early"], {"": INPUTS, "--strategy": TOKENS, "--s": ["100"], "--scans": [None, "10"],
+                                      "--runs": ["3"], "--seed": ["1"], "--mat-seed": [None, "2"],
+                                      "--threads": [None, "2"], "--budgets": [None, "5,10"],
+                                      "--out-dir": ["{out}"]}),
+    "epidemic": (["simulate", "epidemic"], {"": INPUTS, "--strategy": TOKENS[:5], "--s": ["100"],
+                                            "--tick": [None, "0.5"], "--horizon": ["3"],
+                                            "--initial": [None, "10"], "--pp": [None, "0.5,0.5"],
+                                            "--per-subnet": [], "--out-dir": ["{out}"]}),
+    "defense": (["defense"], {"": ["pp", "ipv6"], "--beta": ["50"], "--d": [None, "0.5"],
+                              "--d-grid": [None, "0.5:1:0.25"], "--s": ["100"], "--N": ["40"], "--beta32": ["2"],
+                              "--out-dir": ["{out}"]}),
+    "uniform": (["synth", "uniform"], {"--l": ["8"], "--groups": ["2"], "--per-group": ["3"], "--out": ["{out}"]}),
+    "zipf": (["synth", "zipf"], {"--l": ["8"], "--exponent": ["1.5"], "--hosts": ["40"], "--seed": ["2"],
+                                 "--out": ["{out}"]}),
+    "hosts": (["synth", "hosts"], {"--dist": ["{dist}"], "--seed": ["5"], "--out": ["{out}"]}),
+}
+
+
+@st.composite
+def command_lines(draw, command):
+    words, options = CONTRACT[command]
+    edited = draw(st.sets(st.sampled_from(list(options)), min_size=1, max_size=2))
+    argv = list(words)
+    for option, valid in options.items():
+        if not valid:  # a flag
+            argv += [option] if draw(st.booleans()) else []
+            continue
+        value = draw(st.sampled_from(EDGES if option in edited else valid))
+        if value is not None:
+            argv += [option, value] if option else [value]
+    return argv
+
+
+@pytest.mark.parametrize("command", list(CONTRACT))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_command_line_exits_0_2_or_3(dist_file, hosts_file, tmp_path, monkeypatch, capsys, command, data):
+    argv = data.draw(command_lines(command))
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(work)  # "" and other relative outputs land here
+    (work / "empty").touch()
+    (work / "dir").mkdir()
+    paths = dict(dist=dist_file, hosts=hosts_file, empty=work / "empty", dir=work / "dir", out=work / "out")
+    code = run_cli(*(a.format(**paths) for a in argv))
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3) and "Traceback" not in err
+    assert code == 0 or "error:" in err
+
+
+def test_module_entry_point_runs_as_a_process(dist_file, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(ss.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-m", "scanspread", "simulate", "early", str(dist_file), "--strategy", "rs",
+                          "--s", "1", "--seed", "-1", "--out-dir", str(tmp_path / "o")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: seeds must be >= 0\n")
 
 
 def test_version_flag():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scanspread as ss
 from scanspread.errors import ParameterError, UnsupportedStrategyError
@@ -31,11 +33,40 @@ def test_parse_defaults_and_fields():
 @pytest.mark.parametrize("token", [
     "xx", "is", "is:l=33", "ls:l=16", "ls:l=16,pa=1.5", "ls:pa=0.5",
     "2lls:pb=0.7,pc=0.7", "2lls:pb=0.25", "mss", "ls:l=16,pa=0.5,pa=0.5",
-    "is:l=16,q=3", "rs:l=-1",
+    "is:l=16,q=3", "rs:l=-1", "2lls:pb=nan,pc=0.5", "2lls:pb=0.25,pc=nan",
 ])
 def test_parse_rejects_bad_tokens(token):
     with pytest.raises(ParameterError):
         ss.parse_strategy(token)
+
+
+probabilities = st.one_of(st.floats(0.0, 1.0), st.just(-0.0), st.floats(0.0, 2.2250738585072014e-308))
+
+
+@st.composite
+def scan_strategies(draw):
+    kind = draw(st.sampled_from(ss.strategies.KINDS))
+    if kind == "2lls":
+        p_b = draw(probabilities)
+        return ss.ScanStrategy.two_level(p_b, draw(st.one_of(st.just(-0.0), st.floats(0.0, 1.0 - p_b))))
+    l = draw(st.integers(0, 32))
+    if kind == "ls":
+        return ss.ScanStrategy.localized(l, draw(probabilities))
+    return ss.ScanStrategy(kind, l=l)
+
+
+@given(strategy=scan_strategies())
+@settings(max_examples=300, deadline=None)
+def test_label_parses_back_to_every_field(strategy):
+    back = ss.parse_strategy(strategy.label)
+    fields = ("kind", "l", "p_a", "p_b", "p_c")
+    assert [repr(getattr(back, f)) for f in fields] == [repr(getattr(strategy, f)) for f in fields]
+
+
+def test_labels_print_each_parameter_exactly():
+    assert ss.ScanStrategy.localized(16, 0.1234567).label == "ls:l=16,pa=0.1234567"
+    assert ss.ScanStrategy.two_level(0.1 + 0.2, 0.5).label == "2lls:pb=0.30000000000000004,pc=0.5"
+    assert ss.ScanStrategy.localized(8, 1e-7).label == "ls:l=8,pa=1e-07"  # :g is exact here
 
 
 def test_bad_kind_error_lists_valid_kinds():
@@ -54,6 +85,14 @@ def test_constructors_validate():
         ss.ScanStrategy.importance(2, q_g=[0.5, 0.6, 0.0, 0.0])  # sums to 1.1
     with pytest.raises(ParameterError):
         ss.ScanStrategy.importance(2, q_g=[0.5, 0.5])  # wrong length
+
+
+@pytest.mark.parametrize("fields", [
+    dict(kind="rs", p_a=0.5), dict(kind="mss", l=8, p_b=0.1), dict(kind="ls", l=8, p_a=0.5, p_c=0.1),
+], ids=["rs_p_a", "mss_p_b", "ls_p_c"])
+def test_probability_fields_follow_the_token_keys(fields):
+    with pytest.raises(ParameterError):
+        ss.ScanStrategy(**fields)
 
 
 # -- group scan laws -------------------------------------------------------
