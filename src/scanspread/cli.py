@@ -16,7 +16,8 @@ files themselves contain only deterministic content: reruns with the same
 inputs, seed and version are byte-identical.  Monte Carlo runs are serial;
 --threads is accepted and recorded but changes neither outputs nor speed.
 
-Exit codes: 0 success, 2 usage or parameter error (inf and nan included), an
+Exit codes: 0 success, 2 usage or parameter error (inf and nan included, and
+an injected factor no distribution can have or a rate that overflows), an
 output path that cannot be written or a run that runs out of memory, 3
 missing, unreadable, non-UTF-8 or malformed input, 4 internal consistency
 failure.
@@ -341,8 +342,8 @@ def _d_grid(spec: str) -> list[float]:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError:
         raise ParameterError(f"bad --d-grid {spec!r}; expected MIN:MAX:STEP") from None
-    if not (0 < lo <= hi and step > 0):
-        raise ParameterError("--d-grid needs 0 < MIN <= MAX and STEP > 0")
+    if not (0 < lo <= hi <= 1 and step > 0):
+        raise ParameterError("--d-grid needs 0 < MIN <= MAX <= 1 and STEP > 0")
     span = (hi - lo) / step
     if round(lo + step, 12) == round(lo, 12) or not span < MAX_GRID_POINTS:
         raise ParameterError(
@@ -415,6 +416,9 @@ def cmd_synth(args: argparse.Namespace) -> None:
 
 def _add_common_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".", help="directory for output files (default: .)")
+
+
+def _add_time_unit(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-unit", choices=("second", "minute"), default="second",
                    help="unit of the scanning rate s, echoed in column headers")
 
@@ -450,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", action="append", metavar="L=VALUE", help="inject beta at any level (repeatable)")
     p.add_argument("--maxp", type=_finite_float, default=None, help="inject the largest group probability")
     _add_common_out(p)
+    _add_time_unit(p)
     p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("simulate", help="Monte Carlo early stage or per-subnet dynamics")
@@ -471,6 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--budgets", default=None, metavar="B1,B2,...",
                     help="mss only: sweep these scan budgets instead of --scans")
     _add_common_out(pe)
+    _add_time_unit(pe)
     pe.set_defaults(func=cmd_simulate_early)
 
     pd = sim_sub.add_parser("epidemic", help="deterministic per-subnet dynamics")
@@ -486,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="proactive protection: deployment D, apparent vulnerability P")
     pd.add_argument("--per-subnet", action="store_true", help="also write per-group infected counts")
     _add_common_out(pd)
+    _add_time_unit(pd)
     pd.set_defaults(func=cmd_simulate_epidemic)
 
     p = sub.add_parser("defense", help="defense analyses")

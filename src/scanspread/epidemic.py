@@ -19,11 +19,11 @@ log1p(-q).  One survival operator advances every family,
     m_i(t+1) = min(m_i(t) + pp * (N_i - m_i(t)) * (-expm1(E_i)), N_i)
 
 with pp the proactive-protection factor (1 without protection).  A family
-only supplies its exponent E(m, n_t): rs/is/optis sources all scan alike,
-ls splits home-block sources from the rest, and 2lls splits sources in the
-same /16, the same /8 and elsewhere.  For rs/is/optis E_i depends on n_t
-alone, and summed over groups the recursion reduces exactly to the
-single-population form
+only supplies its exponent E(m, n_t), read off its `TargetLaw`: without
+home tiers (rs, is, optis) all sources scan alike, and with them (ls, 2lls)
+sources split by the innermost tier block they share with group i.  Without
+tiers E_i depends on n_t alone, and summed over groups the recursion reduces
+exactly to the single-population form
 
     n(t+1) = n(t) + (N - n(t)) * (1 - (1 - 1/omega)**(s * n(t) * tick))
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -116,40 +117,36 @@ def _resolve_hosts(cfg: EarlyStageConfig) -> HostSet:
 
 
 class _EarlyEngine:
-    """Per-run hits of one block of runs: one TargetLaw draw per run (after
-    the home draw for ls/2lls) and one membership pass for the block, or the
-    MSS sweep."""
+    """`run` gives the per-run hits of one block of estimate_infection_rate's
+    runs: per run, one TargetLaw draw (after the home draw when the law has
+    home tiers), then one membership pass for the block; or the MSS sweep.
+    `perfbench/selftest.py` injects its Monte Carlo fault by patching `run`."""
 
     def __init__(self, cfg: EarlyStageConfig, hosts: HostSet):
         st = cfg.strategy
-        self.kind = st.kind
         self.hosts = hosts
-        self.addr = hosts._addresses64
-        self.N = hosts.N
         self.total = cfg.total_scans
         self.bits = ADDRESS_BITS - st.l
-        self.rows = _SWEEP_ROWS if st.kind == "mss" else max(1, _BLOCK_TARGETS // cfg.total_scans)
-        dist = None  # only optis and is with q_g = p_g read the host distribution
-        if st.kind == "optis" or (st.kind == "is" and st.q_g is None):
+        self.law = None  # mss sweeps
+        self.rows = _SWEEP_ROWS
+        if st.kind != "mss":
             dist = cfg.dist if cfg.dist is not None and cfg.dist.l >= st.l else aggregate(hosts, st.l)
-        self.law = TargetLaw(st, dist)
+            self.law = TargetLaw(st, dist)
+            self.rows = max(1, _BLOCK_TARGETS // cfg.total_scans)
 
-    def run(self, streams) -> np.ndarray:
-        """Hits of run i on child stream `streams[i]`, for each i."""
-        if self.kind == "mss":
+    def run(self, rngs) -> np.ndarray:
+        """Hits of the runs whose generators `rngs` yields, in order."""
+        addr, n_hosts = self.hosts._addresses64, self.hosts.N
+        if self.law is None:
             # stage 2 in isolation: sweep anchored at a random vulnerable
             # host's block, starting just past it.  Sequential scanning is
             # deterministic given the anchor, so hits are an exact interval count.
-            anchors = [self.addr[np.random.default_rng(seq).integers(0, self.N)] for seq in streams]
-            return _sweep_hits(self.hosts, anchors, self.bits, self.total)
-        targets = np.empty((len(streams), self.total), dtype=np.int64)
-        for i, seq in enumerate(streams):
-            rng = np.random.default_rng(seq)
-            home = None
-            if self.law.needs_home:
-                home = int(self.addr[rng.integers(0, self.N)]) >> self.bits
+            return _sweep_hits(self.hosts, [addr[rng.integers(0, n_hosts)] for rng in rngs], self.bits, self.total)
+        targets = np.empty((self.rows, self.total), dtype=np.int64)
+        for i, rng in enumerate(rngs):
+            home = int(addr[rng.integers(0, n_hosts)]) >> self.bits if self.law.needs_home else None
             targets[i] = self.law.draw(rng, self.total, home)
-        return self.hosts.count_members_per_row(targets)
+        return self.hosts.count_members_per_row(targets[:i + 1])
 
 
 def _sweep_hits(hosts: HostSet, anchor, bits: int, n_scans):
@@ -173,12 +170,15 @@ def _sweep_hits(hosts: HostSet, anchor, bits: int, n_scans):
             + count(start, start + np.maximum(end - block, 0)))
 
 
-def _blocks(seq: np.random.SeedSequence, runs: int, rows: int):
-    """(first run, child streams) per block of `rows` runs.  A block's
-    children are spawned only when it runs; spawning continues the child
-    numbering, so they are the children of one seq.spawn(runs)."""
+def _per_run_hits(seq: np.random.SeedSequence, runs: int, rows: int, block_hits) -> np.ndarray:
+    """Hits of run i on the i-th child of seq: `block_hits` maps each block of
+    `rows` runs' generators, built one at a time, to their hits.  Spawning a
+    block's children continues the numbering: they are those of seq.spawn(runs)."""
+    hits = np.empty(runs, dtype=np.int64)
     for lo in range(0, runs, rows):
-        yield lo, seq.spawn(min(rows, runs - lo))
+        n = min(rows, runs - lo)
+        hits[lo:lo + n] = block_hits(map(np.random.default_rng, seq.spawn(n)))
+    return hits
 
 
 def _result(cfg: EarlyStageConfig, total_scans: int, hits: np.ndarray) -> EarlyStageResult:
@@ -201,11 +201,8 @@ def estimate_infection_rate(cfg: EarlyStageConfig) -> EarlyStageResult:
     sample variance (ddof=1) over runs.  MSS here measures the sequential
     stage alone (sweep anchored at a random vulnerable host).
     """
-    hosts = _resolve_hosts(cfg)
-    engine = _EarlyEngine(cfg, hosts)
-    hits = np.empty(cfg.runs, dtype=np.int64)
-    for lo, streams in _blocks(np.random.SeedSequence(cfg.seed), cfg.runs, engine.rows):
-        hits[lo:lo + len(streams)] = engine.run(streams)
+    engine = _EarlyEngine(cfg, _resolve_hosts(cfg))
+    hits = _per_run_hits(np.random.SeedSequence(cfg.seed), cfg.runs, engine.rows, engine.run)
     return _result(cfg, cfg.total_scans, hits)
 
 
@@ -225,23 +222,22 @@ def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[Ea
     addr = hosts._addresses64
     bits = ADDRESS_BITS - cfg.strategy.l
     p_first = hosts.N / ADDRESS_SPACE
-    budget_seqs = np.random.SeedSequence(cfg.seed).spawn(len(scan_budgets))
-    out = []
-    for budget, seq in zip(scan_budgets, budget_seqs):
-        budget = int(budget)
-        hits = np.zeros(cfg.runs, dtype=np.int64)
-        for lo, streams in _blocks(seq, cfg.runs, _SWEEP_ROWS):
-            found, anchors, left = [], [], []  # the runs that find a host within budget
-            for i, child in enumerate(streams):
-                rng = np.random.default_rng(child)
-                stage1 = int(rng.geometric(p_first))
-                if stage1 <= budget:
-                    found.append(lo + i)
-                    anchors.append(addr[rng.integers(0, hosts.N)])
-                    left.append(budget - stage1)
-            hits[found] = 1 + _sweep_hits(hosts, anchors, bits, left)
-        out.append(_result(cfg, budget, hits))
-    return out
+
+    def block_hits(budget: int, rngs) -> np.ndarray:
+        found, anchors, left = [], [], []  # found: whether a run finds a host within budget
+        for rng in rngs:
+            stage1 = int(rng.geometric(p_first))
+            found.append(stage1 <= budget)
+            if found[-1]:
+                anchors.append(addr[rng.integers(0, hosts.N)])
+                left.append(budget - stage1)
+        hits = np.zeros(len(found), dtype=np.int64)
+        hits[found] = 1 + _sweep_hits(hosts, anchors, bits, left)
+        return hits
+
+    seqs = np.random.SeedSequence(cfg.seed).spawn(len(scan_budgets))
+    return [_result(cfg, budget, _per_run_hits(seq, cfg.runs, _SWEEP_ROWS, partial(block_hits, budget)))
+            for budget, seq in zip(map(int, scan_budgets), seqs)]
 
 
 # -- deterministic per-subnet dynamics -------------------------------------
@@ -299,26 +295,25 @@ def _log_survival(st: ScanStrategy, dist: GroupDistribution, s_tick: float):
     exp(exponent(m, n)) is the probability that one address of each group
     escapes every scan of one tick, given m infected per group and n in all.
     """
-    block = float(1 << (ADDRESS_BITS - st.l))
-    if st.kind in ("rs", "is", "optis"):
+    law = TargetLaw(st, dist)
+    if not law.needs_home:
         # every source scans by the same group law: survival depends on n alone
-        q = TargetLaw(st, dist).group_probabilities(dist.indices)
-        log_surv = np.log1p(-q / block)  # per scan, one address
+        log_surv = np.log1p(-law.group_probabilities(dist.indices) / law.block)  # per scan, one address
         return lambda m, n: s_tick * n * log_surv
-    if st.kind == "ls":
-        c_home = np.log1p(-(st.p_a / block + (1.0 - st.p_a) / ADDRESS_SPACE))
-        c_away = np.log1p(-(1.0 - st.p_a) / ADDRESS_SPACE)
-        return lambda m, n: s_tick * (m * c_home + (n - m) * c_away)
-    # 2lls at l=16: sources in the same /16, the same /8, or elsewhere
-    r = 1.0 - st.p_b - st.p_c
-    c_16 = np.log1p(-(st.p_c / (1 << 16) + st.p_b / (1 << 24) + r / ADDRESS_SPACE))
-    c_8 = np.log1p(-(st.p_b / (1 << 24) + r / ADDRESS_SPACE))
-    c_far = np.log1p(-r / ADDRESS_SPACE)
-    _, starts, runs = np.unique(dist.indices >> 8, return_index=True, return_counts=True)  # one run per /8
+    # sources whose innermost tier block shared with the target is tier k's
+    # (outer - inner of them) hit an address by each tier j >= k and the rest
+    far = law.rest / ADDRESS_SPACE
+    consts = [np.log1p(-(sum(mass / size for mass, size in law.tiers[k:]) + far)) for k in range(len(law.tiers))]
+    c_far = np.log1p(-far)
+    wider = [np.unique(dist.indices // (size // law.block), return_index=True, return_counts=True)[1:]
+             for _, size in law.tiers[1:]]  # (first group, groups) of each tier block's run
 
     def exponent(m: np.ndarray, n: float) -> np.ndarray:
-        m8 = np.repeat(np.add.reduceat(m, starts), runs)
-        return s_tick * (m * c_16 + (m8 - m) * c_8 + (n - m8) * c_far)
+        e, inner = m * consts[0], m
+        for c, (starts, runs) in zip(consts[1:], wider):
+            outer = np.repeat(np.add.reduceat(m, starts), runs)
+            e, inner = e + (outer - inner) * c, outer
+        return s_tick * (e + (n - inner) * c_far)
 
     return exponent
 

@@ -38,10 +38,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .addrspace import ADDRESS_SPACE, GroupDistribution, HostSet, aggregate, write_table
+from .addrspace import ADDRESS_BITS, ADDRESS_SPACE, GroupDistribution, HostSet, aggregate, write_table
 from .errors import ParameterError
 from .infometrics import NonUniformity, non_uniformity_factor
-from .strategies import ScanStrategy
+from .strategies import ScanStrategy, TargetLaw
 
 # Code Red v2 reference point: 360k infected hosts scanning at 358/min.
 CODE_RED_POPULATION = 360_000
@@ -60,7 +60,10 @@ class ScanContext:
     """Scenario parameters for rate calculations.
 
     Group-level metrics resolve in this order: explicit overrides (injected
-    table values), then `dist` (coarsened as needed), then `hosts`.
+    table values), then `dist` (coarsened as needed), then `hosts`.  Every
+    distribution over the 2**l groups of level l has beta in [1, 2**l] and
+    max p in [2**-l, 1], so an override outside those ranges, or at a level
+    outside 0..32, is refused.
     """
 
     s: float
@@ -78,6 +81,10 @@ class ScanContext:
             raise ParameterError(f"population N must be >= 1, got {self.N}")
         if self.omega < self.N:
             raise ParameterError("address-space size omega must be >= N")
+        for overrides in (self.beta_overrides, self.max_p_overrides):
+            bad = [l for l in overrides or () if not 0 <= l <= ADDRESS_BITS]
+            if bad:
+                raise ParameterError(f"override at level {bad[0]}: levels are 0..{ADDRESS_BITS}")
 
     def _dist_at(self, l: int) -> GroupDistribution | None:
         if self.dist is not None and self.dist.l >= l:
@@ -88,7 +95,10 @@ class ScanContext:
 
     def beta_at(self, l: int) -> float:
         if self.beta_overrides is not None and l in self.beta_overrides:
-            return float(self.beta_overrides[l])
+            beta = float(self.beta_overrides[l])
+            if not 1.0 <= beta <= math.ldexp(1.0, l):  # false for nan
+                raise ParameterError(f"beta({l}) must be in [1, 2**{l}], got {beta!r}")
+            return beta
         d = self._dist_at(l)
         if d is None:
             raise ParameterError(f"no source for beta({l}): supply hosts, a distribution at l >= {l}, or an override")
@@ -96,15 +106,24 @@ class ScanContext:
 
     def max_p_at(self, l: int) -> float:
         if self.max_p_overrides is not None and l in self.max_p_overrides:
-            return float(self.max_p_overrides[l])
+            max_p = float(self.max_p_overrides[l])
+            if not math.ldexp(1.0, -l) <= max_p <= 1.0:
+                raise ParameterError(f"max p at l={l} must be in [2**-{l}, 1], got {max_p!r}")
+            return max_p
         d = self._dist_at(l)
         if d is None:
             raise ParameterError(f"no source for max p at l={l}: supply hosts, a distribution, or an override")
         return d.max_probability
 
 
+def _finite_rate(alpha: float, what: str) -> float:
+    if not math.isfinite(alpha):
+        raise ParameterError(f"{what} is {alpha!r}: s and N are too large for a float rate")
+    return alpha
+
+
 def alpha_rs(ctx: ScanContext) -> float:
-    return ctx.s * ctx.N / ctx.omega
+    return _finite_rate(ctx.s * ctx.N / ctx.omega, "alpha_RS = s * N / omega")
 
 
 def collision_probability(dist: GroupDistribution, q: np.ndarray) -> float:
@@ -139,25 +158,24 @@ class RateReport:
 def _collision_for(strategy: ScanStrategy, ctx: ScanContext) -> float:
     kind, l = strategy.kind, strategy.l
     scale = math.ldexp(1.0, -l)
-    if kind == "rs":
-        return scale
-    if kind == "is":
-        if strategy.q_g is not None:
-            d = ctx._dist_at(l)
-            if d is None:
-                raise ParameterError("is with an explicit q_g needs hosts or a distribution")
-            return collision_probability(d, strategy.q_g)
-        return ctx.beta_at(l) * scale
+    if kind == "is" and strategy.q_g is not None:
+        d = ctx._dist_at(l)
+        if d is None:
+            raise ParameterError("is with an explicit q_g needs hosts or a distribution")
+        return collision_probability(d, strategy.q_g)
     if kind == "optis":
         return ctx.max_p_at(l)
-    if kind == "ls":
-        return (1.0 - strategy.p_a + strategy.p_a * ctx.beta_at(l)) * scale
-    if kind == "2lls":
-        boost = 1.0 - strategy.p_b - strategy.p_c + strategy.p_b * ctx.beta_at(8) + strategy.p_c * ctx.beta_at(16)
-        return boost * scale
-    # mss stage 2: expected hit density of a sweep anchored at a random
-    # vulnerable host's block equals the q=p importance rate
-    return ctx.beta_at(l) * scale
+    if kind in ("is", "mss"):
+        # mss stage 2: expected hit density of a sweep anchored at a random
+        # vulnerable host's block equals the q=p importance rate
+        return ctx.beta_at(l) * scale
+    # the rest (all of rs) at the uniform rate, each home tier at the q=p rate
+    # of its level (a 2**(32-k)-address block is a /k group), outermost first
+    law = TargetLaw(strategy)
+    boost = law.rest
+    for mass, size in reversed(law.tiers):
+        boost += mass * ctx.beta_at(33 - size.bit_length())
+    return boost * scale
 
 
 def alpha_for(strategy: ScanStrategy, ctx: ScanContext) -> RateReport:
@@ -172,7 +190,7 @@ def alpha_for(strategy: ScanStrategy, ctx: ScanContext) -> RateReport:
         collision_probability=p_h,
         uncertainty_bits=uncertainty,
         info_bits=l - uncertainty,
-        alpha=base * math.ldexp(p_h, l),
+        alpha=_finite_rate(base * math.ldexp(p_h, l), f"alpha of {strategy.label}"),
         alpha_stage1=base if strategy.kind == "mss" else None,
     )
 
@@ -230,10 +248,10 @@ def ipv6_alpha(s: float, N: int, beta32: float) -> float:
     """Rate of /32-level importance scanning in the 2**64 address space.
 
     beta32 is the non-uniformity factor of the host distribution over the
-    2**32 top-level groups; alpha = (s * N / 2**64) * beta32.
+    2**32 top-level groups, so it lies in [1, 2**32]; alpha = (s * N / 2**64) * beta32.
     """
     if not s > 0 or N < 1:
         raise ParameterError("need s > 0 and N >= 1")
-    if not beta32 >= 1.0:
-        raise ParameterError("beta32 must be >= 1")
-    return (s * N / IPV6_SPACE) * beta32
+    if not 1.0 <= beta32 <= ADDRESS_SPACE:
+        raise ParameterError(f"beta32 must be in [1, 2**{ADDRESS_BITS}], got {beta32!r}")
+    return _finite_rate((s * N / IPV6_SPACE) * beta32, "the IPv6 rate")

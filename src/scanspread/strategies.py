@@ -179,29 +179,34 @@ def group_scan_distribution(
     law = TargetLaw(strategy, dist)
     if not law.needs_home:
         return law.group_probabilities(np.arange(m))
-    # ls/2lls: the rest uniform, each home tier's mass spread over its groups
-    tiers = law.home_tiers(home_subnet)
-    q = np.full(m, (1.0 - tiers[-1][0]) / m)
-    below = 0.0
-    for cum, start, size in tiers:
-        q[start >> law.bits : (start + size) >> law.bits] += (cum - below) * law.block / size
-        below = cum
+    # the rest uniform, each home tier's mass spread over its groups
+    q = np.full(m, law.rest / m)
+    for start, mass, size in law.home_tiers(home_subnet):
+        q[start >> law.bits : (start + size) >> law.bits] += mass * law.block / size
     return q
 
 
 class TargetLaw:
     """Per-scan target law of one strategy: set up once (q_g and its cumulative
     sum over the groups with q_g > 0 for is, the argmax block for optis), then
-    `draw` n targets at a time.  ls and 2lls aim at tiers around the scanner's
-    home group; mss draws its uniform random phase."""
+    `draw` n targets at a time.  mss draws its uniform random phase.  `tiers`
+    holds (mass, block size) of each block around the scanner's home group a
+    scan aims at, innermost first (ls: the home /l; 2lls: the home /16, then
+    /8), and `rest` the mass spread over the whole space (1 without tiers)."""
 
-    __slots__ = ("strategy", "bits", "block", "needs_home", "_groups", "_q", "_cum", "_base")
+    __slots__ = ("strategy", "bits", "block", "tiers", "rest", "needs_home", "_groups", "_q", "_cum", "_base")
 
     def __init__(self, strategy: ScanStrategy, dist: GroupDistribution | None = None):
         self.strategy = strategy
         self.bits = ADDRESS_BITS - strategy.l
         self.block = 1 << self.bits
-        self.needs_home = strategy.kind in ("ls", "2lls")
+        self.tiers, self.rest = (), 1.0
+        if strategy.kind == "ls":
+            self.tiers, self.rest = ((strategy.p_a, self.block),), 1.0 - strategy.p_a
+        elif strategy.kind == "2lls":
+            self.tiers = ((strategy.p_c, 1 << 16), (strategy.p_b, 1 << 24))
+            self.rest = 1.0 - strategy.p_b - strategy.p_c
+        self.needs_home = bool(self.tiers)
         self._groups = self._q = self._cum = self._base = None
         if strategy.kind == "is":
             if strategy.q_g is None:
@@ -227,15 +232,13 @@ class TargetLaw:
         pos = np.minimum(np.searchsorted(self._groups, groups), self._groups.size - 1)
         return np.where(self._groups[pos] == groups, self._q[pos], 0.0)
 
-    def home_tiers(self, home: int | None) -> tuple[tuple[float, int, int], ...]:
-        """(cumulative probability, block start, block size) of the blocks
-        around home group `home` (the /16 index for 2lls), innermost first."""
+    def home_tiers(self, home: int | None) -> tuple[tuple[int, float, int], ...]:
+        """(block start, mass, block size) of each tier around home group
+        `home` (the /16 index for 2lls), innermost first."""
         st = self.strategy
         if home is None or not 0 <= home < (1 << st.l):
             raise ParameterError(f"{st.kind} needs a home group index in [0, 2**{st.l})")
-        if st.kind == "ls":
-            return ((st.p_a, home << self.bits, self.block),)
-        return ((st.p_c, home << 16, 1 << 16), (st.p_c + st.p_b, (home >> 8) << 24, 1 << 24))
+        return tuple(((home << self.bits) & -size, mass, size) for mass, size in self.tiers)
 
     def draw(self, rng: np.random.Generator, n: int, home: int | None = None) -> np.ndarray:
         """n target addresses (int64) of independent scans."""
@@ -251,7 +254,9 @@ class TargetLaw:
         u = rng.random(n)
         out = np.empty(n, dtype=np.int64)
         rest = np.ones(n, dtype=bool)
-        for cum, start, size in self.home_tiers(home):
+        cum = 0.0
+        for start, mass, size in self.home_tiers(home):
+            cum += mass
             tier = rest & (u < cum)
             out[tier] = start + rng.integers(0, size, size=int(np.count_nonzero(tier)), dtype=np.int64)
             rest &= ~tier

@@ -191,6 +191,39 @@ def test_non_finite_numbers_exit_2(dist_file, tmp_path, capsys, argv):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv, says", [
+    (["defense", "ipv6", "--s", "1e300", "--N", "1e300", "--beta32", "2"], "the IPv6 rate is inf"),
+    (["defense", "ipv6", "--s", "1", "--N", "10", "--beta32", "1e10"], "beta32 must be in [1, 2**32]"),
+    (["defense", "pp", "--beta", "50", "--d", "0.5", "--s", "1e308", "--N", "10"], "alpha_RS = s * N / omega is inf"),
+    (["rates", "--s", "1e308", "--N", "4", "--beta16", "1e308", "--strategy", "is:l=16"],
+     "beta(16) must be in [1, 2**16]"),
+    (["rates", "--s", "1e308", "--N", "4"], "alpha_RS = s * N / omega is inf"),
+    (["rates", "--s", "1", "--N", "4", "--beta16", "0.5", "--strategy", "ls:l=16,pa=0.5"], "beta(16) must be in"),
+    (["rates", "--s", "1", "--N", "4", "--beta", "8=257", "--beta16", "2", "--strategy", "2lls:pb=0.5,pc=0.5"],
+     "beta(8) must be in [1, 2**8], got 257.0"),
+    (["rates", "--s", "1", "--N", "4", "--maxp", "0.001", "--strategy", "optis:l=8"],
+     "max p at l=8 must be in [2**-8, 1]"),
+    (["rates", "--s", "1", "--N", "4", "--beta", "40=3"], "override at level 40: levels are 0..32"),
+], ids=["ipv6_overflow", "ipv6_beta32", "pp_alpha_rs", "rates_beta16_huge", "rates_alpha_rs_overflow",
+        "rates_beta_below_1", "rates_beta8_above", "rates_maxp_below", "rates_beta_level"])
+def test_rates_that_overflow_or_rest_on_impossible_factors_exit_2(tmp_path, capsys, argv, says):
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and says in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["analyze", "{dist}"], ["defense", "pp", "--beta", "50", "--d", "0.5"]],
+                         ids=["analyze", "defense"])
+def test_time_unit_is_refused_where_no_rate_is_written(dist_file, tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    argv = [str(dist_file) if a == "{dist}" else a for a in argv]
+    assert run_cli(*argv, "--time-unit", "minute", "--out-dir", str(out)) == 2
+    assert "unrecognized arguments: --time-unit minute" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, data", [
     (["rates", "--s", "100"], "rates.csv"),
     (["defense", "pp", "--beta", "50", "--d", "0.5", "--s", "100"], "defense.json"),
@@ -574,7 +607,7 @@ def test_defense_pp_point_and_curve(tmp_path):
     assert float(rows[-1]["p_max"]) == pytest.approx(0.02)
 
 
-@pytest.mark.parametrize("grid", ["0.5:0.5:1e-13", "0.1:1.0:1e-13"])
+@pytest.mark.parametrize("grid", ["0.5:0.5:1e-13", "0.1:1.0:1e-13", "0.5:2:0.5"])
 def test_defense_pp_grid_without_progress_exits_2(tmp_path, grid):
     out = tmp_path / "o"
     assert run_cli("defense", "pp", "--beta", "50", "--d-grid", grid, "--out-dir", str(out)) == 2
@@ -646,7 +679,7 @@ GOLDEN_SHA256 = {
     "a/beta_profile.csv": "efe15aff70275f20d8b928444b4c88481e91ae13f2ba31f994dcbd341b096caa",
     "a/shannon_profile.csv": "205dbd0436a164f7459f20249e43dddc72e7af7240d0dcb2255df1ee34a1d05e",
     "a/ccdf_l8.csv": "35eb23a5195cf4f5c289a4abcd2cbea02a814a630b7356c8ca8c062d801e9bf5",
-    "r/rates.csv": "aa7848e974a44c752fa95413977376631d50afa5ebdf89175bafece7922a9626",
+    "r/rates.csv": "1acfa864f24ca9cf89e0b0e19469b034b47b4c088a35c0b47b4ce9decba37552",
     "d/pp_curve.csv": "f69dc8c923420b8d81eb386f2a27912dfd108e73539ea93339dbe8143d3a01df",
 }
 
@@ -659,7 +692,8 @@ def test_data_files_keep_their_bytes(tmp_path):
     assert run_cli("rates", dist, "--s", "100", "--beta16", "40.25", "--strategy", "rs",
                    "--strategy", "is:l=8", "--strategy", "optis:l=8", "--strategy", "ls:l=8,pa=0.75",
                    "--strategy", "2lls:pb=0.25,pc=0.5", "--strategy", "mss:l=8",
-                   "--out-dir", str(tmp_path / "r")) == 0
+                   "--strategy", "ls:l=8,pa=0.1234567", "--strategy", "2lls:pb=0.1,pc=0.2",
+                   "--strategy", "2lls:pb=0.123456789,pc=0.333", "--out-dir", str(tmp_path / "r")) == 0
     assert run_cli("defense", "pp", "--beta", "50", "--d-grid", "0.9:1.0:0.05",
                    "--out-dir", str(tmp_path / "d")) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}

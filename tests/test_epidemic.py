@@ -269,6 +269,25 @@ def test_mss_full_blocks_give_the_literal_per_run_hits(l):
     assert (budgets[2] - first_stage1) % (1 << bits) == 0 and want[2][0] > 1
 
 
+def test_each_run_builds_one_generator_from_its_own_child_stream(monkeypatch):
+    # run i of a budget (or of the one estimate) is the only user of child i:
+    # one Generator each, built in run order, however the runs are blocked
+    _, hosts = zipf_hosts()
+    seeds = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or default_rng(seed))
+    runs = epidemic._SWEEP_ROWS + 5
+    for token in ["rs", "is:l=8", "ls:l=8,pa=0.75", "mss:l=8"]:
+        seeds.clear()
+        ss.estimate_infection_rate(ss.EarlyStageConfig(ss.parse_strategy(token), s=1.0, total_scans=1000,
+                                                       runs=runs, seed=3, hosts=hosts))
+        assert [seq.spawn_key for seq in seeds] == [(i,) for i in range(runs)], token
+    seeds.clear()
+    cfg = ss.EarlyStageConfig(ss.ScanStrategy.sequential(8), s=1.0, total_scans=10, runs=runs, seed=3, hosts=hosts)
+    ss.estimate_mss_full(cfg, [10, 1000])
+    assert [seq.spawn_key for seq in seeds] == [(b, i) for b in range(2) for i in range(runs)]
+
+
 # -- MSS from a cold start -------------------------------------------------
 
 
@@ -374,7 +393,8 @@ def dense_propagate(st, d, s, horizon):
 
 
 @pytest.mark.parametrize("fixture", ["zipf16", "uniform16"])
-@pytest.mark.parametrize("token", ["rs", "is:l=16", "optis:l=16", "ls:l=16,pa=0.75", "2lls:pb=0.25,pc=0.5"])
+@pytest.mark.parametrize("token", ["rs", "is:l=16", "optis:l=16", "ls:l=16,pa=0.75", "2lls:pb=0.25,pc=0.5",
+                                   "ls:l=16,pa=0.1234567", "2lls:pb=0.1,pc=0.2"])
 def test_propagate_over_occupied_groups_matches_the_dense_recursion(fixture, token):
     d = ss.synth_zipf(16, 1.0, 448894, seed=2) if fixture == "zipf16" else ss.synth_uniform(1256, 16, 357)
     st = ss.parse_strategy(token)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import scanspread as ss
 from scanspread.errors import ParameterError
@@ -68,6 +70,12 @@ def test_context_validation():
         ss.ScanContext(s=1.0, N=100, omega=50.0)
     with pytest.raises(ParameterError):
         ss.ScanContext(s=1.0, N=100).beta_at(8)  # nothing to derive from
+    with pytest.raises(ParameterError, match="levels are 0..32"):
+        ss.ScanContext(s=1.0, N=100, max_p_overrides={33: 0.5})
+    # alpha_RS is finite, but alpha = alpha_RS * 2**32 * p_h is not
+    big = ss.ScanContext(s=1e300, N=1, omega=1.0, beta_overrides={32: 2.0**32})
+    with pytest.raises(ParameterError, match="alpha of is:l=32 is inf"):
+        ss.alpha_for(ss.ScanStrategy.importance(32), big)
 
 
 # -- the closed forms ------------------------------------------------------
@@ -148,6 +156,32 @@ def test_ls_monotone_in_locality():
     assert all(a < b for a, b in zip(alphas, alphas[1:]))
     assert alphas[0] == pytest.approx(ss.alpha_rs(ctx), rel=1e-12)
     assert alphas[-1] == pytest.approx(ss.alpha_for(ss.ScanStrategy.importance(8), ctx).alpha, rel=1e-12)
+
+
+# 21 occupied /16 groups in four /8s, one of them alone in its /8
+SPARSE16 = ss.GroupDistribution(
+    16,
+    [0x0A00, 0x0A01, 0x0A07, 0x0AFF, 0x2B10, 0x2B11, 0x2B12, 0x2B80, 0x2BC3, 0x2BFE, 0x7F00,
+     0xC000, 0xC001, 0xC002, 0xC003, 0xC0A8, 0xC0A9, 0xC0F0, 0xC0F1, 0xC0FE, 0xC0FF],
+    [500, 3, 77, 1, 1200, 40, 2, 9, 310, 6, 888, 5, 5, 5, 61, 2500, 700, 13, 1, 90, 4],
+)
+probability = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pa=probability, pb=probability, pc=probability)
+def test_localized_closed_forms_average_the_per_home_group_law(pa, pb, pc):
+    # a scanner's home is the group of a random vulnerable host: averaging the
+    # collision probability of its per-home group law over the homes gives
+    # the closed form
+    assume(pb + pc <= 1.0)
+    d = SPARSE16
+    ctx = ss.ScanContext(s=1.0, N=d.total, dist=d)
+    p = d.probabilities_occupied()
+    for strategy in (ss.ScanStrategy.localized(16, pa), ss.ScanStrategy.two_level(pb, pc)):
+        per_home = [ss.collision_probability(d, ss.group_scan_distribution(strategy, int(h))) for h in d.indices]
+        closed = ss.alpha_for(strategy, ctx).collision_probability
+        assert closed == pytest.approx(math.fsum(p * per_home), rel=1e-12, abs=0), strategy.label
 
 
 def test_2lls_monotone_in_both_weights():
@@ -248,6 +282,8 @@ def test_ipv6_validation():
         ss.ipv6_alpha(0.0, 10, 1.0)
     with pytest.raises(ParameterError):
         ss.ipv6_alpha(1.0, 10, 0.5)
+    with pytest.raises(ParameterError):
+        ss.ipv6_alpha(1.0, 10, 2.0**32 + 1)
 
 
 # -- csv -------------------------------------------------------------------
