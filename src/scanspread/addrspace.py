@@ -49,6 +49,11 @@ _OCTET_TEXT = np.frombuffer(
 # _sample_distinct draws a permutation prefix only for blocks up to this size.
 _PERMUTE_MAX_BLOCK = 1 << 22
 
+# The two rows that open a distribution CSV: the `# l=<l> N=<N>` header, with
+# any spacing, and the column row, whose first cell is "group_index".
+_DIST_HEADER = re.compile(r"#\s*l=(\d+)\s+N=(\d+)\s*$")
+_DIST_COLUMNS = "group_index"
+
 
 def check_prefix_level(l: int) -> int:
     if not isinstance(l, (int, np.integer)) or isinstance(l, bool):
@@ -97,11 +102,6 @@ class HostSet:
         return self._addr
 
     @property
-    def _addresses64(self) -> np.ndarray:
-        """The same addresses as a read-only int64 array (package-internal)."""
-        return self._addr64
-
-    @property
     def N(self) -> int:
         return int(self._addr.size)
 
@@ -119,10 +119,11 @@ class HostSet:
     def __repr__(self) -> str:
         return f"HostSet(N={self.N})"
 
-    def count_in_interval(self, lo: int, hi: int) -> int:
-        """Number of hosts with lo <= address < hi."""
-        lo_i, hi_i = np.searchsorted(self._addr64, [lo, hi], side="left")
-        return int(hi_i - lo_i)
+    def count_in_interval(self, lo, hi):
+        """Number of hosts with lo <= address < hi.  Array bounds broadcast
+        and count elementwise into an int64 array; scalar bounds give an int."""
+        n = np.searchsorted(self._addr64, hi) - np.searchsorted(self._addr64, lo)
+        return int(n) if np.ndim(n) == 0 else n
 
     def count_members(self, targets: np.ndarray) -> int:
         """How many entries of `targets` (with multiplicity) are hosts."""
@@ -433,12 +434,12 @@ class GroupDistribution:
                 if not row:
                     continue
                 if row[0].lstrip().startswith("#"):
-                    m = re.match(r"#\s*l=(\d+)\s+N=(\d+)\s*$", ",".join(row).strip())
+                    m = _DIST_HEADER.match(",".join(row).strip())
                     if not m:
                         raise DistributionFormatError(f"{path}: bad header comment {row!r}")
                     header = (int(m.group(1)), int(m.group(2)))
                     continue
-                if row[0].strip() == "group_index":
+                if row[0].strip() == _DIST_COLUMNS:
                     continue
                 try:
                     rows.append((int(row[0]), int(row[1])))
@@ -454,6 +455,13 @@ class GroupDistribution:
         if dist.total != n:
             raise DistributionFormatError(f"{path}: counts sum to {dist.total}, header says N={n}")
         return dist
+
+
+def _opens_distribution(line: str) -> bool:
+    """Whether a file whose first non-blank line is `line` is a distribution
+    CSV: that line is its header or its column row."""
+    s = line.strip()
+    return _DIST_HEADER.match(s) is not None or s.split(",", 1)[0].rstrip() == _DIST_COLUMNS
 
 
 def _run_lengths(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,11 +16,12 @@ files themselves contain only deterministic content: reruns with the same
 inputs, seed and version are byte-identical.  Monte Carlo runs are serial;
 --threads is accepted and recorded but changes neither outputs nor speed.
 
-Exit codes: 0 success, 2 usage or parameter error (inf and nan included, and
-an injected factor no distribution can have or a rate that overflows), an
-output path that cannot be written or a run that runs out of memory, 3
-missing, unreadable, non-UTF-8 or malformed input, 4 internal consistency
-failure.
+Exit codes: 0 success, 2 usage or parameter error (inf and nan included, an
+injected or `defense pp` beta no distribution can have, a rate that
+overflows, an option of the other `defense` mode, and `defense pp` with only
+one of --s and --N), an output path that cannot be written or a run that
+runs out of memory, 3 missing, unreadable, non-UTF-8 or malformed input, 4
+internal consistency failure.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .addrspace import (
     GroupDistribution,
     HostListResult,
     HostSet,
+    _opens_distribution,
     aggregate,
     ccdf,
     load_host_list,
@@ -147,7 +149,7 @@ def _load_input(path: Path, kind: str) -> tuple[HostListResult | None, GroupDist
                     s = line.strip()
                     if not s:
                         continue
-                    if s.startswith("# l=") or s.startswith("group_index"):
+                    if _opens_distribution(s):
                         kind = "dist"
                     break
         if kind == "dist":
@@ -357,8 +359,6 @@ def _d_grid(spec: str) -> list[float]:
 def cmd_defense(args: argparse.Namespace) -> None:
     out_dir = Path(args.out_dir)
     if args.mode == "ipv6":
-        if args.s is None or args.N is None or args.beta32 is None:
-            raise ParameterError("ipv6 mode needs --s, --N and --beta32")
         alpha = ipv6_alpha(args.s, args.N, args.beta32)
         reference = code_red_alpha_per_second()
         _write_json(out_dir / "defense.json", {
@@ -371,8 +371,8 @@ def cmd_defense(args: argparse.Namespace) -> None:
             "exceeds_code_red": alpha > reference,
         })
     else:
-        if args.beta_value is None:
-            raise ParameterError("pp mode needs --beta VALUE")
+        if (args.s is None) != (args.N is None):
+            raise ParameterError("pp takes --s and --N together: they give alpha_rs")
         beta = args.beta_value
         result = {
             "mode": args.mode,
@@ -382,9 +382,8 @@ def cmd_defense(args: argparse.Namespace) -> None:
         if args.d is not None:
             result["d"] = args.d
             result["p_max"] = pp_requirement(beta, args.d)
-            if args.s is not None and args.N is not None:
-                ctx = ScanContext(s=args.s, N=args.N, beta_overrides={16: beta})
-                result["alpha_rs"] = alpha_rs(ctx)
+            if args.s is not None:
+                result["alpha_rs"] = alpha_rs(ScanContext(s=args.s, N=args.N))
         if args.d_grid is not None:
             grid = _d_grid(args.d_grid)
             write_table(out_dir / "pp_curve.csv", ["d", "p_max"],
@@ -496,16 +495,25 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(func=cmd_simulate_epidemic)
 
     p = sub.add_parser("defense", help="defense analyses")
-    p.add_argument("mode", choices=("pp", "ipv6"))
-    p.add_argument("--beta", dest="beta_value", type=_finite_float, default=None,
-                   help="pp: non-uniformity factor the scanner exploits")
-    p.add_argument("--d", type=_finite_float, default=None, help="pp: deployment fraction")
-    p.add_argument("--d-grid", default=None, metavar="MIN:MAX:STEP", help="pp: sweep deployment fractions")
-    p.add_argument("--s", type=_finite_float, default=None)
-    p.add_argument("--N", type=_count, default=None)
-    p.add_argument("--beta32", type=_finite_float, default=None, help="ipv6: beta over the 2**32 top-level groups")
-    _add_common_out(p)
-    p.set_defaults(func=cmd_defense)
+    def_sub = p.add_subparsers(dest="mode", required=True)
+
+    pp = def_sub.add_parser("pp", help="proactive-protection requirements")
+    pp.add_argument("--beta", dest="beta_value", metavar="BETA", type=_finite_float, required=True,
+                    help="non-uniformity factor the scanner exploits, in [1, 2**32]")
+    pp.add_argument("--d", type=_finite_float, default=None, help="deployment fraction")
+    pp.add_argument("--d-grid", default=None, metavar="MIN:MAX:STEP", help="sweep deployment fractions")
+    pp.add_argument("--s", type=_finite_float, default=None, help="with --N and --d: also report alpha_rs")
+    pp.add_argument("--N", type=_count, default=None)
+    _add_common_out(pp)
+    pp.set_defaults(func=cmd_defense)
+
+    # without abbreviations, so that pp's --beta is refused rather than read as --beta32
+    pv = def_sub.add_parser("ipv6", help="importance-scanning rate in the 2**64 address space", allow_abbrev=False)
+    pv.add_argument("--s", type=_finite_float, required=True)
+    pv.add_argument("--N", type=_count, required=True)
+    pv.add_argument("--beta32", type=_finite_float, required=True, help="beta over the 2**32 top-level groups")
+    _add_common_out(pv)
+    pv.set_defaults(func=cmd_defense)
 
     p = sub.add_parser("synth", help="synthetic distributions and host lists")
     syn_sub = p.add_subparsers(dest="shape", required=True)

@@ -136,7 +136,7 @@ class _EarlyEngine:
 
     def run(self, rngs) -> np.ndarray:
         """Hits of the runs whose generators `rngs` yields, in order."""
-        addr, n_hosts = self.hosts._addresses64, self.hosts.N
+        addr, n_hosts = self.hosts.addresses, self.hosts.N
         if self.law is None:
             # stage 2 in isolation: sweep anchored at a random vulnerable
             # host's block, starting just past it.  Sequential scanning is
@@ -152,17 +152,13 @@ class _EarlyEngine:
 def _sweep_hits(hosts: HostSet, anchor, bits: int, n_scans):
     """Hits of a cyclic ascending sweep of anchor's block, from anchor+1, for
     scalar or array-valued anchors and scan counts."""
-    addr = hosts._addresses64
     anchor = np.asarray(anchor, dtype=np.int64)
     block = 1 << bits
     start = (anchor >> bits) << bits
     offset = (anchor - start + 1) % block
     full, rem = np.divmod(np.asarray(n_scans, dtype=np.int64), block)
     end = offset + rem
-
-    def count(lo, hi):  # hosts in [lo, hi)
-        return np.searchsorted(addr, hi) - np.searchsorted(addr, lo)
-
+    count = hosts.count_in_interval
     # the full passes, the head from offset to the block end or to end, and
     # the wrapped tail; an interval kind a run does not scan is empty
     return (full * count(start, start + block)
@@ -219,7 +215,6 @@ def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[Ea
     if not scan_budgets or any(not 1 <= int(b) <= ADDRESS_SPACE for b in scan_budgets):  # as total_scans
         raise ParameterError(f"scan budgets must be integers in [1, 2**{ADDRESS_BITS}]")
     hosts = _resolve_hosts(cfg)
-    addr = hosts._addresses64
     bits = ADDRESS_BITS - cfg.strategy.l
     p_first = hosts.N / ADDRESS_SPACE
 
@@ -229,7 +224,7 @@ def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[Ea
             stage1 = int(rng.geometric(p_first))
             found.append(stage1 <= budget)
             if found[-1]:
-                anchors.append(addr[rng.integers(0, hosts.N)])
+                anchors.append(hosts.addresses[rng.integers(0, hosts.N)])
                 left.append(budget - stage1)
         hits = np.zeros(len(found), dtype=np.int64)
         hits[found] = 1 + _sweep_hits(hosts, anchors, bits, left)

@@ -55,6 +55,23 @@ def code_red_alpha_per_second() -> float:
     return CODE_RED_POPULATION * (CODE_RED_SCANS_PER_MINUTE / 60.0) / ADDRESS_SPACE
 
 
+def _beta_in_range(beta: float, l: int, what: str) -> float:
+    """beta as a float, refused unless it lies in [1, 2**l]: the range of the
+    non-uniformity factor of every distribution over the 2**l groups of level l."""
+    b = float(beta)
+    if not 1.0 <= b <= math.ldexp(1.0, l):  # false for nan
+        raise ParameterError(f"{what} must be in [1, 2**{l}], got {b!r}")
+    return b
+
+
+def _pp_beta(beta: NonUniformity | float) -> float:
+    """The beta a proactive-protection bound reads: a NonUniformity at its own
+    level, a bare number at most 2**32 (the largest beta of any level)."""
+    if isinstance(beta, NonUniformity):
+        return _beta_in_range(beta.beta, beta.l, f"beta({beta.l})")
+    return _beta_in_range(beta, ADDRESS_BITS, "beta")
+
+
 @dataclass(frozen=True)
 class ScanContext:
     """Scenario parameters for rate calculations.
@@ -95,10 +112,7 @@ class ScanContext:
 
     def beta_at(self, l: int) -> float:
         if self.beta_overrides is not None and l in self.beta_overrides:
-            beta = float(self.beta_overrides[l])
-            if not 1.0 <= beta <= math.ldexp(1.0, l):  # false for nan
-                raise ParameterError(f"beta({l}) must be in [1, 2**{l}], got {beta!r}")
-            return beta
+            return _beta_in_range(self.beta_overrides[l], l, f"beta({l})")
         d = self._dist_at(l)
         if d is None:
             raise ParameterError(f"no source for beta({l}): supply hosts, a distribution at l >= {l}, or an override")
@@ -228,9 +242,7 @@ def pp_requirement(beta: NonUniformity | float, d: float) -> float:
     p_max = (1 - (1 - d) * beta) / (d * beta).  May be negative: then even
     p = 0 cannot reach the RS baseline at this deployment level.
     """
-    b = beta.beta if isinstance(beta, NonUniformity) else float(beta)
-    if not b >= 1.0:
-        raise ParameterError(f"beta must be >= 1, got {b}")
+    b = _pp_beta(beta)
     if not 0.0 < d <= 1.0:
         raise ParameterError("deployment fraction d must be in (0, 1]")
     return (1.0 - (1.0 - d) * b) / (d * b)
@@ -238,9 +250,7 @@ def pp_requirement(beta: NonUniformity | float, d: float) -> float:
 
 def pp_min_deployment(beta: NonUniformity | float) -> float:
     """Smallest deployment fraction d for which p = 0 meets the RS baseline."""
-    b = beta.beta if isinstance(beta, NonUniformity) else float(beta)
-    if not b >= 1.0:
-        raise ParameterError(f"beta must be >= 1, got {b}")
+    b = _pp_beta(beta)
     return 1.0 - 1.0 / b
 
 
@@ -252,6 +262,5 @@ def ipv6_alpha(s: float, N: int, beta32: float) -> float:
     """
     if not s > 0 or N < 1:
         raise ParameterError("need s > 0 and N >= 1")
-    if not 1.0 <= beta32 <= ADDRESS_SPACE:
-        raise ParameterError(f"beta32 must be in [1, 2**{ADDRESS_BITS}], got {beta32!r}")
-    return _finite_rate((s * N / IPV6_SPACE) * beta32, "the IPv6 rate")
+    b = _beta_in_range(beta32, ADDRESS_BITS, "beta32")
+    return _finite_rate((s * N / IPV6_SPACE) * b, "the IPv6 rate")

@@ -290,11 +290,7 @@ class ScannerState:
 
     def next_target(self) -> int:
         """Draw the next target address."""
-        if self.phase == "random":  # only mss leaves it, on its first hit
-            return int(self._law.draw(self.rng, 1, self.home)[0])
-        target = self.block_start + self.cursor
-        self.cursor = (self.cursor + 1) % self.block
-        return target
+        return int(self.draw_targets(1)[0])
 
     def on_hit(self, address: int) -> None:
         """Report a successful probe; only MSS reacts (once)."""

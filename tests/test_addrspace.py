@@ -190,6 +190,22 @@ def test_hostset_interval_and_membership():
     assert ss.HostSet([]).count_members(np.array([1, 2])) == 0
 
 
+@given(addrs=st.lists(st.integers(0, 2**32 - 1), max_size=40),
+       bounds=st.lists(st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)), min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_count_in_interval_on_array_bounds_is_elementwise(addrs, bounds):
+    h = ss.HostSet(addrs)
+    bounds = [sorted(b) for b in bounds]
+    lo, hi = (np.array(b, dtype=np.int64) for b in zip(*bounds))
+    scalar = [h.count_in_interval(a, b) for a, b in bounds]
+    assert all(type(c) is int for c in scalar)
+    assert scalar == [sum(a <= x < b for x in set(addrs)) for a, b in bounds]
+    counts = h.count_in_interval(lo, hi)
+    assert counts.dtype == np.int64 and counts.tolist() == scalar
+    assert h.count_in_interval(lo[0], hi).tolist() == [h.count_in_interval(bounds[0][0], b) for _, b in bounds]
+    assert type(h.count_in_interval(lo[0], hi[0])) is int
+
+
 @given(addrs=st.lists(st.integers(0, 2**32 - 1), max_size=40), rows=st.sampled_from([1, 2, 65, 70]),
        n=st.integers(0, 9), data=st.data())
 @settings(max_examples=80, deadline=None)

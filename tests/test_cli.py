@@ -95,6 +95,25 @@ def test_analyze_dist_input_skips_levels_beyond_resolution(dist_file, tmp_path, 
     assert rep4["beta"] == pytest.approx(16 * (9 + 1) / 16.0)
 
 
+@pytest.mark.parametrize("text", [
+    "#  l=4 N=10\ngroup_index,count\n0,1\n3,9\n",
+    "#l=4 N=10\n0,1\n3,9\n",
+    "\n\n#\tl=4   N=10 \ngroup_index,count\n0,1\n3,9\n",
+    "group_index,count\n# l=4 N=10\n0,1\n3,9\n",
+], ids=["two_spaces", "no_space", "blank_lines_and_tab", "column_row_first"])
+def test_auto_detection_reads_every_header_from_csv_accepts(tmp_path, text):
+    p = tmp_path / "d.csv"
+    p.write_text(text, encoding="utf-8")
+    outs = {}
+    for kind in ("auto", "dist"):
+        outs[kind] = tmp_path / kind
+        assert run_cli("analyze", str(p), "--kind", kind, "--report-l", "4", "--out-dir", str(outs[kind])) == 0
+    names = sorted(f.name for f in outs["dist"].iterdir() if f.name != "manifest.json")
+    assert names == sorted(f.name for f in outs["auto"].iterdir() if f.name != "manifest.json")
+    assert "entropy_l4.json" in names
+    assert all((outs["auto"] / n).read_bytes() == (outs["dist"] / n).read_bytes() for n in names)
+
+
 def test_analyze_dist_matches_host_route(hosts_file, dist_file, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("analyze", str(hosts_file), "--l-max", "8", "--report-l", "8",
@@ -204,8 +223,13 @@ def test_non_finite_numbers_exit_2(dist_file, tmp_path, capsys, argv):
     (["rates", "--s", "1", "--N", "4", "--maxp", "0.001", "--strategy", "optis:l=8"],
      "max p at l=8 must be in [2**-8, 1]"),
     (["rates", "--s", "1", "--N", "4", "--beta", "40=3"], "override at level 40: levels are 0..32"),
+    (["defense", "pp", "--beta", "1e10", "--d", "0.5"], "beta must be in [1, 2**32], got 10000000000.0"),
+    (["defense", "pp", "--beta", "4294967297", "--d-grid", "0.5:1:0.25"], "beta must be in [1, 2**32]"),
+    (["defense", "pp", "--beta", "50", "--d", "0.5", "--s", "100"], "pp takes --s and --N together"),
+    (["defense", "pp", "--beta", "50", "--d", "0.5", "--N", "10"], "pp takes --s and --N together"),
 ], ids=["ipv6_overflow", "ipv6_beta32", "pp_alpha_rs", "rates_beta16_huge", "rates_alpha_rs_overflow",
-        "rates_beta_below_1", "rates_beta8_above", "rates_maxp_below", "rates_beta_level"])
+        "rates_beta_below_1", "rates_beta8_above", "rates_maxp_below", "rates_beta_level", "pp_beta_huge",
+        "pp_beta_above_2_32", "pp_s_without_N", "pp_N_without_s"])
 def test_rates_that_overflow_or_rest_on_impossible_factors_exit_2(tmp_path, capsys, argv, says):
     out = tmp_path / "o"
     assert run_cli(*argv, "--out-dir", str(out)) == 2
@@ -221,6 +245,19 @@ def test_time_unit_is_refused_where_no_rate_is_written(dist_file, tmp_path, caps
     argv = [str(dist_file) if a == "{dist}" else a for a in argv]
     assert run_cli(*argv, "--time-unit", "minute", "--out-dir", str(out)) == 2
     assert "unrecognized arguments: --time-unit minute" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, stray", [
+    (["defense", "ipv6", "--s", "1", "--N", "10", "--beta32", "2"], ["--d", "0.5"]),
+    (["defense", "ipv6", "--s", "1", "--N", "10", "--beta32", "2"], ["--d-grid", "0.5:1:0.5", "--beta", "3"]),
+    (["defense", "pp", "--beta", "3"], ["--beta32", "7"]),
+    (["defense", "pp", "--beta", "3", "--d", "0.5"], ["--beta32", "7"]),
+], ids=["ipv6_d", "ipv6_grid_beta", "pp_beta32", "pp_d_beta32"])
+def test_defense_modes_refuse_each_others_options(tmp_path, capsys, argv, stray):
+    out = tmp_path / "o"
+    assert run_cli(*argv, *stray, "--out-dir", str(out)) == 2
+    assert f"unrecognized arguments: {' '.join(stray)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -348,9 +385,9 @@ CONTRACT = {
                                             "--tick": [None, "0.5"], "--horizon": ["3"],
                                             "--initial": [None, "10"], "--pp": [None, "0.5,0.5"],
                                             "--per-subnet": [], "--out-dir": ["{out}"]}),
-    "defense": (["defense"], {"": ["pp", "ipv6"], "--beta": ["50"], "--d": [None, "0.5"],
-                              "--d-grid": [None, "0.5:1:0.25"], "--s": ["100"], "--N": ["40"], "--beta32": ["2"],
-                              "--out-dir": ["{out}"]}),
+    "defense_pp": (["defense", "pp"], {"--beta": ["50"], "--d": [None, "0.5"], "--d-grid": [None, "0.5:1:0.25"],
+                                       "--s": ["100"], "--N": ["40"], "--out-dir": ["{out}"]}),
+    "defense_ipv6": (["defense", "ipv6"], {"--s": ["100"], "--N": ["40"], "--beta32": ["2"], "--out-dir": ["{out}"]}),
     "uniform": (["synth", "uniform"], {"--l": ["8"], "--groups": ["2"], "--per-group": ["3"], "--out": ["{out}"]}),
     "zipf": (["synth", "zipf"], {"--l": ["8"], "--exponent": ["1.5"], "--hosts": ["40"], "--seed": ["2"],
                                  "--out": ["{out}"]}),
