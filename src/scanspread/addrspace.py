@@ -431,20 +431,20 @@ class GroupDistribution:
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             for row in reader:
-                if not row:
+                try:  # data rows first: the other kinds never parse as two ints
+                    rows.append((int(row[0]), int(row[1])))
+                    continue
+                except (ValueError, IndexError):
+                    pass
+                if not any(cell.strip() for cell in row):  # a blank line, spaces and tabs included
                     continue
                 if row[0].lstrip().startswith("#"):
                     m = _DIST_HEADER.match(",".join(row).strip())
                     if not m:
                         raise DistributionFormatError(f"{path}: bad header comment {row!r}")
                     header = (int(m.group(1)), int(m.group(2)))
-                    continue
-                if row[0].strip() == _DIST_COLUMNS:
-                    continue
-                try:
-                    rows.append((int(row[0]), int(row[1])))
-                except (ValueError, IndexError):
-                    raise DistributionFormatError(f"{path}: bad row {row!r}") from None
+                elif row[0].strip() != _DIST_COLUMNS:
+                    raise DistributionFormatError(f"{path}: bad row {row!r}")
         if header is None:
             raise DistributionFormatError(f"{path}: missing '# l=<l> N=<N>' header")
         l, n = header

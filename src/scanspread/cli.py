@@ -382,8 +382,8 @@ def cmd_defense(args: argparse.Namespace) -> None:
         if args.d is not None:
             result["d"] = args.d
             result["p_max"] = pp_requirement(beta, args.d)
-            if args.s is not None:
-                result["alpha_rs"] = alpha_rs(ScanContext(s=args.s, N=args.N))
+        if args.s is not None:
+            result["alpha_rs"] = alpha_rs(ScanContext(s=args.s, N=args.N))
         if args.d_grid is not None:
             grid = _d_grid(args.d_grid)
             write_table(out_dir / "pp_curve.csv", ["d", "p_max"],
@@ -502,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="non-uniformity factor the scanner exploits, in [1, 2**32]")
     pp.add_argument("--d", type=_finite_float, default=None, help="deployment fraction")
     pp.add_argument("--d-grid", default=None, metavar="MIN:MAX:STEP", help="sweep deployment fractions")
-    pp.add_argument("--s", type=_finite_float, default=None, help="with --N and --d: also report alpha_rs")
+    pp.add_argument("--s", type=_finite_float, default=None, help="with --N: also report alpha_rs")
     pp.add_argument("--N", type=_count, default=None)
     _add_common_out(pp)
     pp.set_defaults(func=cmd_defense)

@@ -28,6 +28,12 @@ exactly to the single-population form
     n(t+1) = n(t) + (N - n(t)) * (1 - (1 - 1/omega)**(s * n(t) * tick))
 
 for uniform q.
+
+Groups that agree on every input of their update (population and q without
+tiers; population and the block of each wider tier with them: ls one key,
+2lls the /8 as well) and start equal stay equal.  So the recursion runs once
+per class of identical groups, with the seeded group a class of its own, and
+n(t) = sum over classes of multiplicity * m.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from .addrspace import (
     aggregate,
     materialize_hosts,
 )
-from .errors import ParameterError, UnsupportedStrategyError
+from .errors import InternalConsistencyError, ParameterError, UnsupportedStrategyError
 from .strategies import ScanStrategy, TargetLaw
 
 
@@ -284,42 +290,78 @@ class EpidemicTrace:
         return np.arange(self.n.size) * self.tick
 
 
-def _log_survival(st: ScanStrategy, dist: GroupDistribution, s_tick: float):
-    """The family's log-survival exponent (m, n) -> array over dist's occupied groups.
+def _lump(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classes of the positions whose keys all agree, numbered in np.lexsort
+    order (the last key most significant): the class of each position, each
+    class's size and one position of each class."""
+    order = np.lexsort(keys)
+    new = np.zeros(order.size, dtype=bool)
+    new[0] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    cls = np.empty(order.size, dtype=np.intp)
+    cls[order] = np.cumsum(new) - 1
+    first = np.flatnonzero(new)
+    return cls, np.diff(first, append=order.size), order[first]
 
-    exp(exponent(m, n)) is the probability that one address of each group
-    escapes every scan of one tick, given m infected per group and n in all.
+
+def _log_survival(st: ScanStrategy, dist: GroupDistribution, s_tick: float, seed: int):
+    """Lump dist's occupied groups into classes of identical groups and give
+    the family's log-survival exponent over them.
+
+    Returns (cls, mult, exponent): the class of each occupied group, the
+    number of groups in each class, and exponent(m, n) -> array over classes.
+    exp(exponent(m, n)) is the probability that one address of a class's
+    group escapes every scan of one tick, given m infected per group of each
+    class and n in all.  Groups of one class agree on every input of their
+    update: their population and, without home tiers, their per-scan
+    probability; with home tiers, the block of each wider tier.  The seeded
+    group (position `seed`) is a class of its own.  Classes are sorted by
+    their wider tier blocks, outermost first, so each block's classes are
+    one run.
     """
     law = TargetLaw(st, dist)
+    pop = dist.counts
+    alone = np.arange(pop.size) == seed
     if not law.needs_home:
         # every source scans by the same group law: survival depends on n alone
         log_surv = np.log1p(-law.group_probabilities(dist.indices) / law.block)  # per scan, one address
-        return lambda m, n: s_tick * n * log_surv
+        cls, mult, rep = _lump(alone, pop, log_surv)
+        log_surv = log_surv[rep]
+        return cls, mult, lambda m, n: s_tick * n * log_surv
     # sources whose innermost tier block shared with the target is tier k's
     # (outer - inner of them) hit an address by each tier j >= k and the rest
     far = law.rest / ADDRESS_SPACE
     consts = [np.log1p(-(sum(mass / size for mass, size in law.tiers[k:]) + far)) for k in range(len(law.tiers))]
     c_far = np.log1p(-far)
-    wider = [np.unique(dist.indices // (size // law.block), return_index=True, return_counts=True)[1:]
-             for _, size in law.tiers[1:]]  # (first group, groups) of each tier block's run
+    blocks = [dist.indices // (size // law.block) for _, size in law.tiers[1:]]
+    cls, mult, rep = _lump(alone, pop, *blocks)
+    wider = [np.unique(b[rep], return_index=True, return_counts=True)[1:]
+             for b in blocks]  # (first class, classes) of each tier block's run
 
     def exponent(m: np.ndarray, n: float) -> np.ndarray:
         e, inner = m * consts[0], m
         for c, (starts, runs) in zip(consts[1:], wider):
-            outer = np.repeat(np.add.reduceat(m, starts), runs)
+            outer = np.repeat(np.add.reduceat(mult * m, starts), runs)
             e, inner = e + (outer - inner) * c, outer
         return s_tick * (e + (n - inner) * c_far)
 
-    return exponent
+    return cls, mult, exponent
 
 
 def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
     """Run the per-subnet recursion for cfg.horizon ticks.
 
     Infected counts are real-valued (mean-field); n[0] = 1 seeded in the
-    initial group.  `per_subnet` has one column per occupied group, in the
-    order of `cfg.dist.coarsen(l).indices`.  MSS is stateful per scanner and
-    has no group law, so it is not representable here.
+    initial group.  The recursion runs once per class of identical groups
+    (`_log_survival`): groups that agree on every input of their update and
+    start equal stay equal, and the seeded group is a class of its own, so
+    n(t) = sum over classes of multiplicity * m.  `per_subnet` has one
+    column per occupied group, in the order of `cfg.dist.coarsen(l).indices`,
+    each its class's value.  MSS is stateful per scanner and has no group
+    law, so it is not representable here.  Raises InternalConsistencyError
+    if n(t) decreases or exceeds N.
     """
     st = cfg.strategy
     if st.kind == "mss":
@@ -334,39 +376,42 @@ def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
         raise ParameterError("empty distribution")
     if not math.isfinite(cfg.s * cfg.tick * dist.total):
         raise ParameterError(f"s * tick * N = {cfg.s!r} * {cfg.tick!r} * {dist.total} is not finite")
-    pop = dist.counts.astype(np.float64)
-    m_groups = pop.size
     if cfg.initial == "densest":
-        i0 = int(np.argmax(pop))
+        i0 = int(np.argmax(dist.counts))
     else:
         g0 = int(cfg.initial)
         if not 0 <= g0 < dist.n_groups:
             raise ParameterError(f"initial group {g0} out of range for l={l}")
         i0 = int(np.searchsorted(dist.indices, g0))
-        if i0 == m_groups or dist.indices[i0] != g0:
+        if i0 == dist.occupied or dist.indices[i0] != g0:
             raise ParameterError(f"initial group {g0} has no vulnerable hosts")
-    exponent = _log_survival(st, dist, cfg.s * cfg.tick)
+    cls, mult, exponent = _log_survival(st, dist, cfg.s * cfg.tick, i0)
+    pop = np.empty(mult.size)
+    pop[cls] = dist.counts
+    weights = mult.astype(np.float64)
     pp_factor = 1.0
     if cfg.pp is not None:
         d, p = cfg.pp
         pp_factor = 1.0 - d + d * p
 
-    m = np.zeros(m_groups)
-    m[i0] = 1.0
+    m = np.zeros(mult.size)
+    m[cls[i0]] = 1.0
     n_series = np.empty(cfg.horizon + 1)
     n_series[0] = 1.0
     per_subnet = None
     if cfg.record_per_subnet:
-        per_subnet = np.empty((cfg.horizon + 1, m_groups))
-        per_subnet[0] = m
+        per_subnet = np.empty((cfg.horizon + 1, cls.size))
+        np.take(m, cls, out=per_subnet[0])
 
     for t in range(1, cfg.horizon + 1):
         inc = (pop - m) * (-np.expm1(exponent(m, n_series[t - 1])))
-        m = np.minimum(m + pp_factor * inc, pop)
-        n_series[t] = m.sum()
+        m = np.minimum(m + pp_factor * inc, pop)  # m <= pop by this minimum: not re-checked below
+        n_series[t] = weights @ m
         if per_subnet is not None:
-            per_subnet[t] = m
+            np.take(m, cls, out=per_subnet[t])
 
+    if np.any(np.diff(n_series) < 0) or n_series[-1] > dist.total:
+        raise InternalConsistencyError(f"{st.label}: n(t) decreased or exceeded N = {dist.total}")
     return EpidemicTrace(
         strategy=st.label,
         l=l,

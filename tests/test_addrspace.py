@@ -319,6 +319,12 @@ def test_distribution_csv_round_trip(tmp_path):
     assert ss.GroupDistribution.from_csv(path) == d
 
 
+def test_distribution_csv_skips_blank_rows(tmp_path):
+    p = tmp_path / "dist.csv"
+    p.write_text("  \n# l=8 N=7\n\t\ngroup_index,count\n1,2\n  \n5,5\n\t\n", encoding="utf-8")
+    assert ss.GroupDistribution.from_csv(p) == ss.GroupDistribution(8, [1, 5], [2, 5])
+
+
 def test_distribution_csv_errors(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("group_index,count\n1,2\n")

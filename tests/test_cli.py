@@ -363,6 +363,24 @@ def test_internal_error_exits_4(hosts_file, tmp_path, monkeypatch):
                    "--out-dir", str(tmp_path / "o")) == 4
 
 
+def test_epidemic_invariant_violation_exits_4(dist_file, tmp_path, monkeypatch, capsys):
+    # a positive exponent makes infections shrink: n(t) decreases
+    from scanspread import epidemic
+    lump = epidemic._log_survival
+
+    def growing(*args):
+        cls, mult, exponent = lump(*args)
+        return cls, mult, lambda m, n: -exponent(m, n)
+
+    monkeypatch.setattr(epidemic, "_log_survival", growing)
+    out = tmp_path / "o"
+    assert run_cli("simulate", "epidemic", str(dist_file), "--strategy", "is:l=8", "--s", "1e6",
+                   "--horizon", "3", "--out-dir", str(out)) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "n(t) decreased or exceeded N" in err
+    assert not (out / "trace.csv").exists()
+
+
 # Each subcommand's words and its options with their valid values ("": the
 # positional argument; None: left out; an empty list: a flag).  A case takes
 # a valid value for every option but one or two, which get an edge value or
@@ -642,6 +660,13 @@ def test_defense_pp_point_and_curve(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [float(r["d"]) for r in rows] == [0.5, 0.75, 1.0]
     assert float(rows[-1]["p_max"]) == pytest.approx(0.02)
+
+
+def test_defense_pp_reports_alpha_rs_without_d(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli("defense", "pp", "--beta", "50", "--s", "100", "--N", "10", "--out-dir", str(out)) == 0
+    rep = json.loads((out / "defense.json").read_text())
+    assert rep["alpha_rs"] == pytest.approx(100 * 10 / 2**32) and "p_max" not in rep
 
 
 @pytest.mark.parametrize("grid", ["0.5:0.5:1e-13", "0.1:1.0:1e-13", "0.5:2:0.5"])

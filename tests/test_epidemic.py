@@ -356,11 +356,11 @@ def test_mss_full_deterministic(four_hosts):
 # -- per-subnet dynamics ---------------------------------------------------
 
 
-def dense_propagate(st, d, s, horizon):
+def dense_propagate(st, d, s, horizon, pp=None, initial=None):
     """The per-subnet recursion over all 2**l groups, empty ones included, as
-    a literal loop (tick 1, seeded in the densest group): the reference the
-    occupied-group propagate must match.  Returns n(t) and the occupied
-    groups' columns."""
+    a literal loop (tick 1, seeded in group `initial`, by default the
+    densest): the reference the class-lumped propagate must match.  Returns
+    n(t) and the occupied groups' columns."""
     size, block = 1 << st.l, 2.0 ** (32 - st.l)
     pop = np.zeros(size)
     pop[d.indices] = d.counts
@@ -372,8 +372,9 @@ def dense_propagate(st, d, s, horizon):
     elif st.kind == "optis":
         q = np.zeros(size)
         q[np.argmax(pop)] = 1.0
+    factor = 1.0 if pp is None else 1.0 - pp[0] + pp[0] * pp[1]
     m = np.zeros(size)
-    m[np.argmax(pop)] = 1.0
+    m[np.argmax(pop) if initial is None else initial] = 1.0
     n, rows = [1.0], [m[d.indices]]
     for _ in range(horizon):
         if q is not None:
@@ -386,24 +387,67 @@ def dense_propagate(st, d, s, horizon):
             m8 = np.repeat(m.reshape(256, 256).sum(axis=1), 256)
             e = s * (m * np.log1p(-(st.p_c / 2**16 + st.p_b / 2**24 + r / 2**32))
                      + (m8 - m) * np.log1p(-(st.p_b / 2**24 + r / 2**32)) + (n[-1] - m8) * np.log1p(-r / 2**32))
-        m = np.minimum(m + (pop - m) * -np.expm1(e), pop)
+        m = np.minimum(m + factor * ((pop - m) * -np.expm1(e)), pop)
         n.append(m.sum())
         rows.append(m[d.indices])
     return np.array(n), np.array(rows)
 
 
+FAMILIES = ["rs", "is:l=16", "optis:l=16", "ls:l=16,pa=0.75", "2lls:pb=0.25,pc=0.5"]
+
+
 @pytest.mark.parametrize("fixture", ["zipf16", "uniform16"])
-@pytest.mark.parametrize("token", ["rs", "is:l=16", "optis:l=16", "ls:l=16,pa=0.75", "2lls:pb=0.25,pc=0.5",
-                                   "ls:l=16,pa=0.1234567", "2lls:pb=0.1,pc=0.2"])
-def test_propagate_over_occupied_groups_matches_the_dense_recursion(fixture, token):
+@pytest.mark.parametrize("token,option", [
+    *(pytest.param(t, None, id=t) for t in FAMILIES + ["ls:l=16,pa=0.1234567", "2lls:pb=0.1,pc=0.2"]),
+    *(pytest.param(t, "pp", id=f"{t}-pp") for t in FAMILIES),
+    # seeded in the last occupied group, which shares its population with
+    # other groups: the seed class splits off a class of twins
+    *(pytest.param(t, "initial", id=f"{t}-initial") for t in FAMILIES),
+])
+def test_propagate_over_occupied_groups_matches_the_dense_recursion(fixture, token, option):
     d = ss.synth_zipf(16, 1.0, 448894, seed=2) if fixture == "zipf16" else ss.synth_uniform(1256, 16, 357)
     st = ss.parse_strategy(token)
-    trace = ss.propagate(ss.EpidemicConfig(st, d, s=2000.0, horizon=60, record_per_subnet=True))
-    n, per_group = dense_propagate(st, d, 2000.0, 60)
+    kw = {"pp": (0.5, 0.5)} if option == "pp" else {"initial": int(d.indices[-1])} if option == "initial" else {}
+    if option == "initial":
+        assert np.count_nonzero(d.counts == d.counts[-1]) > 1 and np.argmax(d.counts) != d.occupied - 1
+    trace = ss.propagate(ss.EpidemicConfig(st, d, s=2000.0, horizon=60, record_per_subnet=True, **kw))
+    n, per_group = dense_propagate(st, d, 2000.0, 60, **kw)
     assert trace.per_subnet.shape == per_group.shape == (61, d.occupied)
     np.testing.assert_allclose(trace.n, n, rtol=1e-12, atol=0)
     np.testing.assert_allclose(trace.per_subnet, per_group, rtol=1e-12, atol=0)
     assert n[-1] > 10 * n[0]  # the outbreak grows, so the comparison covers real dynamics
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_groups_of_one_class_share_their_column(token):
+    # on this fixture groups of equal population (for 2lls, also of one /8)
+    # share their update: for is they have equal q, and for optis the one
+    # group with q > 0 is the only group of the largest population
+    d = ss.synth_zipf(16, 1.0, 30000, seed=3)
+    st = ss.parse_strategy(token)
+    seed = 2
+    twins = np.flatnonzero(d.counts == d.counts[seed])
+    assert twins.size > 2
+    trace = ss.propagate(ss.EpidemicConfig(st, d, s=20000.0, horizon=80, initial=int(d.indices[seed]),
+                                           record_per_subnet=True))
+    key = d.counts + (d.indices >> 8) * (d.counts.max() + 1) if st.kind == "2lls" else d.counts
+    key = np.where(np.arange(d.occupied) == seed, -1, key)
+    _, cls = np.unique(key, return_inverse=True)
+    rep = np.zeros(cls.max() + 1, dtype=np.intp)
+    rep[cls] = np.arange(d.occupied)  # one group of each class
+    cols = trace.per_subnet
+    assert np.array_equal(cols, cols[:, rep[cls]])  # equal keys, equal columns at every tick
+    others = twins[twins != seed]
+    assert np.all(cols[0, others] == 0.0) and cols[0, seed] == 1.0
+    assert np.all(cols[1, others] < cols[1, seed]) and np.all(cols[:, others] <= cols[:, [seed]])
+    assert trace.n[-1] > 100  # the classes go through real dynamics
+
+
+@pytest.mark.parametrize("token", ["rs", "is:l=16", "ls:l=16,pa=0.75"])
+def test_uniform_fixture_lumps_to_two_classes(token):
+    d = ss.synth_uniform(1256, 16, 357)
+    cls, mult, _ = epidemic._log_survival(ss.parse_strategy(token), d, 358.0, 0)
+    assert sorted(mult.tolist()) == [1, 1255] and mult[cls[0]] == 1
 
 
 def test_propagate_rs_reduces_to_single_population():
