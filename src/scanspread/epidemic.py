@@ -4,11 +4,14 @@ deterministic per-subnet mean-field model.
 Early stage.  One infected scanner draws `total_scans` targets by its
 strategy's `TargetLaw` (the same draw `ScannerState.draw_targets` makes);
 each run counts probes that land on vulnerable hosts (with multiplicity) and
-yields a rate estimate hits * s / total_scans.  Runs are independent: run i
-uses the i-th child stream spawned from the master seed, so results are
-reproducible.  Runs go serially in blocks of about 2**16 targets, one
-membership pass per block; the block size depends on total_scans alone, so
-the `threads` setting changes neither the results nor the work done.
+yields a rate estimate hits * s / total_scans.  Runs go serially in blocks
+of about 2**16 targets (2**12 runs for MSS sweeps): block b draws all its
+runs' inputs as whole-block arrays from one Generator on the b-th child
+stream spawned from the master seed, and takes one membership pass.  The
+block size depends on total_scans alone, so results are reproducible and the
+`threads` setting changes neither the results nor the work done.  Only exact
+sums of hits and hits**2 are kept across blocks, so memory does not grow
+with the number of runs.
 
 Full dynamics.  Time advances in ticks.  With n_t infected in total and m_i
 infected in /l group i, each (source, target-group) pair has a per-scan
@@ -61,8 +64,9 @@ class EarlyStageConfig:
     """Inputs of a Monte Carlo early-stage estimate.
 
     Hosts come either from `hosts` directly or by materializing `dist` with
-    `materialize_seed`.  `seed` drives the per-run streams.  `threads` is
-    validated and kept for the record only: runs are serial.
+    `materialize_seed`.  `seed` drives the per-block streams.  `threads` is
+    validated and kept for the record only: runs are serial.  The runs-long
+    array of per-run hits is built only under `record_hits`.
     """
 
     strategy: ScanStrategy
@@ -124,9 +128,11 @@ def _resolve_hosts(cfg: EarlyStageConfig) -> HostSet:
 
 class _EarlyEngine:
     """`run` gives the per-run hits of one block of estimate_infection_rate's
-    runs: per run, one TargetLaw draw (after the home draw when the law has
-    home tiers), then one membership pass for the block; or the MSS sweep.
-    `perfbench/selftest.py` injects its Monte Carlo fault by patching `run`."""
+    runs from the block's (generator, runs) pair: the block's homes (ls,
+    2lls) or anchors (mss) as one array, then its targets (one TargetLaw
+    draw for the whole block, or one per run after the homes) and one
+    membership pass; or the MSS sweep.  `perfbench/selftest.py` injects its
+    Monte Carlo fault by patching `run`."""
 
     def __init__(self, cfg: EarlyStageConfig, hosts: HostSet):
         st = cfg.strategy
@@ -140,19 +146,22 @@ class _EarlyEngine:
             self.law = TargetLaw(st, dist)
             self.rows = max(1, _BLOCK_TARGETS // cfg.total_scans)
 
-    def run(self, rngs) -> np.ndarray:
-        """Hits of the runs whose generators `rngs` yields, in order."""
-        addr, n_hosts = self.hosts.addresses, self.hosts.N
+    def run(self, block) -> np.ndarray:
+        """Hits of the `n` runs of block = (rng, n), in order."""
+        rng, n = block
+        hosts = self.hosts
         if self.law is None:
             # stage 2 in isolation: sweep anchored at a random vulnerable
             # host's block, starting just past it.  Sequential scanning is
             # deterministic given the anchor, so hits are an exact interval count.
-            return _sweep_hits(self.hosts, [addr[rng.integers(0, n_hosts)] for rng in rngs], self.bits, self.total)
-        targets = np.empty((self.rows, self.total), dtype=np.int64)
-        for i, rng in enumerate(rngs):
-            home = int(addr[rng.integers(0, n_hosts)]) >> self.bits if self.law.needs_home else None
+            return _sweep_hits(hosts, hosts.addresses[rng.integers(0, hosts.N, size=n)], self.bits, self.total)
+        if not self.law.needs_home:
+            return hosts.count_members_per_row(self.law.draw(rng, n * self.total).reshape(n, self.total))
+        targets = np.empty((n, self.total), dtype=np.int64)
+        homes = hosts.addresses[rng.integers(0, hosts.N, size=n)] >> self.bits
+        for i, home in enumerate(homes.tolist()):
             targets[i] = self.law.draw(rng, self.total, home)
-        return self.hosts.count_members_per_row(targets[:i + 1])
+        return hosts.count_members_per_row(targets)
 
 
 def _sweep_hits(hosts: HostSet, anchor, bits: int, n_scans):
@@ -172,27 +181,46 @@ def _sweep_hits(hosts: HostSet, anchor, bits: int, n_scans):
             + count(start, start + np.maximum(end - block, 0)))
 
 
-def _per_run_hits(seq: np.random.SeedSequence, runs: int, rows: int, block_hits) -> np.ndarray:
-    """Hits of run i on the i-th child of seq: `block_hits` maps each block of
-    `rows` runs' generators, built one at a time, to their hits.  Spawning a
-    block's children continues the numbering: they are those of seq.spawn(runs)."""
-    hits = np.empty(runs, dtype=np.int64)
+def _square_sum(h: np.ndarray) -> int:
+    """sum(h**2) exactly, for hits 0 <= h <= 2**32: int64 dot products of h's
+    16-bit halves cannot overflow for fewer than 2**31 entries."""
+    hi, lo = h >> 16, h & 0xFFFF
+    return (int(hi @ hi) << 32) + (int(hi @ lo) << 17) + int(lo @ lo)
+
+
+def _per_run_hits(cfg: EarlyStageConfig, seq: np.random.SeedSequence, rows: int,
+                  block_hits) -> tuple[int, int, np.ndarray | None]:
+    """Exact sums of hits and hits**2 over cfg.runs runs in blocks of `rows`,
+    and the runs-long hit array under cfg.record_hits only: block b gets one
+    Generator on child b of seq (spawned one block at a time, so the
+    children are those of seq.spawn(blocks)), and `block_hits((rng, n))`
+    gives its n runs' hits."""
+    runs = cfg.runs
+    total = square = 0
+    hits = np.empty(runs, dtype=np.int64) if cfg.record_hits else None
     for lo in range(0, runs, rows):
         n = min(rows, runs - lo)
-        hits[lo:lo + n] = block_hits(map(np.random.default_rng, seq.spawn(n)))
-    return hits
+        h = block_hits((np.random.default_rng(seq.spawn(1)[0]), n))
+        total += int(h.sum())
+        square += _square_sum(h)
+        if hits is not None:
+            hits[lo:lo + n] = h
+    return total, square, hits
 
 
-def _result(cfg: EarlyStageConfig, total_scans: int, hits: np.ndarray) -> EarlyStageResult:
+def _result(cfg: EarlyStageConfig, total_scans: int, total: int, square: int,
+            hits: np.ndarray | None) -> EarlyStageResult:
+    n = cfg.runs
     scale = cfg.s / total_scans
+    # exact integers until the one correctly rounded division each
     return EarlyStageResult(
         strategy=cfg.strategy.label,
         total_scans=total_scans,
-        runs=cfg.runs,
+        runs=n,
         seed=cfg.seed,
-        mean_alpha=float(hits.mean()) * scale,
-        var_alpha=float(hits.var(ddof=1)) * scale * scale,
-        per_run_hits=hits if cfg.record_hits else None,
+        mean_alpha=total / n * scale,
+        var_alpha=(n * square - total * total) / (n * (n - 1)) * scale * scale,
+        per_run_hits=hits,
     )
 
 
@@ -204,8 +232,8 @@ def estimate_infection_rate(cfg: EarlyStageConfig) -> EarlyStageResult:
     stage alone (sweep anchored at a random vulnerable host).
     """
     engine = _EarlyEngine(cfg, _resolve_hosts(cfg))
-    hits = _per_run_hits(np.random.SeedSequence(cfg.seed), cfg.runs, engine.rows, engine.run)
-    return _result(cfg, cfg.total_scans, hits)
+    moments = _per_run_hits(cfg, np.random.SeedSequence(cfg.seed), engine.rows, engine.run)
+    return _result(cfg, cfg.total_scans, *moments)
 
 
 def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[EarlyStageResult]:
@@ -214,7 +242,8 @@ def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[Ea
     Each run scans uniformly until the first hit (stage length drawn
     geometrically, the hit host uniform among the vulnerable), then sweeps
     that host's block with whatever budget remains.  Runs out of budget
-    before the first hit count zero.
+    before the first hit count zero.  Budget i runs its blocks on the
+    children of the master seed's child i, so budgets are independent.
     """
     if cfg.strategy.kind != "mss":
         raise ParameterError("estimate_mss_full is only defined for mss")
@@ -224,20 +253,17 @@ def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[Ea
     bits = ADDRESS_BITS - cfg.strategy.l
     p_first = hosts.N / ADDRESS_SPACE
 
-    def block_hits(budget: int, rngs) -> np.ndarray:
-        found, anchors, left = [], [], []  # found: whether a run finds a host within budget
-        for rng in rngs:
-            stage1 = int(rng.geometric(p_first))
-            found.append(stage1 <= budget)
-            if found[-1]:
-                anchors.append(hosts.addresses[rng.integers(0, hosts.N)])
-                left.append(budget - stage1)
-        hits = np.zeros(len(found), dtype=np.int64)
-        hits[found] = 1 + _sweep_hits(hosts, anchors, bits, left)
+    def block_hits(budget: int, block) -> np.ndarray:
+        rng, n = block
+        stage1 = rng.geometric(p_first, size=n)
+        found = stage1 <= budget  # whether a run finds a host within budget
+        anchors = hosts.addresses[rng.integers(0, hosts.N, size=int(np.count_nonzero(found)))]
+        hits = np.zeros(n, dtype=np.int64)
+        hits[found] = 1 + _sweep_hits(hosts, anchors, bits, budget - stage1[found])
         return hits
 
     seqs = np.random.SeedSequence(cfg.seed).spawn(len(scan_budgets))
-    return [_result(cfg, budget, _per_run_hits(seq, cfg.runs, _SWEEP_ROWS, partial(block_hits, budget)))
+    return [_result(cfg, budget, *_per_run_hits(cfg, seq, _SWEEP_ROWS, partial(block_hits, budget)))
             for budget, seq in zip(map(int, scan_budgets), seqs)]
 
 

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,26 +155,42 @@ def test_variance_ordering_on_uneven_blocks():
     assert results["mss:l=8"].var_alpha > 2.0 * results["is:l=8"].var_alpha
 
 
+def block_streams(seq, runs, rows):
+    """(generator, runs) of each block of `rows` runs: block b on child b
+    of seq, all children spawned at once."""
+    return [(np.random.default_rng(child), min(rows, runs - lo))
+            for child, lo in zip(seq.spawn(-(-runs // rows)), range(0, runs, rows))]
+
+
+def draw_rows(scans):
+    """Runs per block of a strategy that draws targets: 2**16 targets."""
+    return max(1, 2**16 // scans)
+
+
 @pytest.mark.parametrize("token", ["rs", "is:l=8", "optis:l=8", "ls:l=8,pa=0.75", "2lls:pb=0.25,pc=0.5"])
-def test_engine_and_scanner_state_draw_the_same_targets(token):
-    # run i of the engine = ScannerState.draw_targets on child stream i, with
-    # the home (ls/2lls) drawn first from that stream as the engine does
+@pytest.mark.parametrize("scans, runs", [(100_000, 20), (1000, 150)])
+def test_engine_and_scanner_state_draw_the_same_targets(token, scans, runs):
+    # block b of the engine = ScannerState.draw_targets on child stream b:
+    # one draw of the whole block's targets, or (ls/2lls) the block's homes
+    # first and then one scanner per run on the same stream; 100,000 scans
+    # give one run per block, 1000 scans 65 runs and a partial last block
     _, hosts = zipf_hosts()
     st = ss.parse_strategy(token)
-    cfg = ss.EarlyStageConfig(st, s=100.0, total_scans=100_000, runs=20, seed=4,
+    cfg = ss.EarlyStageConfig(st, s=100.0, total_scans=scans, runs=runs, seed=4,
                               hosts=hosts, record_hits=True)
     hits = ss.estimate_infection_rate(cfg).per_run_hits
     addr = hosts.addresses.astype(np.int64)
     bits = 32 - st.l
     dist = ss.aggregate(hosts, st.l)
     want = []
-    for seq in np.random.SeedSequence(4).spawn(20):
-        rng = np.random.default_rng(seq)
-        home = None
+    for rng, n in block_streams(np.random.SeedSequence(4), runs, draw_rows(scans)):
         if st.kind in ("ls", "2lls"):
-            home = int(addr[rng.integers(0, hosts.N)]) >> bits
-        state = ScannerState(st, rng, home_subnet=home, dist=dist)
-        want.append(hosts.count_members(state.draw_targets(100_000)))
+            for home in (addr[rng.integers(0, hosts.N, size=n)] >> bits).tolist():
+                state = ScannerState(st, rng, home_subnet=home, dist=dist)
+                want.append(hosts.count_members(state.draw_targets(scans)))
+        else:
+            targets = ScannerState(st, rng, dist=dist).draw_targets(n * scans).reshape(n, scans)
+            want += [hosts.count_members(row) for row in targets]
     assert hits.tolist() == want
     assert sum(want) > 0
 
@@ -204,21 +221,23 @@ def literal_sweep(hosts, anchor, bits, n_scans):
 
 
 def literal_early_hits(st, hosts, scans, runs, seed):
-    """Run by run on child stream i: the home or anchor draw, then the
-    TargetLaw draw and its membership test, or the sweep."""
+    """Block by block on child stream b: the block's anchors or homes as one
+    draw, then run by run the sweep, or the TargetLaw draw and its membership
+    test; without homes, one TargetLaw draw for the whole block."""
     addr = hosts.addresses.astype(np.int64)
     bits = 32 - st.l
     law = TargetLaw(st, ss.aggregate(hosts, st.l) if st.kind in ("is", "optis") else None)
     want = []
-    for seq in np.random.SeedSequence(seed).spawn(runs):
-        rng = np.random.default_rng(seq)
+    rows = 2**12 if st.kind == "mss" else draw_rows(scans)
+    for rng, n in block_streams(np.random.SeedSequence(seed), runs, rows):
         if st.kind == "mss":
-            want.append(literal_sweep(hosts, int(addr[rng.integers(0, hosts.N)]), bits, scans))
-            continue
-        home = None
-        if law.needs_home:
-            home = int(addr[rng.integers(0, hosts.N)]) >> bits
-        want.append(literal_members(hosts, law.draw(rng, scans, home)))
+            anchors = addr[rng.integers(0, hosts.N, size=n)].tolist()
+            want += [literal_sweep(hosts, anchor, bits, scans) for anchor in anchors]
+        elif law.needs_home:
+            homes = (addr[rng.integers(0, hosts.N, size=n)] >> bits).tolist()
+            want += [literal_members(hosts, law.draw(rng, scans, home)) for home in homes]
+        else:
+            want += [literal_members(hosts, row) for row in law.draw(rng, n * scans).reshape(n, scans)]
     return want
 
 
@@ -226,29 +245,32 @@ def literal_early_hits(st, hosts, scans, runs, seed):
 @pytest.mark.parametrize("scans, runs", [(1000, 200), (70_000, 3), (10, epidemic._SWEEP_ROWS + 300)])
 def test_blocked_runs_give_the_literal_per_run_hits(token, scans, runs):
     # 1000 scans: blocks of 65 runs and a partial last block; 70,000 scans:
-    # one run per block; 10 scans: more runs than one mss block
+    # one run per block; 10 scans: more runs than one mss block.  rs at 10
+    # scans expects 0.51 hits in all; at seed 21 it draws one, so every
+    # case's reference holds a hit
     _, hosts = zipf_hosts()
     st = ss.parse_strategy(token)
-    cfg = ss.EarlyStageConfig(st, s=100.0, total_scans=scans, runs=runs, seed=17,
+    cfg = ss.EarlyStageConfig(st, s=100.0, total_scans=scans, runs=runs, seed=21,
                               hosts=hosts, record_hits=True)
     got = ss.estimate_infection_rate(cfg).per_run_hits
-    want = literal_early_hits(st, hosts, scans, runs, 17)
+    want = literal_early_hits(st, hosts, scans, runs, 21)
     assert got.dtype == np.int64 and got.tolist() == want
     assert sum(want) > 0
 
 
 @pytest.mark.parametrize("l", [16, 30])
 def test_mss_full_blocks_give_the_literal_per_run_hits(l):
-    # geometric stage 1, then (within budget) the anchor, then the sweep, run
-    # by run; more runs than one block, and one budget whose run 0 leaves an
-    # exact multiple of the block for its sweep
+    # per block on child b of the budget's child: the stage-1 geometrics as
+    # one draw, then the anchors of the runs within budget as one draw, then
+    # run by run the sweep; more runs than one block, and one budget whose
+    # run 0 leaves an exact multiple of the block for its sweep
     hosts = ss.HostSet(np.random.default_rng(2).integers(0, 2**32, size=2**21))
     bits = 32 - l
     runs = epidemic._SWEEP_ROWS + 300
     addr = hosts.addresses.astype(np.int64)
     p_first = hosts.N / 2**32
     seqs = np.random.SeedSequence(23).spawn(4)
-    first_stage1 = int(np.random.default_rng(seqs[2].spawn(1)[0]).geometric(p_first))
+    first_stage1 = int(np.random.default_rng(seqs[2].spawn(1)[0]).geometric(p_first, size=2**12)[0])
     budgets = [10, 3000, first_stage1 + (2 << bits), 3 * 2**16 + 17]
     cfg = ss.EarlyStageConfig(ss.ScanStrategy.sequential(l), s=1.0, total_scans=10, runs=runs,
                               seed=23, hosts=hosts, record_hits=True)
@@ -256,36 +278,88 @@ def test_mss_full_blocks_give_the_literal_per_run_hits(l):
     want = []
     for budget, seq in zip(budgets, np.random.SeedSequence(23).spawn(4)):
         hits = []
-        for child in seq.spawn(runs):
-            rng = np.random.default_rng(child)
-            stage1 = int(rng.geometric(p_first))
-            if stage1 > budget:
-                hits.append(0)
-                continue
-            anchor = int(addr[rng.integers(0, hosts.N)])
-            hits.append(1 + literal_sweep(hosts, anchor, bits, budget - stage1))
+        for rng, n in block_streams(seq, runs, 2**12):
+            stage1 = rng.geometric(p_first, size=n).tolist()
+            anchors = iter(addr[rng.integers(0, hosts.N, size=sum(s1 <= budget for s1 in stage1))].tolist())
+            hits += [1 + literal_sweep(hosts, next(anchors), bits, budget - s1) if s1 <= budget else 0
+                     for s1 in stage1]
+            assert next(anchors, None) is None
         want.append(hits)
     assert got == want
     assert (budgets[2] - first_stage1) % (1 << bits) == 0 and want[2][0] > 1
 
 
-def test_each_run_builds_one_generator_from_its_own_child_stream(monkeypatch):
-    # run i of a budget (or of the one estimate) is the only user of child i:
-    # one Generator each, built in run order, however the runs are blocked
+def test_each_block_builds_one_generator_from_its_own_child_stream(monkeypatch):
+    # block b of a budget (or of the one estimate) is the only user of child
+    # b: one Generator each, built in block order
     _, hosts = zipf_hosts()
     seeds = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or default_rng(seed))
     runs = epidemic._SWEEP_ROWS + 5
-    for token in ["rs", "is:l=8", "ls:l=8,pa=0.75", "mss:l=8"]:
+    for token, rows in [("rs", 65), ("is:l=8", 65), ("ls:l=8,pa=0.75", 65), ("mss:l=8", 2**12)]:
         seeds.clear()
         ss.estimate_infection_rate(ss.EarlyStageConfig(ss.parse_strategy(token), s=1.0, total_scans=1000,
                                                        runs=runs, seed=3, hosts=hosts))
-        assert [seq.spawn_key for seq in seeds] == [(i,) for i in range(runs)], token
+        assert [seq.spawn_key for seq in seeds] == [(b,) for b in range(-(-runs // rows))], token
     seeds.clear()
     cfg = ss.EarlyStageConfig(ss.ScanStrategy.sequential(8), s=1.0, total_scans=10, runs=runs, seed=3, hosts=hosts)
     ss.estimate_mss_full(cfg, [10, 1000])
-    assert [seq.spawn_key for seq in seeds] == [(b, i) for b in range(2) for i in range(runs)]
+    assert [seq.spawn_key for seq in seeds] == [(i, b) for i in range(2) for b in range(2)]
+
+
+@pytest.mark.parametrize("token, scans", [("is:l=8", 1000), ("ls:l=8,pa=0.75", 70_000), ("mss:l=8", 10**6)])
+def test_moments_equal_those_of_the_recorded_hits(token, scans):
+    _, hosts = zipf_hosts()
+    cfg = ss.EarlyStageConfig(ss.parse_strategy(token), s=100.0, total_scans=scans, runs=300, seed=6,
+                              hosts=hosts, record_hits=True)
+    results = [ss.estimate_infection_rate(cfg)]
+    if token.startswith("mss"):
+        results += ss.estimate_mss_full(cfg, [10**5, scans])
+    for r in results:
+        scale = 100.0 / r.total_scans
+        assert r.per_run_hits.sum() > 0
+        assert r.mean_alpha == pytest.approx(r.per_run_hits.mean() * scale, rel=1e-12)
+        assert r.var_alpha == pytest.approx(r.per_run_hits.var(ddof=1) * scale**2, rel=1e-12)
+
+
+def test_moments_do_not_depend_on_the_block_layout():
+    # exact integer sums, also of hits whose squares overflow int64
+    hits = np.random.default_rng(5).integers(0, 2**32 + 1, size=1000)
+    hits[:3] = 2**32
+    cfg = ss.EarlyStageConfig(ss.ScanStrategy.rs(), s=1.0, total_scans=2**32, runs=hits.size, seed=0,
+                              hosts=ss.HostSet([1]))
+
+    def moments(rows):
+        done = []
+
+        def block_hits(block):
+            _, n = block
+            done.append(n)
+            return hits[sum(done) - n:sum(done)]
+
+        total, square, recorded = epidemic._per_run_hits(cfg, np.random.SeedSequence(0), rows, block_hits)
+        assert recorded is None and sum(done) == hits.size
+        return total, square
+
+    want = (sum(hits.tolist()), sum(h * h for h in hits.tolist()))
+    assert [moments(rows) for rows in (1, 7, 1000, 4096)] == [want] * 4
+
+
+def test_runs_without_record_hits_keep_memory_flat():
+    # moments are summed block by block: no runs-long array is allocated
+    hosts = ss.HostSet(np.arange(0, 1 << 16, 7))
+    runs = 2**21
+    cfg = ss.EarlyStageConfig(ss.ScanStrategy.sequential(16), s=1.0, total_scans=100, runs=runs,
+                              seed=0, hosts=hosts)
+    tracemalloc.start()
+    try:
+        r = ss.estimate_infection_rate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.per_run_hits is None and r.mean_alpha > 0
+    assert peak < runs * 8 / 16, peak
 
 
 # -- MSS from a cold start -------------------------------------------------

@@ -303,21 +303,54 @@ def test_importance_draws_equal_the_dense_cumulative_law(name):
     assert np.array_equal(law.group_probabilities(np.arange(1 << l)), q_dense)
 
 
+class Uniforms:
+    """A stream whose uniforms are given and whose integers come from a
+    seeded Generator."""
+
+    def __init__(self, u, seed):
+        self.u, self.rng = u, np.random.default_rng(seed)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+    def integers(self, lo, hi, size, dtype):
+        return self.rng.integers(lo, hi, size=size, dtype=dtype)
+
+
 def test_importance_draw_past_the_last_cumulative_value_takes_the_last_occupied_group():
     # ten groups of 0.1 sum sequentially to 1 - 2**-53, so u = 1 - 2**-53 lies past
     # cum[-1]: the dense law clamped such a draw to group 255, which is empty
     d = ss.GroupDistribution(8, np.arange(10, 110, 10), np.ones(10))
     law = TargetLaw(ss.ScanStrategy.importance(8), d)
     assert np.cumsum(d.counts / d.total)[-1] <= np.nextafter(1.0, 0.0)
+    assert (law.draw(Uniforms(np.full(3, np.nextafter(1.0, 0.0)), seed=0), 3) >> 24).tolist() == [100, 100, 100]
 
-    class Stream:
-        def random(self, n):
-            return np.full(n, np.nextafter(1.0, 0.0))
 
-        def integers(self, lo, hi, size, dtype):
-            return np.zeros(size, dtype=dtype)
+@pytest.mark.parametrize("n", [1, 7, 50_000])
+@pytest.mark.parametrize("ties", [False, True])
+def test_sorted_importance_lookup_equals_the_unsorted_search(n, ties):
+    # TargetLaw.draw's sorted lookup against the unsorted search of the dense
+    # law: q_g with zero entries and dyadic masses, so each cumulative value
+    # is exact; with ties, half the uniforms sit on 0 or a cumulative boundary
+    # (repeated values included), where side="right" takes the next group
+    q = np.zeros(256)
+    q[[0, 3, 40, 41, 200, 255]] = [0.125, 0.25, 0.125, 0.25, 0.125, 0.125]
+    st = ss.ScanStrategy.importance(8, q_g=q)
+    law = TargetLaw(st)
 
-    assert (law.draw(Stream(), 3) >> 24).tolist() == [100, 100, 100]
+    def stream():
+        if not ties:
+            return np.random.default_rng(n)
+        pick = np.random.default_rng(n)
+        u = pick.random(n)
+        u[: (n + 1) // 2] = pick.choice(np.r_[0.0, np.cumsum(q[q > 0])[:-1]], size=(n + 1) // 2)
+        return Uniforms(pick.permutation(u), seed=n)
+
+    want = dense_importance_draw(q, 8, stream(), n)
+    assert np.array_equal(law.draw(stream(), n), want)
+    assert np.array_equal(ScannerState(st, stream()).draw_targets(n), want)
+    assert set((want >> 24).tolist()) <= {0, 3, 40, 41, 200, 255}
 
 
 def test_group_probabilities_at_occupied_groups(four_hosts):
