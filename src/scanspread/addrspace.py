@@ -72,6 +72,13 @@ def block_size(l: int) -> int:
     return 1 << block_bits(l)
 
 
+def _square_sum(h: np.ndarray) -> int:
+    """sum(h**2) exactly for int64 0 <= h <= 2**32: the int64 dot products of
+    h's 16-bit halves cannot overflow below 2**31 entries or a sum of 2**32."""
+    hi, lo = h >> 16, h & 0xFFFF
+    return (int(hi @ hi) << 32) + (int(hi @ lo) << 17) + int(lo @ lo)
+
+
 class HostSet:
     """An ordered set of distinct IPv4 addresses, stored sorted ascending."""
 
@@ -399,10 +406,7 @@ class GroupDistribution:
 
     def sum_sq_counts(self) -> int:
         """Exact integer sum of squared counts."""
-        c = self._counts
-        if self._total < (1 << 31):
-            return int(np.dot(c, c))
-        return int(sum(int(v) * int(v) for v in c))
+        return _square_sum(self._counts)
 
     def probabilities_occupied(self) -> np.ndarray:
         return self._counts / self._total

@@ -2,16 +2,16 @@
 deterministic per-subnet mean-field model.
 
 Early stage.  One infected scanner draws `total_scans` targets by its
-strategy's `TargetLaw` (the same draw `ScannerState.draw_targets` makes);
-each run counts probes that land on vulnerable hosts (with multiplicity) and
-yields a rate estimate hits * s / total_scans.  Runs go serially in blocks
-of about 2**16 targets (2**12 runs for MSS sweeps): block b draws all its
-runs' inputs as whole-block arrays from one Generator on the b-th child
-stream spawned from the master seed, and takes one membership pass.  The
-block size depends on total_scans alone, so results are reproducible and the
-`threads` setting changes neither the results nor the work done.  Only exact
-sums of hits and hits**2 are kept across blocks, so memory does not grow
-with the number of runs.
+strategy's `TargetLaw`; each run counts probes that land on vulnerable hosts
+(with multiplicity) and yields a rate estimate hits * s / total_scans.  Runs
+go serially in blocks of about 2**16 targets (2**12 runs for MSS sweeps):
+block b draws all its runs' inputs as whole-block arrays from one Generator
+on the b-th child stream spawned from the master seed (the runs' homes for
+ls and 2lls, then one (runs, scans) TargetLaw draw for every kind but MSS),
+and takes one membership pass.  The block size depends on total_scans
+alone, so results are reproducible and the `threads` setting changes
+neither the results nor the work done.  Only exact sums of hits and hits**2
+are kept across blocks, so memory does not grow with the number of runs.
 
 Full dynamics.  Time advances in ticks.  With n_t infected in total and m_i
 infected in /l group i, each (source, target-group) pair has a per-scan
@@ -52,6 +52,7 @@ from .addrspace import (
     ADDRESS_SPACE,
     GroupDistribution,
     HostSet,
+    _square_sum,
     aggregate,
     materialize_hosts,
 )
@@ -129,10 +130,10 @@ def _resolve_hosts(cfg: EarlyStageConfig) -> HostSet:
 class _EarlyEngine:
     """`run` gives the per-run hits of one block of estimate_infection_rate's
     runs from the block's (generator, runs) pair: the block's homes (ls,
-    2lls) or anchors (mss) as one array, then its targets (one TargetLaw
-    draw for the whole block, or one per run after the homes) and one
-    membership pass; or the MSS sweep.  `perfbench/selftest.py` injects its
-    Monte Carlo fault by patching `run`."""
+    2lls) or anchors (mss) as one array, then for every kind but mss one
+    TargetLaw draw of the whole block's targets and one membership pass; or
+    the MSS sweep.  `perfbench/selftest.py` injects its Monte Carlo fault by
+    patching `run`."""
 
     def __init__(self, cfg: EarlyStageConfig, hosts: HostSet):
         st = cfg.strategy
@@ -155,13 +156,8 @@ class _EarlyEngine:
             # host's block, starting just past it.  Sequential scanning is
             # deterministic given the anchor, so hits are an exact interval count.
             return _sweep_hits(hosts, hosts.addresses[rng.integers(0, hosts.N, size=n)], self.bits, self.total)
-        if not self.law.needs_home:
-            return hosts.count_members_per_row(self.law.draw(rng, n * self.total).reshape(n, self.total))
-        targets = np.empty((n, self.total), dtype=np.int64)
-        homes = hosts.addresses[rng.integers(0, hosts.N, size=n)] >> self.bits
-        for i, home in enumerate(homes.tolist()):
-            targets[i] = self.law.draw(rng, self.total, home)
-        return hosts.count_members_per_row(targets)
+        homes = hosts.addresses[rng.integers(0, hosts.N, size=(n, 1))] >> self.bits if self.law.needs_home else None
+        return hosts.count_members_per_row(self.law.draw(rng, (n, self.total), homes))
 
 
 def _sweep_hits(hosts: HostSet, anchor, bits: int, n_scans):
@@ -179,13 +175,6 @@ def _sweep_hits(hosts: HostSet, anchor, bits: int, n_scans):
     return (full * count(start, start + block)
             + count(start + offset, start + np.minimum(end, block))
             + count(start, start + np.maximum(end - block, 0)))
-
-
-def _square_sum(h: np.ndarray) -> int:
-    """sum(h**2) exactly, for hits 0 <= h <= 2**32: int64 dot products of h's
-    16-bit halves cannot overflow for fewer than 2**31 entries."""
-    hi, lo = h >> 16, h & 0xFFFF
-    return (int(hi @ hi) << 32) + (int(hi @ lo) << 17) + int(lo @ lo)
 
 
 def _per_run_hits(cfg: EarlyStageConfig, seq: np.random.SeedSequence, rows: int,

@@ -189,7 +189,7 @@ def group_scan_distribution(
 class TargetLaw:
     """Per-scan target law of one strategy: set up once (q_g and its cumulative
     sum over the groups with q_g > 0 for is, the argmax block for optis), then
-    `draw` n targets at a time.  mss draws its uniform random phase.  `tiers`
+    `draw` targets in any shape.  mss draws its uniform random phase.  `tiers`
     holds (mass, block size) of each block around the scanner's home group a
     scan aims at, innermost first (ls: the home /l; 2lls: the home /16, then
     /8), and `rest` the mass spread over the whole space (1 without tiers)."""
@@ -232,38 +232,44 @@ class TargetLaw:
         pos = np.minimum(np.searchsorted(self._groups, groups), self._groups.size - 1)
         return np.where(self._groups[pos] == groups, self._q[pos], 0.0)
 
-    def home_tiers(self, home: int | None) -> tuple[tuple[int, float, int], ...]:
+    def home_tiers(self, home) -> tuple[tuple[np.ndarray, float, int], ...]:
         """(block start, mass, block size) of each tier around home group
-        `home` (the /16 index for 2lls), innermost first."""
+        `home` (the /16 index for 2lls), innermost first.  `home` is an int or
+        an integer array; each start is int64 (uint32 & -size would overflow)."""
         st = self.strategy
-        if home is None or not 0 <= home < (1 << st.l):
+        h = np.asarray(home)
+        if h.dtype.kind not in "iu" or np.any(h < 0) or np.any(h >= 1 << st.l):
             raise ParameterError(f"{st.kind} needs a home group index in [0, 2**{st.l})")
-        return tuple(((home << self.bits) & -size, mass, size) for mass, size in self.tiers)
+        return tuple(((h.astype(np.int64) << self.bits) & -size, mass, size) for mass, size in self.tiers)
 
-    def draw(self, rng: np.random.Generator, n: int, home: int | None = None) -> np.ndarray:
-        """n target addresses (int64) of independent scans."""
+    def draw(self, rng: np.random.Generator, size: int | tuple[int, ...], home=None) -> np.ndarray:
+        """Target addresses (int64) of independent scans in numpy's `size` (an
+        int or a shape; ls/2lls `home` broadcasts against it), drawn from the
+        stream as the flat draw of as many targets would be."""
         kind = self.strategy.kind
         if kind == "is":
             # searching the uniforms in sorted order is faster (the lookups walk
             # cum monotonically) and gives each u the group an unsorted search would
-            u = rng.random(n)
-            order = np.argsort(u)
-            g = np.empty(n, dtype=np.intp)
-            g[order] = np.searchsorted(self._cum, u[order], side="right")
+            u = rng.random(size)
+            order = np.argsort(u, axis=None)
+            g = np.empty(u.size, dtype=np.intp)
+            g[order] = np.searchsorted(self._cum, u.take(order), side="right")
             np.minimum(g, self._cum.size - 1, out=g)
-            return (self._groups[g] << self.bits) + rng.integers(0, self.block, size=n, dtype=np.int64)
+            return ((self._groups[g.reshape(u.shape)] << self.bits)
+                    + rng.integers(0, self.block, size=size, dtype=np.int64))
         if kind == "optis":
-            return self._base + rng.integers(0, self.block, size=n, dtype=np.int64)
+            return self._base + rng.integers(0, self.block, size=size, dtype=np.int64)
         if not self.needs_home:  # rs, and the random phase of mss
-            return rng.integers(0, ADDRESS_SPACE, size=n, dtype=np.int64)
-        u = rng.random(n)
-        out = np.empty(n, dtype=np.int64)
-        rest = np.ones(n, dtype=bool)
+            return rng.integers(0, ADDRESS_SPACE, size=size, dtype=np.int64)
+        u = rng.random(size)
+        out = np.empty(u.shape, dtype=np.int64)
+        rest = np.ones(u.shape, dtype=bool)
         cum = 0.0
-        for start, mass, size in self.home_tiers(home):
+        for start, mass, width in self.home_tiers(home):
             cum += mass
             tier = rest & (u < cum)
-            out[tier] = start + rng.integers(0, size, size=int(np.count_nonzero(tier)), dtype=np.int64)
+            out[tier] = np.broadcast_to(start, u.shape)[tier] + rng.integers(
+                0, width, size=int(np.count_nonzero(tier)), dtype=np.int64)
             rest &= ~tier
         out[rest] = rng.integers(0, ADDRESS_SPACE, size=int(np.count_nonzero(rest)), dtype=np.int64)
         return out
@@ -308,11 +314,11 @@ class ScannerState:
     def draw_targets(self, n: int) -> np.ndarray:
         """Vectorized batch of n targets (int64).
 
-        Outside the MSS sweep this is `TargetLaw.draw`, the same call the
-        Monte Carlo engine makes, so a batch consumes the stream exactly as
-        one engine run does after its home draw.  next_target is the n = 1
-        case.  For MSS in the sequential phase the batch continues the sweep
-        and does not transition state.
+        Outside the MSS sweep this is `TargetLaw.draw`, which the Monte Carlo
+        engine calls once per block, so a batch consumes the stream exactly as
+        a one-run engine block does after its home draw.  next_target is the
+        n = 1 case.  For MSS in the sequential phase the batch continues the
+        sweep and does not transition state.
         """
         if self.phase == "random":
             return self._law.draw(self.rng, n, self.home)

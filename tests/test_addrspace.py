@@ -310,6 +310,16 @@ def test_distribution_argmax_tie_breaks_low():
     assert d.argmax_index == 7
 
 
+@pytest.mark.parametrize("l, indices, counts", [
+    (0, [0], [2**32]), (1, [0, 1], [2**31, 2**31]), (1, [0, 1], [2**31, 5]), (16, None, None),
+])
+def test_sum_sq_counts_is_exact_up_to_capacity(l, indices, counts):
+    # every count <= 2**32 and their sum <= 2**32: the int64 dot products of
+    # the 16-bit halves stay exact; (16, None, None) is the zipf /16 fixture
+    d = ss.synth_zipf(16, 1.0, 448894, seed=2) if indices is None else ss.GroupDistribution(l, indices, counts)
+    assert d.sum_sq_counts() == sum(c * c for c in d.counts.tolist())
+
+
 def test_distribution_csv_round_trip(tmp_path):
     d = ss.GroupDistribution(16, [0, 5, 65535], [10, 20, 30])
     path = tmp_path / "dist.csv"

@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 import threading
 import tracemalloc
@@ -167,13 +169,32 @@ def draw_rows(scans):
     return max(1, 2**16 // scans)
 
 
+def literal_homed_targets(st, rng, homes, scans):
+    """The (runs, scans) targets of one ls/2lls block, target by target and
+    without TargetLaw: the block's uniforms row by row; then, tier by tier
+    and last the rest, one draw of offsets handed out in row-major order to
+    the targets whose uniform falls in that tier, each added to the start
+    of the tier block around its own run's home."""
+    bits = 32 - st.l
+    tiers = [(st.p_a, 1 << bits)] if st.kind == "ls" else [(st.p_c, 1 << 16), (st.p_b, 1 << 24)]
+    cum = list(itertools.accumulate(mass for mass, _ in tiers))
+    tier_of = [[bisect.bisect_right(cum, x) for x in row] for row in rng.random((len(homes), scans)).tolist()]
+    targets = np.empty((len(homes), scans), dtype=np.int64)
+    for k, size in enumerate([size for _, size in tiers] + [2**32]):
+        cells = [(i, j) for i, row in enumerate(tier_of) for j, t in enumerate(row) if t == k]
+        for (i, j), offset in zip(cells, rng.integers(0, size, size=len(cells), dtype=np.int64).tolist()):
+            targets[i, j] = (homes[i] << bits) // size * size + offset if k < len(tiers) else offset
+    return targets
+
+
 @pytest.mark.parametrize("token", ["rs", "is:l=8", "optis:l=8", "ls:l=8,pa=0.75", "2lls:pb=0.25,pc=0.5"])
 @pytest.mark.parametrize("scans, runs", [(100_000, 20), (1000, 150)])
 def test_engine_and_scanner_state_draw_the_same_targets(token, scans, runs):
     # block b of the engine = ScannerState.draw_targets on child stream b:
     # one draw of the whole block's targets, or (ls/2lls) the block's homes
-    # first and then one scanner per run on the same stream; 100,000 scans
-    # give one run per block, 1000 scans 65 runs and a partial last block
+    # first and then, for a one-run block, one scanner on the same stream,
+    # or the literal per-target draw of a block of several runs; 100,000
+    # scans give one run per block, 1000 scans 65 runs and a partial last block
     _, hosts = zipf_hosts()
     st = ss.parse_strategy(token)
     cfg = ss.EarlyStageConfig(st, s=100.0, total_scans=scans, runs=runs, seed=4,
@@ -185,9 +206,12 @@ def test_engine_and_scanner_state_draw_the_same_targets(token, scans, runs):
     want = []
     for rng, n in block_streams(np.random.SeedSequence(4), runs, draw_rows(scans)):
         if st.kind in ("ls", "2lls"):
-            for home in (addr[rng.integers(0, hosts.N, size=n)] >> bits).tolist():
-                state = ScannerState(st, rng, home_subnet=home, dist=dist)
+            homes = (addr[rng.integers(0, hosts.N, size=n)] >> bits).tolist()
+            if n == 1:
+                state = ScannerState(st, rng, home_subnet=homes[0], dist=dist)
                 want.append(hosts.count_members(state.draw_targets(scans)))
+            else:
+                want += [hosts.count_members(row) for row in literal_homed_targets(st, rng, homes, scans)]
         else:
             targets = ScannerState(st, rng, dist=dist).draw_targets(n * scans).reshape(n, scans)
             want += [hosts.count_members(row) for row in targets]
@@ -222,8 +246,9 @@ def literal_sweep(hosts, anchor, bits, n_scans):
 
 def literal_early_hits(st, hosts, scans, runs, seed):
     """Block by block on child stream b: the block's anchors or homes as one
-    draw, then run by run the sweep, or the TargetLaw draw and its membership
-    test; without homes, one TargetLaw draw for the whole block."""
+    draw, then run by run the sweep, or the literal per-target draw of the
+    block and each run's membership test; without homes, one TargetLaw draw
+    for the whole block."""
     addr = hosts.addresses.astype(np.int64)
     bits = 32 - st.l
     law = TargetLaw(st, ss.aggregate(hosts, st.l) if st.kind in ("is", "optis") else None)
@@ -235,7 +260,7 @@ def literal_early_hits(st, hosts, scans, runs, seed):
             want += [literal_sweep(hosts, anchor, bits, scans) for anchor in anchors]
         elif law.needs_home:
             homes = (addr[rng.integers(0, hosts.N, size=n)] >> bits).tolist()
-            want += [literal_members(hosts, law.draw(rng, scans, home)) for home in homes]
+            want += [literal_members(hosts, row) for row in literal_homed_targets(st, rng, homes, scans)]
         else:
             want += [literal_members(hosts, row) for row in law.draw(rng, n * scans).reshape(n, scans)]
     return want
@@ -360,6 +385,32 @@ def test_runs_without_record_hits_keep_memory_flat():
         tracemalloc.stop()
     assert r.per_run_hits is None and r.mean_alpha > 0
     assert peak < runs * 8 / 16, peak
+
+
+def test_a_one_run_homed_block_peaks_no_higher_than_rs():
+    # the tier starts broadcast against the block: a homed draw holds no
+    # per-target copy of its home, so its peak (42 B a target, the
+    # membership pass's) stays within the rs block's but for the block's few
+    # fixed-size objects (its home column, the tier tuples); homes repeated
+    # per target lift 2lls, whose two tiers' starts coexist, to 46 B a target
+    _, hosts = zipf_hosts()
+    scans = 2**22
+
+    def block_peak(token):
+        cfg = ss.EarlyStageConfig(ss.parse_strategy(token), s=1.0, total_scans=scans, runs=2, seed=0, hosts=hosts)
+        engine = epidemic._EarlyEngine(cfg, hosts)
+        assert engine.rows == 1
+        tracemalloc.start()
+        try:
+            engine.run((np.random.default_rng(0), 1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rs = block_peak("rs:l=8")
+    for token in ("ls:l=8,pa=0.75", "2lls:pb=0.25,pc=0.5"):
+        peak = block_peak(token)
+        assert peak <= rs + 2**16, (token, peak / scans, rs / scans)
 
 
 # -- MSS from a cold start -------------------------------------------------

@@ -270,6 +270,28 @@ def test_optis_draws_stay_in_argmax_block(four_hosts):
     assert np.all((t >> 24) == 10)
 
 
+@pytest.mark.parametrize("token, home", [("ls:l=16,pa=0.75", 4660), ("ls:l=8,pa=0.5", 255),
+                                         ("2lls:pb=0.25,pc=0.5", (10 << 8) | 7), ("2lls:pb=0.25,pc=0.5", 0)])
+def test_a_home_array_draws_what_its_scalar_home_draws(token, home):
+    # one home per target, all equal, against the scalar home: bit for bit
+    law = TargetLaw(ss.parse_strategy(token))
+    n = 100_000
+    want = law.draw(np.random.default_rng(16), n, home)
+    assert np.array_equal(law.draw(np.random.default_rng(16), n, np.full(n, home)), want)
+    assert np.array_equal(law.draw(np.random.default_rng(16), (4, n // 4), np.full((4, 1), home, np.uint32)),
+                          want.reshape(4, n // 4))
+
+
+@pytest.mark.parametrize("home", [None, -1, 256, 2**70, 3.0, np.array([0, 256]), np.array([-1, 3]),
+                                  np.array([2**64 - 1], dtype=np.uint64), np.array([3.0]), np.array([[5], [-2]])])
+def test_out_of_range_homes_are_rejected(home):
+    law = TargetLaw(ss.ScanStrategy.localized(8, 0.5))
+    with pytest.raises(ParameterError):
+        law.home_tiers(home)
+    with pytest.raises(ParameterError):
+        law.draw(np.random.default_rng(0), (2, 3), home)
+
+
 def test_single_draws_follow_the_same_law():
     state = ScannerState(ss.ScanStrategy.localized(8, 1.0), np.random.default_rng(15), home_subnet=9)
     for _ in range(50):
