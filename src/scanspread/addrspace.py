@@ -33,8 +33,8 @@ ADDRESS_SPACE = 1 << ADDRESS_BITS
 # synth_zipf draw, an explicit q_g, group_scan_distribution): 8 MiB of int64.
 MAX_DENSE_LEVEL = 20
 
-# Lines, hosts or draws per step of the host-list kernels: bounds their
-# temporary arrays to a few MB whatever the input size.
+# Lines, hosts, draws or cells per step of the I/O and host-list kernels:
+# bounds their temporary arrays to a few MB whatever the input size.
 _CHUNK = 1 << 16
 
 # The bytes of canonical host-list text, the only input the vectorized parser reads.
@@ -53,6 +53,14 @@ _PERMUTE_MAX_BLOCK = 1 << 22
 # any spacing, and the column row, whose first cell is "group_index".
 _DIST_HEADER = re.compile(r"#\s*l=(\d+)\s+N=(\d+)\s*$")
 _DIST_COLUMNS = "group_index"
+
+# What to_csv writes before its rows, and the only bytes of those rows: the
+# vectorized reader takes files of that layout whose fields have at most
+# _MAX_DIGITS digits (so every value fits int64).
+_CANONICAL_DIST_HEAD = re.compile(rb"# l=(\d+) N=(\d+)\ngroup_index,count\n")
+_CANONICAL_DIST_BYTES = b"0123456789,\n"
+_COMMA = ord(",")
+_MAX_DIGITS = 18
 
 
 def check_prefix_level(l: int) -> int:
@@ -429,36 +437,83 @@ class GroupDistribution:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "GroupDistribution":
+        """Read a distribution CSV.  A file laid out exactly as to_csv writes it
+        is parsed by a vectorized kernel; any other file goes through the csv
+        loop that defines the format, with the same result and the same errors."""
         path = Path(path)
-        header = None
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                try:  # data rows first: the other kinds never parse as two ints
-                    rows.append((int(row[0]), int(row[1])))
-                    continue
-                except (ValueError, IndexError):
-                    pass
-                if not any(cell.strip() for cell in row):  # a blank line, spaces and tabs included
-                    continue
-                if row[0].lstrip().startswith("#"):
-                    m = _DIST_HEADER.match(",".join(row).strip())
-                    if not m:
-                        raise DistributionFormatError(f"{path}: bad header comment {row!r}")
-                    header = (int(m.group(1)), int(m.group(2)))
-                elif row[0].strip() != _DIST_COLUMNS:
-                    raise DistributionFormatError(f"{path}: bad row {row!r}")
-        if header is None:
-            raise DistributionFormatError(f"{path}: missing '# l=<l> N=<N>' header")
-        l, n = header
-        try:
-            dist = cls(l, [i for i, _ in rows], [c for _, c in rows])
-        except ParameterError as exc:
-            raise DistributionFormatError(f"{path}: {exc}") from None
-        if dist.total != n:
-            raise DistributionFormatError(f"{path}: counts sum to {dist.total}, header says N={n}")
-        return dist
+        with open(path, "rb") as fh:
+            dist = _dist_csv_canonical(path, fh.read())
+        return dist if dist is not None else _dist_csv_rows(path)
+
+
+def _dist_csv_rows(path: Path) -> GroupDistribution:
+    """Per-row reference reader of a distribution CSV: the definition of the format."""
+    header = None
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            try:  # data rows first: the other kinds never parse as two ints
+                rows.append((int(row[0]), int(row[1])))
+                continue
+            except (ValueError, IndexError):
+                pass
+            if not any(cell.strip() for cell in row):  # a blank line, spaces and tabs included
+                continue
+            if row[0].lstrip().startswith("#"):
+                m = _DIST_HEADER.match(",".join(row).strip())
+                if not m:
+                    raise DistributionFormatError(f"{path}: bad header comment {row!r}")
+                header = (int(m.group(1)), int(m.group(2)))
+            elif row[0].strip() != _DIST_COLUMNS:
+                raise DistributionFormatError(f"{path}: bad row {row!r}")
+    if header is None:
+        raise DistributionFormatError(f"{path}: missing '# l=<l> N=<N>' header")
+    return _checked_dist(path, *header, [i for i, _ in rows], [c for _, c in rows])
+
+
+def _dist_csv_canonical(path: Path, data: bytes) -> GroupDistribution | None:
+    """Vectorized reader of the bytes to_csv writes, _CHUNK rows at a time:
+    the header, the column row, then at least one row of two fields of 1 to
+    _MAX_DIGITS ASCII digits, the first ending in ',' and the second in
+    '\\n'.  None for any other file."""
+    m = _CANONICAL_DIST_HEAD.match(data)
+    if m is None or m.end() == len(data) or data[-1] != _NL or data[m.end():].translate(None, _CANONICAL_DIST_BYTES):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8, offset=m.end())
+    step = 16 * _CHUNK
+    ends = np.concatenate([np.flatnonzero((buf[lo:lo + step] == _COMMA) | (buf[lo:lo + step] == _NL)) + lo
+                           for lo in range(0, buf.size, step)])  # each field ends at its separator
+    values = []
+    for first in range(0, ends.size, 2 * _CHUNK):
+        e = ends[first:first + 2 * _CHUNK]
+        s = np.empty_like(e)
+        s[0] = ends[first - 1] + 1 if first else 0
+        s[1:] = e[:-1] + 1
+        width = e - s
+        if (e.size % 2 or width.min() < 1 or width.max() > _MAX_DIGITS
+                or np.any(buf[e[0::2]] != _COMMA) or np.any(buf[e[1::2]] != _NL)):
+            return None
+        value = np.zeros(e.size, dtype=np.int64)
+        for j in range(int(width.max())):  # digits from the right
+            digit = buf[np.maximum(e - 1 - j, 0)].astype(np.int64) - _ZERO
+            value += np.where(width > j, digit * 10**j, 0)
+        values.append(value)
+    value = np.concatenate(values)
+    return _checked_dist(path, int(m.group(1)), int(m.group(2)), value[0::2], value[1::2])
+
+
+def _checked_dist(path: Path, l: int, n: int, indices, counts) -> GroupDistribution:
+    """The distribution of a CSV's rows, checked against its header's N."""
+    try:
+        dist = GroupDistribution(l, indices, counts)
+    except ParameterError as exc:
+        raise DistributionFormatError(f"{path}: {exc}") from None
+    except OverflowError:  # a field the csv loop read is outside int64
+        raise DistributionFormatError(f"{path}: a group index or count is outside [-2**63, 2**63)") from None
+    if dist.total != n:
+        raise DistributionFormatError(f"{path}: counts sum to {dist.total}, header says N={n}")
+    return dist
 
 
 def _opens_distribution(line: str) -> bool:
@@ -709,13 +764,37 @@ def write_table(path: str | Path, header: Iterable[str], columns: Iterable, comm
     cells are quoted as the csv module quotes them (only those holding ',' or
     '"'); numbers are the repr of Python ints and floats, never numpy scalars."""
     arrays = [np.asarray(col) for col in columns]
+    rows = len(arrays[0]) if arrays else 0
+    if any(len(a) != rows for a in arrays):
+        raise ValueError("columns differ in length")
+    # per column, the formatter of its cells; None for float64, formatted per step
+    fmts = [None if a.dtype == np.float64 else _csv_text if a.dtype.kind == "U" else repr for a in arrays]
+    floats = [j for j, f in enumerate(fmts) if f is None]
     step = max(1, _CHUNK // max(1, len(arrays)))  # rows per step: about _CHUNK cells
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"# {c}\n" for c in comments)
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(arrays[0]) if arrays else 0, step):
-            cells = [map(_csv_text if a.dtype.kind == "U" else repr, a[lo:lo + step].tolist()) for a in arrays]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+        for lo in range(0, rows, step):
+            part = [a[lo:lo + step] for a in arrays]
+            texts = _float_texts(np.array([part[j] for j in floats])) if floats else None
+            if len(floats) == len(part):  # float64 columns only: the rows are ready
+                lines = texts.tolist()
+            else:
+                cells = [map(f, a.tolist()) if f else None for f, a in zip(fmts, part)]
+                for j, col in zip(floats, texts.T.tolist() if floats else ()):
+                    cells[j] = col
+                lines = zip(*cells)
+            fh.writelines(",".join(row) + "\n" for row in lines)
+
+
+def _float_texts(block: np.ndarray) -> np.ndarray:
+    """The repr of each cell of a (columns, rows) float64 block, as a (rows,
+    columns) object array.  Each distinct bit pattern is formatted once, so
+    0.0 and -0.0 stay apart."""
+    bits = block.view(np.int64)
+    keys, _ = _run_lengths(np.sort(bits, axis=None))
+    text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    return text[np.searchsorted(keys, bits.T)]
 
 
 def _csv_text(cell: str) -> str:

@@ -181,9 +181,16 @@ def group_scan_distribution(
         return law.group_probabilities(np.arange(m))
     # the rest uniform, each home tier's mass spread over its groups
     q = np.full(m, law.rest / m)
-    for start, mass, size in law.home_tiers(home_subnet):
+    for start, mass, size in _scanner_home_tiers(law, home_subnet):
         q[start >> law.bits : (start + size) >> law.bits] += mass * law.block / size
     return q
+
+
+def _scanner_home_tiers(law: "TargetLaw", home) -> tuple[tuple[np.ndarray, float, int], ...]:
+    """`law.home_tiers` of one scanner, whose home is one group index."""
+    if np.ndim(home) != 0:
+        raise ParameterError(f"{law.strategy.kind} needs one home group index, got an array of shape {np.shape(home)}")
+    return law.home_tiers(home)
 
 
 class TargetLaw:
@@ -294,7 +301,7 @@ class ScannerState:
         self.block = self._law.block
         self.home = home_subnet
         if self._law.needs_home:
-            self._law.home_tiers(home_subnet)  # rejects a missing or out-of-range home
+            _scanner_home_tiers(self._law, home_subnet)  # rejects a missing, out-of-range or array home
         self.phase = "random"
         self.block_start = None
         self.cursor = None

@@ -348,6 +348,77 @@ def test_distribution_csv_errors(tmp_path):
         ss.GroupDistribution.from_csv(p)
 
 
+_CANONICAL = b"# l=8 N=7\ngroup_index,count\n1,2\n5,5\n"
+
+
+@pytest.mark.parametrize("data, canonical", [
+    (_CANONICAL, True),
+    (b"# l=8 N=7\ngroup_index,count\n5,5\n1,2\n0,0\n", True),  # unsorted, a zero count
+    (b"# l=8 N=7\ngroup_index,count\n001,0002\n5,000000000000000005\n", True),  # leading zeros
+    (b"# l=8 N=99\ngroup_index,count\n1,2\n5,5\n", True),  # N disagrees with the counts
+    (b"# l=8 N=7\ngroup_index,count\n1,2\n1,5\n", True),  # a duplicate group
+    (b"# l=8 N=7\ngroup_index,count\n256,7\n", True),  # a group past 2**l
+    (b"# l=33 N=7\ngroup_index,count\n1,7\n", True),  # a level past 32
+    (b"# l=8 N=999999999999999999\ngroup_index,count\n1,999999999999999999\n", True),  # 18 digits
+    (_CANONICAL.replace(b"\n", b"\r\n"), False),
+    (_CANONICAL.replace(b"1,2\n", b"  \n1,2\n\t\n"), False),  # blank rows of spaces or tabs
+    (_CANONICAL.replace(b"1,2\n", b"\n1,2\n"), False),  # an empty row
+    (_CANONICAL.replace(b"# l=8 N=7", b"#  l=8   N=7"), False),
+    (_CANONICAL[:-1], False),  # a last row without its newline
+    (_CANONICAL.replace(b"5,5", b"5,0000000000000000005"), False),  # 19 digits
+    (_CANONICAL.replace(b"5,5", b"5,9999999999999999999").replace(b"N=7", b"N=10000000000000000001"), False),
+    (_CANONICAL.replace(b"1,2", b"1,-1"), False),
+    (_CANONICAL.replace(b"5,5", b"5,+5"), False),
+    (_CANONICAL.replace(b"5,5", b"5, 5"), False),
+    (_CANONICAL.replace(b"5,5", b"5,5,9"), False),  # a third field, which the csv loop ignores
+    (_CANONICAL.replace(b"5,5", b"5"), False),  # one field
+    (_CANONICAL.replace(b"2\n5,5", b"2,5\n5"), False),  # both commas in the first row
+    (_CANONICAL.replace(b"5,5", "5,\u0665".encode()), False),  # a non-ASCII digit that int() reads
+    (_CANONICAL.replace(b"group_index,count\n", b""), False),
+    (b"# l=8 N=0\ngroup_index,count\n", False),  # a header-only file
+    (b"# l=8 N=3\ngroup_index,count\n", False),
+    (b"group_index,count\n1,2\n", False),  # no header
+], ids=["canonical", "unsorted_zero", "leading_zeros", "bad_N", "duplicate", "group_range", "level_range",
+        "18_digits", "crlf", "blank_rows", "empty_row", "header_spacing", "no_last_newline", "19_digits",
+        "past_int64", "negative", "plus_sign", "space", "three_fields", "one_field", "misplaced_comma",
+        "unicode_digit", "no_column_row", "header_only", "header_only_bad_N", "no_header"])
+def test_vectorized_distribution_reader_matches_the_csv_loop(tmp_path, data, canonical):
+    def outcome(read):
+        try:
+            return read()
+        except DistributionFormatError as exc:
+            return str(exc)
+
+    p = tmp_path / "d.csv"
+    p.write_bytes(data)
+    want = outcome(lambda: addrspace._dist_csv_rows(p))
+    fast = outcome(lambda: addrspace._dist_csv_canonical(p, data))
+    if canonical:
+        assert fast is not None and type(fast) is type(want) and fast == want
+    else:
+        assert fast is None
+    got = outcome(lambda: ss.GroupDistribution.from_csv(p))
+    assert type(got) is type(want) and got == want
+
+
+def test_vectorized_distribution_reader_matches_the_csv_loop_over_several_steps(tmp_path):
+    rng = np.random.default_rng(4)
+    n = 2 * addrspace._CHUNK + 9
+    d = ss.GroupDistribution(20, rng.choice(1 << 20, n, replace=False), rng.integers(1, 4097, n))
+    p = tmp_path / "d.csv"
+    d.to_csv(p)
+    assert addrspace._dist_csv_canonical(p, p.read_bytes()) == d == addrspace._dist_csv_rows(p)
+
+
+def test_distribution_csv_that_is_not_utf8_is_left_to_the_text_reader(tmp_path):
+    # the CLI reports the UnicodeDecodeError as InputFileError (test_non_utf8_input_exits_3)
+    p = tmp_path / "d.csv"
+    p.write_bytes(_CANONICAL.replace(b"5,5", b"5,5\xff"))
+    assert addrspace._dist_csv_canonical(p, p.read_bytes()) is None
+    with pytest.raises(UnicodeDecodeError):
+        ss.GroupDistribution.from_csv(p)
+
+
 # -- synthetic distributions ----------------------------------------------
 
 
@@ -579,6 +650,35 @@ def test_write_table_formats_numbers_with_repr_and_text_like_csv(tmp_path):
         "mss:l=16,nan,1099511627776,0.25",
         "optis:l=8,9007199254740994.0,-9223372036854775808,0.25",
     ]
+
+
+def test_write_table_equals_the_per_cell_repr_loop_over_several_steps(tmp_path):
+    # float cells are formatted once per distinct value; 0.0 and -0.0 share a
+    # step, where a plain float unique would merge them
+    rng = np.random.default_rng(9)
+    odd_nans = np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64).view(np.float64)
+    pool = np.array([0.0, -0.0, math.nan, *odd_nans, math.inf, -math.inf, 5e-324, 2.0**53 + 2, 0.1, 1 / 3, -2.5])
+    n = addrspace._CHUNK + 7  # _CHUNK // 4 rows per step: 4 steps and a part
+    x, y = pool[rng.integers(0, pool.size, (2, n))]
+    x[:2], y[:2] = [0.0, -0.0], [-0.0, 0.0]
+    ints = rng.choice([0, -1, 7, 2**53 + 1, -(2**63)], n)
+    text = rng.choice(["rs", "ls:l=16,pa=0.75", 'say "hi"', "is:l=16"], n)
+    want = io.StringIO()
+    want.write("# a comment\n")
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["name", "x", "k", "y"])
+    writer.writerows(zip(text.tolist(), map(repr, x.tolist()), map(repr, ints.tolist()), map(repr, y.tolist())))
+    path = tmp_path / "t.csv"
+    write_table(path, ["name", "x", "k", "y"], [text, x, ints, y], ["a comment"])
+    assert path.read_bytes() == want.getvalue().encode()
+    write_table(path, ["x", "y"], [x, y])  # float64 columns only
+    assert path.read_bytes() == ("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))).encode()
+    assert path.read_text().splitlines()[1:3] == ["0.0,-0.0", "-0.0,0.0"]
+
+
+def test_write_table_refuses_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "t.csv", ["a", "b"], [np.zeros(100), np.zeros(1)])
 
 
 def test_write_table_of_no_rows_is_its_header(tmp_path):

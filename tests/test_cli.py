@@ -154,8 +154,9 @@ def test_missing_or_unreadable_input_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("kind, data", [
     ("hosts", b"10.0.0.1\n10.0.\xff.2\n"),
     ("dist", b"# l=8 N=1\ngroup_index,count\n10,1\xff\n"),
+    ("dist", b"# l=8 N=1\xff\ngroup_index,count\n10,1\n"),
     ("auto", b"\xff10.0.0.1\n"),
-], ids=["hosts", "dist", "auto"])
+], ids=["hosts", "dist", "dist_header", "auto"])
 def test_non_utf8_input_exits_3(tmp_path, capsys, kind, data):
     p = tmp_path / "bad.txt"
     p.write_bytes(data)

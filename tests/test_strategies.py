@@ -216,6 +216,20 @@ def test_state_validation(four_hosts):
     ScannerState(ss.ScanStrategy.importance(8), rng, dist=ss.aggregate(four_hosts, 8))
 
 
+@pytest.mark.parametrize("home", [np.array([3, 4]), np.array([[3]]), [3]])
+@pytest.mark.parametrize("strategy", [ss.ScanStrategy.localized(8, 0.5), ss.ScanStrategy.two_level(0.25, 0.5)],
+                         ids=["ls", "2lls"])
+def test_one_scanner_refuses_an_array_home(strategy, home):
+    with pytest.raises(ParameterError, match="one home group index"):
+        ss.group_scan_distribution(strategy, home_subnet=home)
+    with pytest.raises(ParameterError, match="one home group index"):
+        ScannerState(strategy, np.random.default_rng(0), home_subnet=home)
+    # a numpy integer scalar is one home
+    ref = ss.group_scan_distribution(strategy, home_subnet=3)
+    assert np.array_equal(ss.group_scan_distribution(strategy, home_subnet=np.int64(3)), ref)
+    assert ScannerState(strategy, np.random.default_rng(0), home_subnet=np.uint32(3)).draw_targets(4).shape == (4,)
+
+
 # -- empirical frequencies -------------------------------------------------
 
 
