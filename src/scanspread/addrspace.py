@@ -88,28 +88,29 @@ def _square_sum(h: np.ndarray) -> int:
 
 
 class HostSet:
-    """An ordered set of distinct IPv4 addresses, stored sorted ascending."""
+    """An ordered set of distinct IPv4 addresses, stored sorted ascending.
 
-    __slots__ = ("_addr", "_addr64")
+    The sorted uint32 addresses are the only per-host array (4 B a host).  The
+    first membership query builds a _MemberIndex (3 MB plus 32 B per occupied
+    /24), which later queries reuse."""
+
+    __slots__ = ("_addr", "_members")
 
     def __init__(self, addresses):
         raw = np.asarray(addresses)
         if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
             raise ParameterError("addresses must be integers")
-        arr = np.asarray(raw, dtype=np.int64)
-        if arr.ndim != 1:
-            arr = arr.reshape(-1)
+        arr = np.asarray(raw, dtype=np.int64).reshape(-1)
         if arr.size and (arr.min() < 0 or arr.max() >= ADDRESS_SPACE):
             raise ParameterError("addresses must lie in [0, 2**32)")
-        arr = np.sort(arr)
+        arr = arr.astype(np.uint32)
+        arr.sort()
         keep = np.empty(arr.size, dtype=bool)
         keep[:1] = True
         np.not_equal(arr[1:], arr[:-1], out=keep[1:])
-        arr = arr[keep]
-        self._addr64 = arr
-        self._addr = arr.astype(np.uint32)
+        self._addr = arr[keep]
         self._addr.flags.writeable = False
-        self._addr64.flags.writeable = False
+        self._members = None
 
     @property
     def addresses(self) -> np.ndarray:
@@ -124,7 +125,7 @@ class HostSet:
         return self._addr.size
 
     def __iter__(self) -> Iterator[int]:
-        return iter(int(a) for a in self._addr64)
+        return iter(int(a) for a in self._addr)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HostSet):
@@ -137,8 +138,15 @@ class HostSet:
     def count_in_interval(self, lo, hi):
         """Number of hosts with lo <= address < hi.  Array bounds broadcast
         and count elementwise into an int64 array; scalar bounds give an int."""
-        n = np.searchsorted(self._addr64, hi) - np.searchsorted(self._addr64, lo)
+        n = self._below(hi) - self._below(lo)
         return int(n) if np.ndim(n) == 0 else n
+
+    def _below(self, bound):
+        """Hosts below each integer bound: the uint32 addresses are searched
+        for the bound clipped into [0, 2**32), and a bound >= 2**32 counts N."""
+        bound = np.asarray(bound, dtype=np.int64)
+        n = np.searchsorted(self._addr, np.clip(bound, 0, ADDRESS_SPACE - 1).astype(np.uint32))
+        return np.where(bound < ADDRESS_SPACE, n, self._addr.size)
 
     def count_members(self, targets: np.ndarray) -> int:
         """How many entries of `targets` (with multiplicity) are hosts."""
@@ -146,25 +154,69 @@ class HostSet:
 
     def count_members_per_row(self, targets: np.ndarray) -> np.ndarray:
         """Hosts among each row of a (rows, n) target block, with multiplicity.
+        Targets outside [0, 2**32) are misses."""
+        if self._members is None:
+            self._members = _MemberIndex(self._addr)
+        return self._members.count_per_row(np.asarray(targets, dtype=np.int64))
 
-        One sort for the whole block: each in-range target is packed with its
-        row as `target << shift | row`, so the sorted keys are sorted by
-        target and one searchsorted over them finds every hit.  Targets
-        outside [0, 2**32) are misses.
-        """
-        t = np.asarray(targets, dtype=np.int64)
-        rows = t.shape[0]
-        if self._addr64.size == 0:
-            return np.zeros(rows, dtype=np.int64)
-        shift = max(1, (rows - 1).bit_length())
-        ok = (t >= 0) & (t < ADDRESS_SPACE)
-        keys = (t[ok] << shift) | np.broadcast_to(np.arange(rows, dtype=np.int64)[:, None], t.shape)[ok]
-        keys.sort()
-        found = keys >> shift
-        idx = np.searchsorted(self._addr64, found)
-        np.minimum(idx, self._addr64.size - 1, out=idx)
-        hit_rows = keys[self._addr64[idx] == found] & ((1 << shift) - 1)
-        return np.bincount(hit_rows, minlength=rows).astype(np.int64, copy=False)
+
+class _MemberIndex:
+    """Static membership index of sorted uint32 addresses: a rank directory
+    (Jacobson, FOCS 1989) over a bitmap of occupied /24s, and a 256-bit leaf
+    per occupied /24, in the manner of Roaring bitmaps (Chambi et al., SP&E
+    46(5), 2016).
+
+    - words: bit j of word w is set when /24 number 64 * w + j holds a host;
+    - rank: the occupied /24s before word w;
+    - leaves: (occupied + 1) leaves of 4 uint64 words.  Leaf 0 is all zero:
+      every /24 without hosts points to it.  The k-th occupied /24 (from 1)
+      has leaf k, whose bit a & 255 is set for each of its hosts a.
+    """
+
+    __slots__ = ("words", "rank", "leaves")
+
+    def __init__(self, addr: np.ndarray):
+        self.words = np.zeros(1 << 18, dtype=np.uint64)
+        for lo in range(0, addr.size, _CHUNK):  # steps keep the temporaries O(_CHUNK)
+            p = addr[lo:lo + _CHUNK] >> 8
+            _or_bits(self.words, p >> 6, p & 63)
+        count = np.bitwise_count(self.words)
+        self.rank = np.cumsum(count, dtype=np.int32) - count
+        self.leaves = np.zeros(4 * (int(self.rank[-1]) + int(count[-1]) + 1), dtype=np.uint64)
+        for lo in range(0, addr.size, _CHUNK):
+            a = addr[lo:lo + _CHUNK].astype(np.int64)
+            _or_bits(self.leaves, self._leaf(a >> 8) << 2 | (a >> 6) & 3, a & 63)
+
+    @property
+    def nbytes(self) -> int:
+        return self.words.nbytes + self.rank.nbytes + self.leaves.nbytes
+
+    def _leaf(self, p: np.ndarray) -> np.ndarray:
+        """The leaf of each int64 /24 number p in [0, 2**24)."""
+        w = p >> 6
+        # the bits of /24s 64 * w .. p, with p's on top: their count is p's rank
+        upto = self.words[w] << (63 - (p & 63)).view(np.uint64)
+        return (self.rank[w] + np.bitwise_count(upto)) * (upto >> 63).view(np.int64)
+
+    def count_per_row(self, t: np.ndarray) -> np.ndarray:
+        """Members among each row of an int64 target block.  Every target is
+        looked up modulo 2**32, so every gather is in range; those outside
+        [0, 2**32) are then masked out."""
+        a = t & 0xFFFFFFFF
+        idx = self._leaf(a >> 8)
+        idx <<= 2
+        idx |= (a >> 6) & 3
+        hit = self.leaves[idx]
+        hit >>= (a & 63).view(np.uint64)
+        hit &= t.view(np.uint64) < ADDRESS_SPACE
+        return hit.view(np.int64).sum(axis=1)
+
+
+def _or_bits(dst: np.ndarray, key: np.ndarray, bit: np.ndarray) -> None:
+    """dst[key] |= 1 << bit for every pair, with `key` sorted: the bits of a
+    run of equal keys are ORed together first, so each key is written once."""
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    dst[key[starts]] |= np.bitwise_or.reduceat(np.uint64(1) << bit.astype(np.uint64), starts)
 
 
 @dataclass(frozen=True)
@@ -270,22 +322,30 @@ def _parse_canonical(data: bytes, origin: str | None) -> HostListResult:
 
 def _parse_canonical_lines(seg: np.ndarray, s: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Addresses of the valid lines [s, e) of `seg`, in line order, and the
-    mask of valid lines."""
-    dots = np.flatnonzero(seg == _DOT)
+    mask of valid lines.
+
+    The temporaries are narrow: positions are int32 unless `seg` holds 2**31
+    bytes or more, widths are clipped to 4 (too wide either way) before they
+    become int8, digits and octets are int16, and only the valid octets are
+    widened to int64 for the final shift.
+    """
+    pos = np.int32 if seg.size < 2**31 else np.int64
+    dots = np.flatnonzero(seg == _DOT).astype(pos)
+    s, e = s.astype(pos), e.astype(pos)
     first_dot = np.searchsorted(dots, s)
     valid = np.searchsorted(dots, e) - first_dot == 3
     d = dots[first_dot[valid, None] + np.arange(3)]
     lo = np.column_stack([s[valid], d + 1])  # the 4 octets are [lo, hi)
     hi = np.column_stack([d, e[valid]])
-    width = hi - lo
-    octet = np.zeros(width.shape, dtype=np.int64)
+    width = np.minimum(hi - lo, 4).astype(np.int8)
+    octet = np.zeros(width.shape, dtype=np.int16)
     for j, weight in enumerate((1, 10, 100)):  # digits from the right
-        digit = seg[np.maximum(hi - 1 - j, 0)].astype(np.int64) - _ZERO
+        digit = seg[np.maximum(hi - 1 - j, 0)].astype(np.int16) - _ZERO
         octet += np.where(width > j, digit * weight, 0)
     leading_zero = (width > 1) & (seg[np.minimum(lo, seg.size - 1)] == _ZERO)
     ok = ((width >= 1) & (width <= 3) & ~leading_zero & (octet <= 255)).all(axis=1)
     valid[valid] = ok
-    octet = octet[ok]
+    octet = octet[ok].astype(np.int64)
     return (octet[:, 0] << 24) | (octet[:, 1] << 16) | (octet[:, 2] << 8) | octet[:, 3], valid
 
 

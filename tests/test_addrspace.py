@@ -1,6 +1,8 @@
 import csv
 import io
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +141,33 @@ def test_canonical_parse_spans_chunks_and_reports_the_bad_line(tmp_path):
     assert str(exc.value).startswith(f"{path}:{2 * addrspace._CHUNK + 4}: ")
 
 
+def test_an_octet_wider_than_an_int16_is_still_rejected(tmp_path):
+    # 65,537 digits: a width narrowed before it is clipped would wrap to 1
+    bad = "1" * 65537 + ".1.1.1"
+    with pytest.raises(HostListParseError) as exc:
+        ss.parse_host_list(f"10.0.0.1\n\n{bad}\n10.0.0.2\n")
+    assert (exc.value.line_no, exc.value.text) == (3, bad)
+    path = tmp_path / "hosts.txt"
+    path.write_text(f"10.0.0.1\n{bad}\n", encoding="ascii")
+    with pytest.raises(HostListParseError) as exc:
+        ss.load_host_list(path)
+    assert exc.value.line_no == 2
+
+
+def test_a_canonical_load_keeps_its_temporaries_narrow(tmp_path):
+    # int64 positions, widths, digits and octets made the peak 9 times the
+    # file's size on this list; the narrow ones keep it under 6
+    path = tmp_path / "hosts.txt"
+    ss.save_host_list(path, ss.HostSet(np.random.default_rng(1).integers(0, 2**32, 3 * addrspace._CHUNK)))
+    tracemalloc.start()
+    try:
+        ss.load_host_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * path.stat().st_size, peak / path.stat().st_size
+
+
 def _dotted(a: int) -> str:
     return f"{(a >> 24) & 255}.{(a >> 16) & 255}.{(a >> 8) & 255}.{a & 255}"
 
@@ -206,6 +235,30 @@ def test_count_in_interval_on_array_bounds_is_elementwise(addrs, bounds):
     assert type(h.count_in_interval(lo[0], hi[0])) is int
 
 
+@pytest.mark.parametrize("addrs", [[], [0], [2**32 - 1], [0, 5, 2**31, 2**32 - 2, 2**32 - 1]])
+def test_count_in_interval_clips_bounds_like_an_int64_search(addrs):
+    # the uint32 search against the int64 searchsorted it replaced; the last
+    # block of an MSS sweep ends at 2**32
+    h = ss.HostSet(addrs)
+    ref = np.array(addrs, dtype=np.int64)
+    edges = [-5, 0, 2**32 - 1, 2**32, 2**32 + 7]
+    for lo, hi in itertools.product(edges, repeat=2):
+        want = int(np.searchsorted(ref, hi) - np.searchsorted(ref, lo))
+        got = h.count_in_interval(lo, hi)
+        assert type(got) is int and got == want, (lo, hi)
+    lo, hi = np.array(edges, dtype=np.int64)[:, None], np.array(edges, dtype=np.int64)
+    counts = h.count_in_interval(lo, hi)
+    assert counts.dtype == np.int64 and counts.shape == (5, 5)
+    assert counts.tolist() == (np.searchsorted(ref, hi) - np.searchsorted(ref, lo)).tolist()
+
+
+def test_a_host_set_holds_one_uint32_array():
+    h = ss.HostSet(np.random.default_rng(2).integers(0, 2**32, 1000))
+    arrays = [v for v in (getattr(h, name) for name in type(h).__slots__) if isinstance(v, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is h.addresses
+    assert h.addresses.nbytes == 4 * h.N and not h.addresses.flags.writeable
+
+
 @given(addrs=st.lists(st.integers(0, 2**32 - 1), max_size=40), rows=st.sampled_from([1, 2, 65, 70]),
        n=st.integers(0, 9), data=st.data())
 @settings(max_examples=80, deadline=None)
@@ -223,6 +276,78 @@ def test_count_members_per_row_matches_isin(addrs, rows, n, data):
     assert got.dtype == np.int64 and got.tolist() == want.tolist()
     one = hosts.count_members(block)
     assert type(one) is int and one == sum(hosts.count_members_per_row(row[None, :])[0] for row in block)
+
+
+def sorted_members_per_row(addresses, targets):
+    """The literal oracle: one sort of the whole block.  Each in-range target
+    is packed with its row as `target << shift | row`, so the sorted keys are
+    sorted by target and one searchsorted over the int64 addresses finds
+    every hit."""
+    addr = np.asarray(addresses, dtype=np.int64)
+    t = np.asarray(targets, dtype=np.int64)
+    rows = t.shape[0]
+    if addr.size == 0:
+        return np.zeros(rows, dtype=np.int64)
+    shift = max(1, (rows - 1).bit_length())
+    ok = (t >= 0) & (t < 2**32)
+    keys = (t[ok] << shift) | np.broadcast_to(np.arange(rows, dtype=np.int64)[:, None], t.shape)[ok]
+    keys.sort()
+    found = keys >> shift
+    idx = np.minimum(np.searchsorted(addr, found), addr.size - 1)
+    hit_rows = keys[addr[idx] == found] & ((1 << shift) - 1)
+    return np.bincount(hit_rows, minlength=rows).astype(np.int64, copy=False)
+
+
+# /24s on the index's word edges (index = 0 and 63 mod 64) and the last one,
+# and offsets on its leaves' uint64 edges
+EDGE_24S = [0, 63, 64, 127, 64 * 1000, 64 * 1000 + 63, 2**24 - 64, 2**24 - 1]
+EDGE_OFFSETS = [0, 1, 63, 64, 127, 128, 191, 192, 254, 255]
+index_host = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.sampled_from(EDGE_24S), st.sampled_from(EDGE_OFFSETS)).map(lambda t: t[0] << 8 | t[1]),
+)
+
+
+@given(addrs=st.lists(index_host, max_size=60), shape=st.one_of(
+           st.tuples(st.just(1), st.integers(0, 12)),  # 1 x n
+           st.tuples(st.integers(0, 12), st.just(1)),  # n x 1
+           st.tuples(st.integers(1, 70), st.integers(0, 9))),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_index_counts_equal_the_sort_oracle(addrs, shape, data):
+    # hosts at 0 and 2**32 - 1 and in the edge /24s; targets that repeat,
+    # that are hosts or their neighbours, -1 and 2**32, and out-of-range
+    # targets equal to a host modulo 2**32 or once shifted left
+    hosts = ss.HostSet(addrs)
+    near = [a + d for a in addrs[:6] for d in (-1, 0, 1, 2**32, -(2**32), -(2**63))]
+    edges = [-1, 0, 255, 256, 2**32 - 1, 2**32, 2**32 + 7, -(2**63), 2**63 - 1]
+    cell = st.one_of(st.sampled_from(edges + near), index_host, st.integers(-(2**33), 2**33))
+    rows, n = shape
+    block = np.array(data.draw(st.lists(cell, min_size=rows * n, max_size=rows * n)),
+                     dtype=np.int64).reshape(rows, n)
+    got = hosts.count_members_per_row(block)
+    assert got.dtype == np.int64 and got.tolist() == sorted_members_per_row(hosts.addresses, block).tolist()
+
+
+def test_an_empty_host_set_has_no_members():
+    block = np.array([[-1, 0, 1], [2**32 - 1, 2**32, 5]], dtype=np.int64)
+    assert ss.HostSet([]).count_members_per_row(block).tolist() == [0, 0]
+    assert ss.HostSet([]).count_members_per_row(np.zeros((3, 0), dtype=np.int64)).tolist() == [0, 0, 0]
+
+
+def test_the_index_is_built_once_and_stays_within_its_bound():
+    rng = np.random.default_rng(4)
+    hosts = ss.HostSet(np.concatenate([rng.integers(0, 2**32, 5000), [0, 2**32 - 1], 0xABCDEF00 + np.arange(256)]))
+    block = np.concatenate([hosts.addresses[rng.integers(0, hosts.N, 450)],
+                            rng.integers(-5, 2**32 + 5, 450)]).reshape(9, 100)
+    first = hosts.count_members_per_row(block)
+    assert first.tolist() == sorted_members_per_row(hosts.addresses, block).tolist() and first.sum() >= 450
+    index = hosts._members
+    assert hosts.count_members_per_row(block).tolist() == first.tolist()
+    assert hosts.count_members(block) == int(first.sum())
+    assert hosts._members is index
+    occupied = np.unique(hosts.addresses >> 8).size
+    assert index.nbytes <= 3 * 2**20 + 32 * (occupied + 1)
 
 
 # -- aggregate / refine ----------------------------------------------------

@@ -134,6 +134,13 @@ def test_bad_host_line_exits_3(tmp_path, capsys):
     assert "bad.txt:2: not a valid IPv4 address" in capsys.readouterr().err
 
 
+def test_an_octet_of_65537_digits_exits_3(tmp_path, capsys):
+    p = tmp_path / "wide.txt"
+    p.write_text("10.0.0.1\n" + "1" * 65537 + ".1.1.1\n", encoding="ascii")
+    assert run_cli("analyze", str(p), "--out-dir", str(tmp_path / "o")) == 3
+    assert "wide.txt:2: not a valid IPv4 address" in capsys.readouterr().err
+
+
 def test_bad_dist_csv_exits_3(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("# l=8 N=10\ngroup_index,count\nbogus,xyz\n", encoding="utf-8")

@@ -389,11 +389,13 @@ def test_runs_without_record_hits_keep_memory_flat():
 
 def test_a_one_run_homed_block_peaks_no_higher_than_rs():
     # the tier starts broadcast against the block: a homed draw holds no
-    # per-target copy of its home, so its peak (42 B a target, the
+    # per-target copy of its home, so its peak (60 B a target, the
     # membership pass's) stays within the rs block's but for the block's few
     # fixed-size objects (its home column, the tier tuples); homes repeated
-    # per target lift 2lls, whose two tiers' starts coexist, to 46 B a target
+    # per target would lift 2lls, whose two tiers' starts coexist, above it.
+    # The membership index is built first, so that no block's peak holds it.
     _, hosts = zipf_hosts()
+    hosts.count_members_per_row(np.zeros((1, 0), dtype=np.int64))
     scans = 2**22
 
     def block_peak(token):
