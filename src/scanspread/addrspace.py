@@ -33,13 +33,17 @@ ADDRESS_SPACE = 1 << ADDRESS_BITS
 # synth_zipf draw, an explicit q_g, group_scan_distribution): 8 MiB of int64.
 MAX_DENSE_LEVEL = 20
 
-# Lines, hosts, draws or cells per step of the I/O and host-list kernels:
+# Hosts, draws, targets or cells per step of the I/O and membership kernels:
 # bounds their temporary arrays to a few MB whatever the input size.
 _CHUNK = 1 << 16
 
-# The bytes of canonical host-list text, the only input the vectorized parser reads.
+# Bytes per run of whole lines that the canonical-text readers take at a time.
+_RUN = 4 * _CHUNK
+
+# The bytes of canonical host-list text, the only input the vectorized parser
+# reads.  In canonical text every byte below '0' ends a field.
 _CANONICAL_BYTES = b"0123456789.\n"
-_DOT, _NL, _ZERO = ord("."), ord("\n"), ord("0")
+_NL, _ZERO = ord("\n"), ord("0")
 
 # Text of each octet value: its digits, zero bytes up to 3, then '.'.
 _OCTET_TEXT = np.frombuffer(
@@ -198,18 +202,25 @@ class _MemberIndex:
         upto = self.words[w] << (63 - (p & 63)).view(np.uint64)
         return (self.rank[w] + np.bitwise_count(upto)) * (upto >> 63).view(np.int64)
 
-    def count_per_row(self, t: np.ndarray) -> np.ndarray:
-        """Members among each row of an int64 target block.  Every target is
-        looked up modulo 2**32, so every gather is in range; those outside
-        [0, 2**32) are then masked out."""
-        a = t & 0xFFFFFFFF
-        idx = self._leaf(a >> 8)
-        idx <<= 2
-        idx |= (a >> 6) & 3
-        hit = self.leaves[idx]
-        hit >>= (a & 63).view(np.uint64)
-        hit &= t.view(np.uint64) < ADDRESS_SPACE
-        return hit.view(np.int64).sum(axis=1)
+    def count_per_row(self, targets: np.ndarray) -> np.ndarray:
+        """Members among each row of an int64 target block, looked up in
+        column slices of about _CHUNK targets, so that the temporaries stay
+        O(_CHUNK) whatever the block's size.  Every target is looked up modulo
+        2**32, so every gather is in range; those outside [0, 2**32) are then
+        masked out."""
+        hits = np.zeros(targets.shape[0], dtype=np.int64)
+        step = max(1, _CHUNK // max(1, targets.shape[0]))
+        for lo in range(0, targets.shape[1], step):
+            t = targets[:, lo:lo + step]
+            a = t & 0xFFFFFFFF
+            idx = self._leaf(a >> 8)
+            idx <<= 2
+            idx |= (a >> 6) & 3
+            hit = self.leaves[idx]
+            hit >>= (a & 63).view(np.uint64)
+            hit &= t.view(np.uint64) < ADDRESS_SPACE
+            hits += hit.view(np.int64).sum(axis=1)
+        return hits
 
 
 def _or_bits(dst: np.ndarray, key: np.ndarray, bit: np.ndarray) -> None:
@@ -240,7 +251,7 @@ def parse_host_list(source: str | Iterable[str], origin: str | None = None) -> H
     if isinstance(source, str):
         if source.isascii():
             data = source.encode("ascii")
-            if _is_canonical(data):
+            if not data.translate(None, _CANONICAL_BYTES):
                 return _parse_canonical(data, origin)
         source = source.splitlines()
     return _parse_host_lines(source, origin)
@@ -256,7 +267,7 @@ def load_host_list(path: str | Path) -> HostListResult:
     path = Path(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    if _is_canonical(data):
+    if not data.translate(None, _CANONICAL_BYTES):
         return _parse_canonical(data, str(path))
     with open(path, "r", encoding="utf-8") as fh:
         return _parse_host_lines(fh, str(path))
@@ -283,70 +294,67 @@ def _host_list_result(values: np.ndarray, ignored: int) -> HostListResult:
     return HostListResult(hosts=hosts, duplicates_dropped=values.size - hosts.N, lines_ignored=ignored)
 
 
-def _is_canonical(data: bytes) -> bool:
-    return not data.translate(None, _CANONICAL_BYTES)
-
-
 def _parse_canonical(data: bytes, origin: str | None) -> HostListResult:
-    """Vectorized parser of canonical host-list bytes, _CHUNK lines at a time.
+    """Vectorized parser of canonical host-list bytes, one run of lines at a time.
 
-    A line is an address when it has exactly 3 dots and each octet has 1-3
-    digits, no leading zero and a value of at most 255: the rules
-    IPv4Address applies to such text.  Empty lines are blank.
+    Fields end at each '.' and '\\n'.  A line is an address when it has 4
+    fields, each of 1-3 digits with no leading zero and a value of at most
+    255: the rules IPv4Address applies to such text.  A blank line is one
+    empty field.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    step = 16 * _CHUNK
-    ends = [np.flatnonzero(buf[lo:lo + step] == _NL) + lo for lo in range(0, buf.size, step)]
-    if buf.size and buf[-1] != _NL:
-        ends.append(np.array([buf.size]))  # a last line without its newline
-    ends = np.concatenate(ends) if ends else np.zeros(0, dtype=np.int64)
-    values = []
-    ignored = 0
-    for first in range(0, ends.size, _CHUNK):
-        lo = int(ends[first - 1]) + 1 if first else 0
-        seg = buf[lo:ends[min(first + _CHUNK, ends.size) - 1]]
-        e = ends[first:first + _CHUNK] - lo
-        s = np.empty_like(e)
-        s[0] = 0
-        s[1:] = e[:-1] + 1
-        addr, valid = _parse_canonical_lines(seg, s, e)
-        blank = s == e
-        bad = np.flatnonzero(~(valid | blank))
+    out = np.empty(data.count(b"\n") + 1, dtype=np.uint32)  # one address a line at most
+    n = lines = 0
+    for run in _line_runs(data):
+        start, end = _fields(run < _ZERO)
+        width = np.minimum(end - start, 4)  # 4: too wide, whatever the digits
+        octet = _read_digits(run, start, width, np.int16)
+        fine = (width >= 1) & (width <= 3) & ((width == 1) | (run[start] != _ZERO)) & (octet <= 255)
+        last = np.flatnonzero(run[end] == _NL)  # each line's last field
+        count = np.diff(last, prepend=-1)
+        blank = (count == 1) & (width[last] == 0)
+        bad = np.flatnonzero(~blank & ((count != 4) | np.logical_or.reduceat(~fine, last - count + 1)))
         if bad.size:
             i = int(bad[0])
-            raise HostListParseError(first + i + 1, seg[s[i]:e[i]].tobytes().decode("ascii"), origin)
-        values.append(addr)
-        ignored += int(np.count_nonzero(blank))
-    return _host_list_result(np.concatenate(values) if values else np.zeros(0, dtype=np.int64), ignored)
+            text = run[start[last[i] - count[i] + 1]:end[last[i]]].tobytes().decode("ascii")
+            raise HostListParseError(lines + i + 1, text, origin)
+        addr = octet[width > 0].astype(np.uint8).view(">u4")  # 4 octets, most significant first
+        out[n:n + addr.size] = addr
+        n += addr.size
+        lines += last.size
+    return _host_list_result(out[:n], lines - n)
 
 
-def _parse_canonical_lines(seg: np.ndarray, s: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Addresses of the valid lines [s, e) of `seg`, in line order, and the
-    mask of valid lines.
+def _line_runs(data: bytes, lo: int = 0) -> Iterator[np.ndarray]:
+    """data[lo:] as consecutive runs of whole lines, uint8 arrays of about
+    _RUN bytes that each end in '\\n'.  A run ends at the last '\\n' of its
+    window or, when the window holds none, at the next one past it; a last
+    line without its '\\n' gets one."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    while lo < len(data):
+        hi = data.rfind(b"\n", lo, lo + _RUN) + 1 or data.find(b"\n", lo + _RUN) + 1 or len(data)
+        yield buf[lo:hi] if buf[hi - 1] == _NL else np.frombuffer(data[lo:] + b"\n", dtype=np.uint8)
+        lo = hi
 
-    The temporaries are narrow: positions are int32 unless `seg` holds 2**31
-    bytes or more, widths are clipped to 4 (too wide either way) before they
-    become int8, digits and octets are int16, and only the valid octets are
-    widened to int64 for the final shift.
-    """
-    pos = np.int32 if seg.size < 2**31 else np.int64
-    dots = np.flatnonzero(seg == _DOT).astype(pos)
-    s, e = s.astype(pos), e.astype(pos)
-    first_dot = np.searchsorted(dots, s)
-    valid = np.searchsorted(dots, e) - first_dot == 3
-    d = dots[first_dot[valid, None] + np.arange(3)]
-    lo = np.column_stack([s[valid], d + 1])  # the 4 octets are [lo, hi)
-    hi = np.column_stack([d, e[valid]])
-    width = np.minimum(hi - lo, 4).astype(np.int8)
-    octet = np.zeros(width.shape, dtype=np.int16)
-    for j, weight in enumerate((1, 10, 100)):  # digits from the right
-        digit = seg[np.maximum(hi - 1 - j, 0)].astype(np.int16) - _ZERO
-        octet += np.where(width > j, digit * weight, 0)
-    leading_zero = (width > 1) & (seg[np.minimum(lo, seg.size - 1)] == _ZERO)
-    ok = ((width >= 1) & (width <= 3) & ~leading_zero & (octet <= 255)).all(axis=1)
-    valid[valid] = ok
-    octet = octet[ok].astype(np.int64)
-    return (octet[:, 0] << 24) | (octet[:, 1] << 16) | (octet[:, 2] << 8) | octet[:, 3], valid
+
+def _fields(sep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end of each field of a run that ends in a separator: the
+    fields are the spans that end at each separator `sep` marks.  Positions
+    are int32 unless one line makes the run 2**31 bytes or longer."""
+    end = np.flatnonzero(sep).astype(np.int32 if sep.size < 2**31 else np.int64)
+    start = np.empty_like(end)
+    start[:1] = 0
+    start[1:] = end[:-1] + 1
+    return start, end
+
+
+def _read_digits(run: np.ndarray, start: np.ndarray, width: np.ndarray, dtype) -> np.ndarray:
+    """The value, as `dtype`, of each field of `width` ASCII digits from
+    `start` in `run`, read from the left; `dtype` must hold every value."""
+    value = np.zeros(start.size, dtype=dtype)
+    for j in range(int(width.max(initial=0))):
+        digit = run[np.minimum(start + j, run.size - 1)].astype(dtype) - _ZERO
+        value = np.where(width > j, value * 10 + digit, value)
+    return value
 
 
 def save_host_list(path: str | Path, hosts: HostSet) -> None:
@@ -533,33 +541,23 @@ def _dist_csv_rows(path: Path) -> GroupDistribution:
 
 
 def _dist_csv_canonical(path: Path, data: bytes) -> GroupDistribution | None:
-    """Vectorized reader of the bytes to_csv writes, _CHUNK rows at a time:
-    the header, the column row, then at least one row of two fields of 1 to
-    _MAX_DIGITS ASCII digits, the first ending in ',' and the second in
-    '\\n'.  None for any other file."""
+    """Vectorized reader of the bytes to_csv writes, one run of rows at a
+    time: the header, the column row, then at least one row of two fields
+    of 1 to _MAX_DIGITS ASCII digits, the first ending in ',' and the second
+    in '\\n'.  None for any other file."""
     m = _CANONICAL_DIST_HEAD.match(data)
     if m is None or m.end() == len(data) or data[-1] != _NL or data[m.end():].translate(None, _CANONICAL_DIST_BYTES):
         return None
-    buf = np.frombuffer(data, dtype=np.uint8, offset=m.end())
-    step = 16 * _CHUNK
-    ends = np.concatenate([np.flatnonzero((buf[lo:lo + step] == _COMMA) | (buf[lo:lo + step] == _NL)) + lo
-                           for lo in range(0, buf.size, step)])  # each field ends at its separator
-    values = []
-    for first in range(0, ends.size, 2 * _CHUNK):
-        e = ends[first:first + 2 * _CHUNK]
-        s = np.empty_like(e)
-        s[0] = ends[first - 1] + 1 if first else 0
-        s[1:] = e[:-1] + 1
-        width = e - s
-        if (e.size % 2 or width.min() < 1 or width.max() > _MAX_DIGITS
-                or np.any(buf[e[0::2]] != _COMMA) or np.any(buf[e[1::2]] != _NL)):
+    value = np.empty(2 * data.count(b"\n", m.end()), dtype=np.int64)
+    n = 0
+    for run in _line_runs(data, m.end()):
+        start, end = _fields(run < _ZERO)
+        width = end - start
+        if (end.size % 2 or width.min() < 1 or width.max() > _MAX_DIGITS
+                or np.any(run[end[0::2]] != _COMMA) or np.any(run[end[1::2]] != _NL)):
             return None
-        value = np.zeros(e.size, dtype=np.int64)
-        for j in range(int(width.max())):  # digits from the right
-            digit = buf[np.maximum(e - 1 - j, 0)].astype(np.int64) - _ZERO
-            value += np.where(width > j, digit * 10**j, 0)
-        values.append(value)
-    value = np.concatenate(values)
+        value[n:n + end.size] = _read_digits(run, start, width, np.int64)
+        n += end.size
     return _checked_dist(path, int(m.group(1)), int(m.group(2)), value[0::2], value[1::2])
 
 

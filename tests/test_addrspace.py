@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -154,9 +155,61 @@ def test_an_octet_wider_than_an_int16_is_still_rejected(tmp_path):
     assert exc.value.line_no == 2
 
 
+@pytest.mark.parametrize("end", ["\n10.0.0.2\n", ""], ids=["inner", "last_without_newline"])
+def test_a_host_line_longer_than_a_run_fails_like_the_per_line_loop(tmp_path, end):
+    # the run that holds no '\n' in its window ends at the next one past it
+    text = "10.0.0.1\n\n" + "1" * (2 * addrspace._RUN) + ".1.1.1" + end
+    expected = _outcome(addrspace._parse_host_lines, text.splitlines(), "src")
+    assert expected[:2] == ("error", 3)
+    assert _outcome(ss.parse_host_list, text, "src") == expected
+    path = tmp_path / "hosts.txt"
+    path.write_text(text, encoding="ascii")
+    assert _outcome(ss.load_host_list, path) == expected[:3] + (str(path),)
+
+
+def _lines_to(offset: int, rng) -> list[str]:
+    """Random dotted quads whose text, each line ended by '\\n', reaches `offset` bytes."""
+    lines, size = [], 0
+    while size < offset:
+        lines.append(_dotted(int(rng.integers(0, 2**32))))
+        size += len(lines[-1]) + 1
+    return lines
+
+
+def test_a_bad_line_in_the_third_run_reports_its_line_in_the_whole_file(tmp_path):
+    # runs end at a '\n' at or before each _RUN bytes, so a line that starts
+    # half a run past 2 * _RUN lies in the third run
+    lines = _lines_to(2 * addrspace._RUN + addrspace._RUN // 2, np.random.default_rng(5))
+    lines += ["10.0.0.1", "10.0.01.1", "10.0.0.2"]
+    path = tmp_path / "hosts.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with pytest.raises(HostListParseError) as exc:
+        ss.load_host_list(path)
+    assert (exc.value.line_no, exc.value.text) == (len(lines) - 1, "10.0.01.1")
+
+
+def test_a_last_line_without_its_newline_may_straddle_a_run(tmp_path):
+    lines = ["1.2.3.4"] * (addrspace._RUN // 8 - 1)
+    lines.append("100.100.100.100")  # from _RUN - 8 to _RUN + 7
+    text = "\n".join(lines)
+    expected = _outcome(addrspace._parse_host_lines, text.splitlines(), "src")
+    assert expected.hosts == ss.HostSet([0x01020304, 0x64646464]) and expected.duplicates_dropped == len(lines) - 2
+    assert _outcome(ss.parse_host_list, text, "src") == expected
+
+
+@given(text=host_list_texts(), run=st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_parsers_agree_with_the_per_line_loop_at_any_run_size(text, run):
+    # runs of a few bytes put every line edge at a window edge somewhere
+    expected = _outcome(addrspace._parse_host_lines, text.splitlines(), "src")
+    with mock.patch.object(addrspace, "_RUN", run):
+        assert _outcome(ss.parse_host_list, text, "src") == expected
+
+
 def test_a_canonical_load_keeps_its_temporaries_narrow(tmp_path):
     # int64 positions, widths, digits and octets made the peak 9 times the
-    # file's size on this list; the narrow ones keep it under 6
+    # file's size on this list, whole-file line ends and int64 addresses 5.6
+    # times; runs of lines and uint32 addresses keep it under 4
     path = tmp_path / "hosts.txt"
     ss.save_host_list(path, ss.HostSet(np.random.default_rng(1).integers(0, 2**32, 3 * addrspace._CHUNK)))
     tracemalloc.start()
@@ -165,7 +218,7 @@ def test_a_canonical_load_keeps_its_temporaries_narrow(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * path.stat().st_size, peak / path.stat().st_size
+    assert peak < 4 * path.stat().st_size, peak / path.stat().st_size
 
 
 def _dotted(a: int) -> str:
@@ -533,6 +586,37 @@ def test_vectorized_distribution_reader_matches_the_csv_loop_over_several_steps(
     p = tmp_path / "d.csv"
     d.to_csv(p)
     assert addrspace._dist_csv_canonical(p, p.read_bytes()) == d == addrspace._dist_csv_rows(p)
+
+
+def _read_outcome(read):
+    try:
+        return read()
+    except Exception as exc:  # the csv loop's own errors included
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("row", [
+    b"5,5," + b",".join([b"9" * 100000] * 3),  # fields past the second, which the csv loop ignores
+    b"5," + b"0" * (2 * addrspace._RUN) + b"5",  # one field wider than a run
+], ids=["many_fields", "wide_field"])
+def test_a_distribution_row_longer_than_a_run_reads_like_the_csv_loop(tmp_path, row):
+    p = tmp_path / "d.csv"
+    p.write_bytes(_CANONICAL.replace(b"5,5", row))
+    want = _read_outcome(lambda: addrspace._dist_csv_rows(p))
+    assert addrspace._dist_csv_canonical(p, p.read_bytes()) is None
+    assert _read_outcome(lambda: ss.GroupDistribution.from_csv(p)) == want
+
+
+@pytest.mark.parametrize("run", [1, 7, 64])
+def test_vectorized_distribution_reader_matches_the_csv_loop_at_any_run_size(tmp_path, run):
+    rng = np.random.default_rng(8)
+    d = ss.GroupDistribution(20, rng.choice(1 << 20, 500, replace=False), rng.integers(1, 4097, 500))
+    p = tmp_path / "d.csv"
+    d.to_csv(p)
+    with mock.patch.object(addrspace, "_RUN", run):
+        assert addrspace._dist_csv_canonical(p, p.read_bytes()) == d == addrspace._dist_csv_rows(p)
+        p.write_bytes(p.read_bytes() + b"7,1,2\n")
+        assert addrspace._dist_csv_canonical(p, p.read_bytes()) is None
 
 
 def test_distribution_csv_that_is_not_utf8_is_left_to_the_text_reader(tmp_path):

@@ -387,32 +387,25 @@ def test_runs_without_record_hits_keep_memory_flat():
     assert peak < runs * 8 / 16, peak
 
 
-def test_a_one_run_homed_block_peaks_no_higher_than_rs():
-    # the tier starts broadcast against the block: a homed draw holds no
-    # per-target copy of its home, so its peak (60 B a target, the
-    # membership pass's) stays within the rs block's but for the block's few
-    # fixed-size objects (its home column, the tier tuples); homes repeated
-    # per target would lift 2lls, whose two tiers' starts coexist, above it.
-    # The membership index is built first, so that no block's peak holds it.
+@pytest.mark.parametrize("token", ["rs:l=8", "is:l=8", "optis:l=8", "ls:l=8,pa=0.75", "2lls:pb=0.25,pc=0.5"])
+def test_a_one_run_block_peaks_at_most_48_bytes_a_target(token):
+    # the membership pass looks a block up in column slices of about _CHUNK
+    # targets, so the draw sets the peak (40 B a target for is); a whole-block
+    # lookup peaks at 60 B a target.  The membership index is built first, so
+    # that no block's peak holds it.
     _, hosts = zipf_hosts()
     hosts.count_members_per_row(np.zeros((1, 0), dtype=np.int64))
     scans = 2**22
-
-    def block_peak(token):
-        cfg = ss.EarlyStageConfig(ss.parse_strategy(token), s=1.0, total_scans=scans, runs=2, seed=0, hosts=hosts)
-        engine = epidemic._EarlyEngine(cfg, hosts)
-        assert engine.rows == 1
-        tracemalloc.start()
-        try:
-            engine.run((np.random.default_rng(0), 1))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    rs = block_peak("rs:l=8")
-    for token in ("ls:l=8,pa=0.75", "2lls:pb=0.25,pc=0.5"):
-        peak = block_peak(token)
-        assert peak <= rs + 2**16, (token, peak / scans, rs / scans)
+    cfg = ss.EarlyStageConfig(ss.parse_strategy(token), s=1.0, total_scans=scans, runs=2, seed=0, hosts=hosts)
+    engine = epidemic._EarlyEngine(cfg, hosts)
+    assert engine.rows == 1
+    tracemalloc.start()
+    try:
+        engine.run((np.random.default_rng(0), 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * scans, peak / scans
 
 
 # -- MSS from a cold start -------------------------------------------------
