@@ -101,18 +101,16 @@ class HostSet:
     __slots__ = ("_addr", "_members")
 
     def __init__(self, addresses):
-        raw = np.asarray(addresses)
-        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
-            raise ParameterError("addresses must be integers")
-        arr = np.asarray(raw, dtype=np.int64).reshape(-1)
-        if arr.size and (arr.min() < 0 or arr.max() >= ADDRESS_SPACE):
+        arr = np.asarray(addresses).reshape(-1)
+        if arr.dtype.kind not in "iu":  # integer arrays are range-checked as they are
+            if arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
+                raise ParameterError("addresses must be integers")
+            arr = arr.astype(np.int64)
+        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= ADDRESS_SPACE):
             raise ParameterError("addresses must lie in [0, 2**32)")
         arr = arr.astype(np.uint32)
         arr.sort()
-        keep = np.empty(arr.size, dtype=bool)
-        keep[:1] = True
-        np.not_equal(arr[1:], arr[:-1], out=keep[1:])
-        self._addr = arr[keep]
+        self._addr = arr[_run_starts(arr)]
         self._addr.flags.writeable = False
         self._members = None
 
@@ -226,7 +224,7 @@ class _MemberIndex:
 def _or_bits(dst: np.ndarray, key: np.ndarray, bit: np.ndarray) -> None:
     """dst[key] |= 1 << bit for every pair, with `key` sorted: the bits of a
     run of equal keys are ORed together first, so each key is written once."""
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    starts = np.flatnonzero(_run_starts(key))
     dst[key[starts]] |= np.bitwise_or.reduceat(np.uint64(1) << bit.astype(np.uint64), starts)
 
 
@@ -396,7 +394,7 @@ class GroupDistribution:
         idx, cnt = idx[order], cnt[order]
         if idx.size and (idx[0] < 0 or idx[-1] >= (1 << self._l)):
             raise ParameterError(f"group index out of range for l={self._l}")
-        if idx.size > 1 and np.any(idx[1:] == idx[:-1]):
+        if not _run_starts(idx).all():
             raise ParameterError("duplicate group indices")
         block = block_size(self._l)
         over = cnt > block
@@ -496,9 +494,8 @@ class GroupDistribution:
             return self
         parent = self._indices >> (self._l - to_l)
         # indices sorted ascending => parent ids are non-decreasing
-        starts = np.flatnonzero(np.r_[True, parent[1:] != parent[:-1]])
-        sums = np.add.reduceat(self._counts, starts) if self._counts.size else self._counts
-        return GroupDistribution(to_l, parent[starts] if parent.size else parent, sums)
+        starts = np.flatnonzero(_run_starts(parent))
+        return GroupDistribution(to_l, parent[starts], np.add.reduceat(self._counts, starts))
 
     def to_csv(self, path: str | Path) -> None:
         write_table(path, ["group_index", "count"], [self._indices, self._counts], [f"l={self._l} N={self._total}"])
@@ -520,21 +517,24 @@ def _dist_csv_rows(path: Path) -> GroupDistribution:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            try:  # data rows first: the other kinds never parse as two ints
-                rows.append((int(row[0]), int(row[1])))
-                continue
-            except (ValueError, IndexError):
-                pass
-            if not any(cell.strip() for cell in row):  # a blank line, spaces and tabs included
-                continue
-            if row[0].lstrip().startswith("#"):
-                m = _DIST_HEADER.match(",".join(row).strip())
-                if not m:
-                    raise DistributionFormatError(f"{path}: bad header comment {row!r}")
-                header = (int(m.group(1)), int(m.group(2)))
-            elif row[0].strip() != _DIST_COLUMNS:
-                raise DistributionFormatError(f"{path}: bad row {row!r}")
+        try:
+            for row in reader:
+                try:  # data rows first: the other kinds never parse as two ints
+                    rows.append((int(row[0]), int(row[1])))
+                    continue
+                except (ValueError, IndexError):
+                    pass
+                if not any(cell.strip() for cell in row):  # a blank line, spaces and tabs included
+                    continue
+                if row[0].lstrip().startswith("#"):
+                    m = _DIST_HEADER.match(",".join(row).strip())
+                    if not m:
+                        raise DistributionFormatError(f"{path}: bad header comment {row!r}")
+                    header = (int(m.group(1)), int(m.group(2)))
+                elif row[0].strip() != _DIST_COLUMNS:
+                    raise DistributionFormatError(f"{path}: bad row {row!r}")
+        except csv.Error as exc:  # a field past the csv module's size limit, say
+            raise DistributionFormatError(f"{path}:{reader.line_num}: {exc}") from None
     if header is None:
         raise DistributionFormatError(f"{path}: missing '# l=<l> N=<N>' header")
     return _checked_dist(path, *header, [i for i, _ in rows], [c for _, c in rows])
@@ -581,27 +581,25 @@ def _opens_distribution(line: str) -> bool:
     return _DIST_HEADER.match(s) is not None or s.split(",", 1)[0].rstrip() == _DIST_COLUMNS
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in a 1-d array."""
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
 def _run_lengths(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct values, run lengths) of a sorted array."""
-    if sorted_vals.size == 0:
-        return sorted_vals[:0], np.zeros(0, dtype=np.int64)
-    change = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1])
-    starts = np.r_[0, change + 1]
-    ends = np.r_[starts[1:], sorted_vals.size]
-    return sorted_vals[starts], (ends - starts).astype(np.int64)
+    first = np.flatnonzero(_run_starts(sorted_vals))
+    return sorted_vals[first], np.diff(first, append=sorted_vals.size)
 
 
 def aggregate(hosts: HostSet, l: int) -> GroupDistribution:
     """Count hosts per /l prefix group."""
-    l = check_prefix_level(l)
-    addr = hosts.addresses
-    if l == 0:
-        if addr.size == 0:
-            return GroupDistribution(0, [], [])
-        return GroupDistribution(0, [0], [addr.size])
-    groups = (addr >> np.uint32(ADDRESS_BITS - l)).astype(np.int64)
-    idx, cnt = _run_lengths(groups)  # addresses sorted => groups sorted
-    return GroupDistribution(l, idx, cnt)
+    groups = hosts.addresses.astype(np.int64)
+    groups >>= block_bits(l)  # addresses sorted => groups sorted
+    return GroupDistribution(l, *_run_lengths(groups))
 
 
 def refine(dist: GroupDistribution, hosts: HostSet, l: int) -> GroupDistribution:
@@ -763,9 +761,8 @@ def materialize_hosts(dist: GroupDistribution, seed: int) -> HostSet:
 def _first_occurrences(values: np.ndarray) -> np.ndarray:
     """Mask of the values that do not repeat an earlier value."""
     order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    keep = np.ones(values.size, dtype=bool)
-    keep[order[1:][ranked[1:] == ranked[:-1]]] = False
+    keep = np.empty(values.size, dtype=bool)
+    keep[order] = _run_starts(values[order])  # a stable sort puts each value's first entry first
     return keep
 
 
@@ -801,15 +798,9 @@ def ccdf(dist: GroupDistribution) -> list[CcdfPoint]:
     and every distinct count present.  Empty groups count in the denominator.
     """
     m = dist.n_groups
-    if dist.occupied == 0:
-        return [CcdfPoint(0, 0.0)]
     values, mult = _run_lengths(np.sort(dist.counts))
-    points = [CcdfPoint(0, dist.occupied / m)]
-    above = int(mult.sum())
-    for v, k in zip(values, mult):
-        above -= int(k)
-        points.append(CcdfPoint(int(v), above / m))
-    return points
+    above = dist.occupied - np.cumsum(mult)
+    return [CcdfPoint(0, dist.occupied / m)] + [CcdfPoint(v, a / m) for v, a in zip(values.tolist(), above.tolist())]
 
 
 def write_ccdf_csv(points: list[CcdfPoint], path: str | Path) -> None:

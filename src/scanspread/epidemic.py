@@ -52,11 +52,13 @@ from .addrspace import (
     ADDRESS_SPACE,
     GroupDistribution,
     HostSet,
+    _run_starts,
     _square_sum,
     aggregate,
     materialize_hosts,
 )
 from .errors import InternalConsistencyError, ParameterError, UnsupportedStrategyError
+from .rates import pp_factor
 from .strategies import ScanStrategy, TargetLaw
 
 
@@ -286,9 +288,7 @@ class EpidemicConfig:
         if not 1 <= self.horizon <= ADDRESS_SPACE:
             raise ParameterError(f"horizon must be in [1, 2**{ADDRESS_BITS}] ticks")
         if self.pp is not None:
-            d, p = self.pp
-            if not 0.0 < d <= 1.0 or not 0.0 <= p <= 1.0:
-                raise ParameterError("pp needs d in (0, 1] and p in [0, 1]")
+            pp_factor(*self.pp)
 
 
 @dataclass(frozen=True)
@@ -310,11 +310,7 @@ def _lump(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order (the last key most significant): the class of each position, each
     class's size and one position of each class."""
     order = np.lexsort(keys)
-    new = np.zeros(order.size, dtype=bool)
-    new[0] = True
-    for key in keys:
-        ranked = key[order]
-        new[1:] |= ranked[1:] != ranked[:-1]
+    new = np.logical_or.reduce([_run_starts(key[order]) for key in keys])
     cls = np.empty(order.size, dtype=np.intp)
     cls[order] = np.cumsum(new) - 1
     first = np.flatnonzero(new)
@@ -404,10 +400,7 @@ def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
     pop = np.empty(mult.size)
     pop[cls] = dist.counts
     weights = mult.astype(np.float64)
-    pp_factor = 1.0
-    if cfg.pp is not None:
-        d, p = cfg.pp
-        pp_factor = 1.0 - d + d * p
+    protect = 1.0 if cfg.pp is None else pp_factor(*cfg.pp)
 
     m = np.zeros(mult.size)
     m[cls[i0]] = 1.0
@@ -420,7 +413,7 @@ def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
 
     for t in range(1, cfg.horizon + 1):
         inc = (pop - m) * (-np.expm1(exponent(m, n_series[t - 1])))
-        m = np.minimum(m + pp_factor * inc, pop)  # m <= pop by this minimum: not re-checked below
+        m = np.minimum(m + protect * inc, pop)  # m <= pop by this minimum: not re-checked below
         n_series[t] = weights @ m
         if per_subnet is not None:
             np.take(m, cls, out=per_subnet[t])

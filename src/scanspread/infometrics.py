@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .addrspace import GroupDistribution, HostSet, aggregate
+from .addrspace import GroupDistribution, HostSet, _run_lengths, aggregate
 from .errors import ParameterError
 
 # Orders this close to 1 are rejected; the q -> 1 limit is shannon_entropy.
@@ -36,7 +36,7 @@ def _require_hosts(dist: GroupDistribution) -> None:
 
 def _sum_c_log2_c(counts: np.ndarray) -> float:
     """sum c * log2(c) over counts, grouped by distinct value for accuracy."""
-    vals, mult = np.unique(counts, return_counts=True)
+    vals, mult = _run_lengths(np.sort(counts))
     return math.fsum(float(m) * float(v) * math.log2(float(v)) for v, m in zip(vals, mult) if v > 1)
 
 

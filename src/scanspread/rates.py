@@ -221,6 +221,17 @@ def write_rates_csv(reports: Iterable[RateReport], path: str | Path, time_unit: 
 # -- defenses --------------------------------------------------------------
 
 
+def pp_factor(d: float, p: float) -> float:
+    """The share 1 - d + d*p of new infections that proactive protection lets
+    through: a fraction d of hosts deploys, and a deployed host looks
+    vulnerable to a probe with probability p."""
+    if not 0.0 < d <= 1.0:
+        raise ParameterError("deployment fraction d must be in (0, 1]")
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError("apparent-vulnerability probability p must be in [0, 1]")
+    return 1.0 - d + d * p
+
+
 def pp_modified_alpha(strategy: ScanStrategy, ctx: ScanContext, d: float, p: float) -> float:
     """Rate of q=p importance scanning against proactive protection.
 
@@ -229,11 +240,8 @@ def pp_modified_alpha(strategy: ScanStrategy, ctx: ScanContext, d: float, p: flo
     """
     if strategy.kind != "is" or strategy.q_g is not None:
         raise ParameterError("proactive protection is modeled for is with q_g = p_g")
-    if not 0.0 < d <= 1.0:
-        raise ParameterError("deployment fraction d must be in (0, 1]")
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError("apparent-vulnerability probability p must be in [0, 1]")
-    return alpha_rs(ctx) * ctx.beta_at(strategy.l) * (1.0 - d + d * p)
+    factor = pp_factor(d, p)
+    return alpha_rs(ctx) * ctx.beta_at(strategy.l) * factor
 
 
 def pp_requirement(beta: NonUniformity | float, d: float) -> float:

@@ -254,6 +254,27 @@ def test_hostset_rejects_non_integral_addresses():
     assert list(ss.HostSet([2.0, 1.0, 2**32 - 1.0])) == [1, 2, 2**32 - 1]
 
 
+def test_hostset_range_checks_integer_input_without_widening_it():
+    # the host-list reader's uint32 addresses are checked as they are: one
+    # uint32 copy to sort, a run mask and the distinct addresses make 2.25
+    # times their bytes; widening them to int64 for the range check peaks at 3
+    addrs = np.array(ss.materialize_hosts(ss.synth_zipf(16, 1.0, 448894, seed=2), 5).addresses)
+    tracemalloc.start()
+    try:
+        hosts = ss.HostSet(addrs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hosts.N == addrs.size and peak < 2.5 * addrs.nbytes, peak / addrs.nbytes
+    for bad in (np.array([2**32], dtype=np.uint64), np.array([-1], dtype=np.int8)):
+        with pytest.raises(ParameterError):
+            ss.HostSet(bad)
+    raw = [255, 3, 3, 0]
+    for dtype in (np.uint8, np.uint16, np.uint64):
+        assert ss.HostSet(np.array(raw, dtype=dtype)) == ss.HostSet(np.array(raw, dtype=np.int64))
+    assert ss.HostSet(np.array([2**32 - 1], dtype=np.uint64)).addresses.tolist() == [2**32 - 1]
+
+
 @given(addrs=st.lists(st.integers(0, 2**32 - 1), max_size=60), repeats=st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_hostset_dedupes_like_unique(addrs, repeats):
@@ -422,6 +443,10 @@ def test_aggregate_degenerate_levels(four_hosts):
 
 def test_aggregate_empty():
     assert ss.aggregate(ss.HostSet([]), 8).total == 0
+    assert ss.aggregate(ss.HostSet([]), 0) == ss.GroupDistribution(0, [], [])
+    empty = ss.GroupDistribution(32, [], [])
+    for l in range(33):
+        assert empty.coarsen(l) == ss.GroupDistribution(l, [], [])
 
 
 @given(addrs=addresses, l=st.integers(0, 32), k=st.integers(0, 32))
@@ -465,8 +490,11 @@ def test_distribution_drops_zero_counts():
 def test_distribution_validation():
     with pytest.raises(ParameterError):
         ss.GroupDistribution(4, [16], [1])  # index out of range
-    with pytest.raises(ParameterError):
-        ss.GroupDistribution(4, [1, 1], [1, 2])  # duplicate
+    for indices in ([1, 1], [3, 1, 3]):  # duplicates, sorted apart or not
+        with pytest.raises(ParameterError, match="duplicate group indices"):
+            ss.GroupDistribution(4, indices, [1] * len(indices))
+    for indices in ([], [15]):
+        assert ss.GroupDistribution(4, indices, [2] * len(indices)).indices.tolist() == indices
     with pytest.raises(ParameterError):
         ss.GroupDistribution(4, [1], [-2])
     with pytest.raises(CapacityError, match="group 3 needs 17 distinct hosts but a /28 block has 16 addresses"):

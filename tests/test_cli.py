@@ -147,6 +147,17 @@ def test_bad_dist_csv_exits_3(tmp_path):
     assert run_cli("analyze", str(p)) == 3
 
 
+def test_a_dist_csv_field_past_the_csv_size_limit_exits_3(tmp_path, capsys):
+    # the vectorized reader leaves a field of over 18 digits to the csv loop,
+    # whose module refuses fields longer than 131,072 characters
+    p = tmp_path / "wide.csv"
+    p.write_text("# l=8 N=5\ngroup_index,count\n1," + "0" * 200_000 + "5\n", encoding="ascii")
+    with pytest.raises(ss.DistributionFormatError, match=r"wide\.csv:3: field larger than field limit"):
+        ss.GroupDistribution.from_csv(p)
+    assert run_cli("analyze", str(p), "--out-dir", str(tmp_path / "o")) == 3
+    assert re.fullmatch(r"error: .*wide\.csv:3: field larger than field limit \(\d+\)\n", capsys.readouterr().err)
+
+
 def test_missing_or_unreadable_input_exits_3(tmp_path, capsys):
     missing = tmp_path / "no" / "such.txt"
     assert run_cli("analyze", str(missing), "--out-dir", str(tmp_path / "a")) == 3

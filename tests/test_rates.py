@@ -252,6 +252,9 @@ def test_pp_validation():
         ss.pp_modified_alpha(st, REF_CTX, d=0.5, p=1.5)
     with pytest.raises(ParameterError):
         ss.pp_modified_alpha(ss.ScanStrategy.rs(), REF_CTX, d=0.5, p=0.5)
+    for d, p, what in [(0.0, 0.5, "deployment fraction"), (0.5, 1.5, "apparent-vulnerability")]:
+        with pytest.raises(ParameterError, match=what):  # the outbreak model's range check is the same
+            ss.EpidemicConfig(st, ss.synth_uniform(4, 16, 1), s=1.0, horizon=1, pp=(d, p))
     with pytest.raises(ParameterError):
         ss.pp_requirement(0.5, 1.0)
     with pytest.raises(ParameterError):
