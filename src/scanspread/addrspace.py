@@ -110,7 +110,8 @@ class HostSet:
             raise ParameterError("addresses must lie in [0, 2**32)")
         arr = arr.astype(np.uint32)
         arr.sort()
-        self._addr = arr[_run_starts(arr)]
+        starts = _run_starts(arr)
+        self._addr = arr if starts.all() else arr[starts]  # no second copy when no address repeats
         self._addr.flags.writeable = False
         self._members = None
 

@@ -7,11 +7,13 @@ strategy's `TargetLaw`; each run counts probes that land on vulnerable hosts
 go serially in blocks of about 2**16 targets (2**12 runs for MSS sweeps):
 block b draws all its runs' inputs as whole-block arrays from one Generator
 on the b-th child stream spawned from the master seed (the runs' homes for
-ls and 2lls, then one (runs, scans) TargetLaw draw for every kind but MSS),
-and takes one membership pass.  The block size depends on total_scans
-alone, so results are reproducible and the `threads` setting changes
-neither the results nor the work done.  Only exact sums of hits and hits**2
-are kept across blocks, so memory does not grow with the number of runs.
+ls and 2lls, then one (runs, scans) TargetLaw draw for every kind but MSS:
+one integer per target for is with q_g = p_g, a uniform address and a
+uniform tier choice per target for ls and 2lls), and takes one membership
+pass.  The block size depends on total_scans alone, so results are
+reproducible and the `threads` setting changes neither the results nor the
+work done.  Only exact sums of hits and hits**2 are kept across blocks, so
+memory does not grow with the number of runs.
 
 Full dynamics.  Time advances in ticks.  With n_t infected in total and m_i
 infected in /l group i, each (source, target-group) pair has a per-scan

@@ -20,6 +20,7 @@ Strategy tokens (CLI and file outputs) look like `ls:l=16,pa=0.75`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,14 +195,20 @@ def _scanner_home_tiers(law: "TargetLaw", home) -> tuple[tuple[np.ndarray, float
 
 
 class TargetLaw:
-    """Per-scan target law of one strategy: set up once (q_g and its cumulative
-    sum over the groups with q_g > 0 for is, the argmax block for optis), then
-    `draw` targets in any shape.  mss draws its uniform random phase.  `tiers`
-    holds (mass, block size) of each block around the scanner's home group a
-    scan aims at, innermost first (ls: the home /l; 2lls: the home /16, then
-    /8), and `rest` the mass spread over the whole space (1 without tiers)."""
+    """Per-scan target law of one strategy: set up once (q_g over the groups
+    with q_g > 0 for is, the argmax block for optis), then `draw` targets in
+    any shape.  is with q_g = p_g draws a host slot and an offset as one
+    integer, so group g comes out with probability exactly c_g / N; an
+    explicit q_g is searched in its cumulative sum.  mss draws its uniform
+    random phase.  `tiers` holds (mass, block size) of each block around the
+    scanner's home group a scan aims at, innermost first (ls: the home /l;
+    2lls: the home /16, then /8), and `rest` the mass spread over the whole
+    space (1 without tiers).  ls/2lls draw a uniform address and a uniform u
+    per scan, and the innermost tier whose cumulative mass exceeds u keeps
+    the address's low bits inside its block."""
 
-    __slots__ = ("strategy", "bits", "block", "tiers", "rest", "needs_home", "_groups", "_q", "_cum", "_base")
+    __slots__ = ("strategy", "bits", "block", "tiers", "rest", "needs_home",
+                 "_groups", "_q", "_counts", "_slots", "_cum", "_base")
 
     def __init__(self, strategy: ScanStrategy, dist: GroupDistribution | None = None):
         self.strategy = strategy
@@ -214,15 +221,15 @@ class TargetLaw:
             self.tiers = ((strategy.p_c, 1 << 16), (strategy.p_b, 1 << 24))
             self.rest = 1.0 - strategy.p_b - strategy.p_c
         self.needs_home = bool(self.tiers)
-        self._groups = self._q = self._cum = self._base = None
+        self._groups = self._q = self._counts = self._slots = self._cum = self._base = None
         if strategy.kind == "is":
             if strategy.q_g is None:
                 d = _resolve_p(dist, strategy.l, "is with q_g = p_g")
-                self._groups, self._q = d.indices, d.probabilities_occupied()
+                self._groups, self._q, self._counts = d.indices, d.probabilities_occupied(), d.counts
             else:
                 self._groups = np.flatnonzero(strategy.q_g)
                 self._q = strategy.q_g[self._groups]
-            self._cum = np.cumsum(self._q)  # a sequential sum: the dense cumsum at these groups
+                self._cum = np.cumsum(self._q)  # a sequential sum: the dense cumsum at these groups
         elif strategy.kind == "optis":
             self._base = _resolve_p(dist, strategy.l, "optis").argmax_index << self.bits
 
@@ -254,6 +261,18 @@ class TargetLaw:
         int or a shape; ls/2lls `home` broadcasts against it), drawn from the
         stream as the flat draw of as many targets would be."""
         kind = self.strategy.kind
+        if kind == "is" and self._cum is None:
+            # k uniform over the N * block (host slot, offset) pairs: slot i
+            # holds the group of host i, so group g has exactly c_g / N.  The
+            # slots are built on the first draw, in the narrowest dtype of l bits.
+            if self._slots is None:
+                self._slots = np.repeat(self._groups.astype(np.min_scalar_type((1 << self.strategy.l) - 1)),
+                                        self._counts)
+            k = rng.integers(0, self._slots.size << self.bits, size=size, dtype=np.uint64)  # bound <= 2**64
+            g = self._slots.take((k >> self.bits).view(np.int64))  # take copies a uint64 index to intp
+            k &= self.block - 1
+            k |= np.left_shift(g, self.bits, dtype=np.uint64)
+            return k.view(np.int64)
         if kind == "is":
             # searching the uniforms in sorted order is faster (the lookups walk
             # cum monotonically) and gives each u the group an unsorted search would
@@ -268,17 +287,20 @@ class TargetLaw:
             return self._base + rng.integers(0, self.block, size=size, dtype=np.int64)
         if not self.needs_home:  # rs, and the random phase of mss
             return rng.integers(0, ADDRESS_SPACE, size=size, dtype=np.int64)
+        # a uniform address, then u picks the innermost tier whose cumulative
+        # mass exceeds it; the address's low bits are uniform and independent
+        # of u, so each tier, outermost first, keeps them inside its block
+        tiers = self.home_tiers(home)
+        out = rng.integers(0, ADDRESS_SPACE, size=size, dtype=np.int64)
         u = rng.random(size)
-        out = np.empty(u.shape, dtype=np.int64)
-        rest = np.ones(u.shape, dtype=bool)
-        cum = 0.0
-        for start, mass, width in self.home_tiers(home):
-            cum += mass
-            tier = rest & (u < cum)
-            out[tier] = np.broadcast_to(start, u.shape)[tier] + rng.integers(
-                0, width, size=int(np.count_nonzero(tier)), dtype=np.int64)
-            rest &= ~tier
-        out[rest] = rng.integers(0, ADDRESS_SPACE, size=int(np.count_nonzero(rest)), dtype=np.int64)
+        inside = [u < cum for cum in itertools.accumulate(mass for _, mass, _ in tiers)]
+        del u  # before the scratch array, so that the two never coexist
+        moved = np.empty_like(out)
+        for (start, _, width), mask in zip(tiers[::-1], inside[::-1]):
+            np.bitwise_xor(out, start, out=moved)  # where mask, the bits above the block become start's
+            moved &= -width
+            moved *= mask
+            out ^= moved
         return out
 
 

@@ -1,3 +1,6 @@
+import bisect
+import collections
+import itertools
 import math
 
 import numpy as np
@@ -317,25 +320,42 @@ def test_single_draws_follow_the_same_law():
 
 def dense_importance_draw(q_dense: np.ndarray, l: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """is draws by the cumulative sum of the dense 2**l law, clamped to the
-    last group: the reference for the law kept over occupied groups only."""
+    last group: the reference for an explicit q_g, kept over occupied groups
+    only."""
     g = np.searchsorted(np.cumsum(q_dense), rng.random(n), side="right")
     np.minimum(g, q_dense.size - 1, out=g)
     return (g.astype(np.int64) << (32 - l)) + rng.integers(0, 1 << (32 - l), size=n, dtype=np.int64)
 
 
+def literal_slot_draw(d: ss.GroupDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
+    """is with q_g = p_g, target by target: k uniform in [0, N * block) is
+    host slot k >> bits, which lies in the group whose cumulative count first
+    exceeds it, and offset k & (block - 1) inside that group's block."""
+    bits = 32 - d.l
+    ends = list(itertools.accumulate(d.counts.tolist()))
+    groups = d.indices.tolist()
+    ks = rng.integers(0, d.total << bits, size=n, dtype=np.uint64).tolist()
+    return np.array([groups[bisect.bisect_right(ends, k >> bits)] << bits | (k & ((1 << bits) - 1)) for k in ks],
+                    dtype=np.int64)
+
+
 @pytest.mark.parametrize("name", ["zipf16", "uniform16", "explicit8"])
 def test_importance_draws_equal_the_dense_cumulative_law(name):
+    # an explicit q_g is searched in the dense law's cumulative sum; q_g = p_g
+    # draws a host slot, found in the groups' cumulative counts
+    n = 300_000
     if name == "explicit8":
         q = np.zeros(256)
         q[[3, 40, 41, 200]] = [0.1, 0.2, 0.3, 0.4]
         law, q_dense, l = TargetLaw(ss.ScanStrategy.importance(8, q_g=q)), q, 8
+        want = dense_importance_draw(q_dense, l, np.random.default_rng(21), n)
     else:
         d = ss.synth_zipf(16, 1.0, 448894, seed=2) if name == "zipf16" else ss.synth_uniform(1256, 16, 357)
         q_dense = np.zeros(1 << 16)
         q_dense[d.indices] = d.counts / d.total
         law, l = TargetLaw(ss.ScanStrategy.importance(16), d), 16
-    got = law.draw(np.random.default_rng(21), 300_000)
-    assert np.array_equal(got, dense_importance_draw(q_dense, l, np.random.default_rng(21), 300_000))
+        want = literal_slot_draw(d, np.random.default_rng(21), n)
+    assert np.array_equal(law.draw(np.random.default_rng(21), n), want)
     assert np.array_equal(law.group_probabilities(np.arange(1 << l)), q_dense)
 
 
@@ -357,10 +377,67 @@ class Uniforms:
 def test_importance_draw_past_the_last_cumulative_value_takes_the_last_occupied_group():
     # ten groups of 0.1 sum sequentially to 1 - 2**-53, so u = 1 - 2**-53 lies past
     # cum[-1]: the dense law clamped such a draw to group 255, which is empty
-    d = ss.GroupDistribution(8, np.arange(10, 110, 10), np.ones(10))
-    law = TargetLaw(ss.ScanStrategy.importance(8), d)
-    assert np.cumsum(d.counts / d.total)[-1] <= np.nextafter(1.0, 0.0)
+    q = np.zeros(256)
+    q[10:110:10] = 0.1
+    law = TargetLaw(ss.ScanStrategy.importance(8, q_g=q))
+    assert np.cumsum(q[q > 0])[-1] <= np.nextafter(1.0, 0.0)
     assert (law.draw(Uniforms(np.full(3, np.nextafter(1.0, 0.0)), seed=0), 3) >> 24).tolist() == [100, 100, 100]
+
+
+class Given:
+    """A stream whose integers, drawn in [0, hi), and uniforms are given."""
+
+    def __init__(self, hi, k, u=()):
+        self.hi, self.k, self.u = hi, np.asarray(k, dtype=np.uint64), np.asarray(u, dtype=np.float64)
+
+    def integers(self, lo, hi, size, dtype):
+        assert (lo, hi) == (0, self.hi) and np.prod(size) == self.k.size
+        return self.k.astype(dtype).reshape(size)
+
+    def random(self, size):
+        assert np.prod(size) == self.u.size
+        return self.u.reshape(size).copy()
+
+
+@pytest.mark.parametrize("l, groups, counts", [
+    (0, [0], [3]),
+    (8, [0, 7, 255], [1, 3, 2]),
+    (30, [0, 5, 2**30 - 1], [4, 1, 3]),
+    (32, [0, 9, 2**32 - 1], [1, 1, 1]),
+])
+def test_each_slot_draw_gives_each_address_of_a_group_its_count(l, groups, counts):
+    # every host slot with every offset once (at l = 0 and 8, the offsets at
+    # the block's edges and a few inside; all of them at 30 and 32): each
+    # address of group g comes out exactly c_g times, and no other address
+    d = ss.GroupDistribution(l, groups, counts)
+    bits = 32 - l
+    block = 1 << bits
+    offsets = range(block) if block <= 4 else sorted({0, 1, 2, block // 2 - 1, block // 3, block - 2, block - 1})
+    k = [slot << bits | r for slot in range(d.total) for r in offsets]
+    law = TargetLaw(ss.ScanStrategy.importance(l), d)
+    got = collections.Counter(law.draw(Given(d.total << bits, k), len(k)).tolist())
+    assert got == {g << bits | r: c for g, c in zip(groups, counts) for r in offsets}
+
+
+@pytest.mark.parametrize("token, home", [("ls:l=16,pa=0.5", 0x1234), ("ls:l=8,pa=0.25", 255),
+                                         ("ls:l=32,pa=0.5", 2**32 - 1), ("ls:l=0,pa=0.5", 0),
+                                         ("2lls:pb=0.25,pc=0.5", 0x0A07), ("2lls:pb=0.5,pc=0.125", 0xFFFF)])
+def test_each_homed_draw_keeps_its_address_offset_in_its_tier_block(token, home):
+    # u on each cumulative boundary goes to the next tier out, just below it
+    # to the tier itself; a tier's target is its block start | the address's
+    # offset in that block, and the rest tier's target is the address itself
+    st = ss.parse_strategy(token)
+    tiers = [(st.p_a, 2 ** (32 - st.l))] if st.kind == "ls" else [(st.p_c, 2**16), (st.p_b, 2**24)]
+    cum = list(itertools.accumulate(mass for mass, _ in tiers))
+    sizes = [size for _, size in tiers] + [2**32]
+    u = sorted({0.0, 0.999, *cum, *(np.nextafter(c, 0.0) for c in cum if c > 0)} - {1.0})
+    addresses = [0, 1, 0xFFFF, 0x12345678, 0xDEADBEEF, 2**32 - 1]
+    k, x = zip(*itertools.product(addresses, u))
+    got = TargetLaw(st).draw(Given(2**32, k, x), len(k), home).tolist()
+    start = home << (32 - st.l)
+    want = [start // size * size + a % size for a, size in zip(k, (sizes[bisect.bisect_right(cum, v)] for v in x))]
+    assert got == want
+    assert {bisect.bisect_right(cum, v) for v in x} == set(range(len(sizes)))
 
 
 @pytest.mark.parametrize("n", [1, 7, 50_000])
