@@ -23,22 +23,26 @@ log1p(-q).  One survival operator advances every family,
 
     m_i(t+1) = min(m_i(t) + pp * (N_i - m_i(t)) * (-expm1(E_i)), N_i)
 
-with pp the proactive-protection factor (1 without protection).  A family
-only supplies its exponent E(m, n_t), read off its `TargetLaw`: without
-home tiers (rs, is, optis) all sources scan alike, and with them (ls, 2lls)
-sources split by the innermost tier block they share with group i.  Without
-tiers E_i depends on n_t alone, and summed over groups the recursion reduces
-exactly to the single-population form
+with pp the proactive-protection factor (1 without protection).  Every
+family's exponent is one linear form, read off its `TargetLaw`,
+
+    E_i = a_i * m_i + c_i * (s * tick * n_t) + sum_k b_k * W_k(i):
+
+every source scans by the shared group law (c_i), and one in group i's
+block of a home tier also by that tier (a_i for group i itself, b_k for
+wider tier k, such as the 2lls home /8 whose infected hosts W_k(i) sums).
+Without tiers (rs, is, optis) a and W vanish, E_i depends on n_t alone, and
+summed over groups the recursion reduces exactly to the single-population
+form
 
     n(t+1) = n(t) + (N - n(t)) * (1 - (1 - 1/omega)**(s * n(t) * tick))
 
 for uniform q.
 
-Groups that agree on every input of their update (population and q without
-tiers; population and the block of each wider tier with them: ls one key,
-2lls the /8 as well) and start equal stay equal.  So the recursion runs once
-per class of identical groups, with the seeded group a class of its own, and
-n(t) = sum over classes of multiplicity * m.
+Groups that agree on every input of their update (population, the shared
+law's q and the block of each wider tier) and start equal stay equal.  So
+the recursion runs once per class of identical groups, with the seeded
+group a class of its own, and n(t) = sum over classes of multiplicity * m.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from .addrspace import (
     HostSet,
     _run_starts,
     _square_sum,
-    aggregate,
     materialize_hosts,
 )
 from .errors import InternalConsistencyError, ParameterError, UnsupportedStrategyError
@@ -147,8 +150,7 @@ class _EarlyEngine:
         self.law = None  # mss sweeps
         self.rows = _SWEEP_ROWS
         if st.kind != "mss":
-            dist = cfg.dist if cfg.dist is not None and cfg.dist.l >= st.l else aggregate(hosts, st.l)
-            self.law = TargetLaw(st, dist)
+            self.law = TargetLaw(st, cfg.dist if cfg.dist is not None and cfg.dist.l >= st.l else hosts)
             self.rows = max(1, _BLOCK_TARGETS // cfg.total_scans)
 
     def run(self, block) -> np.ndarray:
@@ -160,7 +162,7 @@ class _EarlyEngine:
             # host's block, starting just past it.  Sequential scanning is
             # deterministic given the anchor, so hits are an exact interval count.
             return _sweep_hits(hosts, hosts.addresses[rng.integers(0, hosts.N, size=n)], self.bits, self.total)
-        homes = hosts.addresses[rng.integers(0, hosts.N, size=(n, 1))] >> self.bits if self.law.needs_home else None
+        homes = hosts.addresses[rng.integers(0, hosts.N, size=(n, 1))] >> self.bits if self.law.tiers else None
         return hosts.count_members_per_row(self.law.draw(rng, (n, self.total), homes))
 
 
@@ -321,46 +323,35 @@ def _lump(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _log_survival(st: ScanStrategy, dist: GroupDistribution, s_tick: float, seed: int):
     """Lump dist's occupied groups into classes of identical groups and give
-    the family's log-survival exponent over them.
+    the coefficients of the family's log-survival exponent over them.
 
-    Returns (cls, mult, exponent): the class of each occupied group, the
-    number of groups in each class, and exponent(m, n) -> array over classes.
-    exp(exponent(m, n)) is the probability that one address of a class's
-    group escapes every scan of one tick, given m infected per group of each
-    class and n in all.  Groups of one class agree on every input of their
-    update: their population and, without home tiers, their per-scan
-    probability; with home tiers, the block of each wider tier.  The seeded
-    group (position `seed`) is a class of its own.  Classes are sorted by
-    their wider tier blocks, outermost first, so each block's classes are
-    one run.
+    Returns (cls, mult, c, a, wider): the class of each occupied group, the
+    number of groups in each class, and per class the coefficients of
+    E = a * m + c * (s_tick * n) + sum over wider of b * W[blk], where wider
+    holds (b, starts, blk) of each home tier wider than a group and
+    W = np.add.reduceat(mult * m, starts) sums its blocks' infected hosts.
+    exp(E) is the probability that one address of a class's group escapes
+    every scan of one tick, given m infected per group of each class and n
+    in all.  Groups of one class agree on their population, their hit
+    probability under the shared law and the block of each wider tier.  The
+    seeded group (position `seed`) is a class of its own.  Classes are
+    sorted by their wider tier blocks, outermost first, so each block's
+    classes are one run.
     """
     law = TargetLaw(st, dist)
     pop = dist.counts
     alone = np.arange(pop.size) == seed
-    if not law.needs_home:
-        # every source scans by the same group law: survival depends on n alone
-        log_surv = np.log1p(-law.group_probabilities(dist.indices) / law.block)  # per scan, one address
-        cls, mult, rep = _lump(alone, pop, log_surv)
-        log_surv = log_surv[rep]
-        return cls, mult, lambda m, n: s_tick * n * log_surv
-    # sources whose innermost tier block shared with the target is tier k's
-    # (outer - inner of them) hit an address by each tier j >= k and the rest
-    far = law.rest / ADDRESS_SPACE
-    consts = [np.log1p(-(sum(mass / size for mass, size in law.tiers[k:]) + far)) for k in range(len(law.tiers))]
-    c_far = np.log1p(-far)
-    blocks = [dist.indices // (size // law.block) for _, size in law.tiers[1:]]
-    cls, mult, rep = _lump(alone, pop, *blocks)
-    wider = [np.unique(b[rep], return_index=True, return_counts=True)[1:]
-             for b in blocks]  # (first class, classes) of each tier block's run
-
-    def exponent(m: np.ndarray, n: float) -> np.ndarray:
-        e, inner = m * consts[0], m
-        for c, (starts, runs) in zip(consts[1:], wider):
-            outer = np.repeat(np.add.reduceat(mult * m, starts), runs)
-            e, inner = e + (outer - inner) * c, outer
-        return s_tick * (e + (n - inner) * c_far)
-
-    return cls, mult, exponent
+    # a source sharing the target's block of width w hits an address by the
+    # shared law and by every tier at least w wide (the group itself first)
+    far = law.group_probabilities(dist.indices) / law.block
+    widths = [law.block] + [size for _, size in law.tiers if size > law.block]
+    logs = [np.log1p(-(sum(mass / size for mass, size in law.tiers if size >= width) + far)) for width in widths]
+    logs.append(np.log1p(-far))
+    blocks = [dist.indices // (width // law.block) for width in widths[1:]]
+    cls, mult, rep = _lump(alone, pop, logs[-1], *blocks)
+    a, *b = (s_tick * (inner[rep] - outer[rep]) for inner, outer in zip(logs, logs[1:]))
+    wider = [(bk, *np.unique(key[rep], return_index=True, return_inverse=True)[1:]) for bk, key in zip(b, blocks)]
+    return cls, mult, logs[-1][rep], a, wider
 
 
 def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
@@ -398,7 +389,8 @@ def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
         i0 = int(np.searchsorted(dist.indices, g0))
         if i0 == dist.occupied or dist.indices[i0] != g0:
             raise ParameterError(f"initial group {g0} has no vulnerable hosts")
-    cls, mult, exponent = _log_survival(st, dist, cfg.s * cfg.tick, i0)
+    s_tick = cfg.s * cfg.tick
+    cls, mult, c, a, wider = _log_survival(st, dist, s_tick, i0)
     pop = np.empty(mult.size)
     pop[cls] = dist.counts
     weights = mult.astype(np.float64)
@@ -406,6 +398,7 @@ def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
 
     m = np.zeros(mult.size)
     m[cls[i0]] = 1.0
+    e, tmp = np.empty_like(m), np.empty_like(m)
     n_series = np.empty(cfg.horizon + 1)
     n_series[0] = 1.0
     per_subnet = None
@@ -413,9 +406,15 @@ def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
         per_subnet = np.empty((cfg.horizon + 1, cls.size))
         np.take(m, cls, out=per_subnet[0])
 
-    for t in range(1, cfg.horizon + 1):
-        inc = (pop - m) * (-np.expm1(exponent(m, n_series[t - 1])))
-        m = np.minimum(m + protect * inc, pop)  # m <= pop by this minimum: not re-checked below
+    for t in range(1, cfg.horizon + 1):  # into scratch arrays: a tick allocates only the block sums
+        np.multiply(a, m, out=e)
+        e += np.multiply(c, s_tick * n_series[t - 1], out=tmp)
+        for b, starts, blk in wider:
+            e += np.multiply(b, np.add.reduceat(np.multiply(weights, m, out=tmp), starts).take(blk), out=tmp)
+        np.expm1(e, out=e)  # minus the share of a class's uninfected hosts hit this tick
+        e *= np.subtract(pop, m, out=tmp)
+        m -= np.multiply(e, protect, out=e)
+        np.minimum(m, pop, out=m)  # m <= pop by this minimum: not re-checked below
         n_series[t] = weights @ m
         if per_subnet is not None:
             np.take(m, cls, out=per_subnet[t])

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .addrspace import ADDRESS_BITS, ADDRESS_SPACE, MAX_DENSE_LEVEL, GroupDistribution, check_prefix_level
+from .addrspace import (ADDRESS_BITS, ADDRESS_SPACE, MAX_DENSE_LEVEL, GroupDistribution, HostSet, aggregate,
+                        check_prefix_level)
 from .errors import ParameterError, UnsupportedStrategyError
 
 # The token grammar: each kind's keys in label order, and the ScanStrategy
@@ -153,7 +154,9 @@ def parse_strategy(token: str) -> ScanStrategy:
     return ScanStrategy(kind, **fields)
 
 
-def _resolve_p(dist: GroupDistribution | None, l: int, what: str) -> GroupDistribution:
+def _resolve_p(dist: GroupDistribution | HostSet | None, l: int, what: str) -> GroupDistribution:
+    if isinstance(dist, HostSet):
+        dist = aggregate(dist, l)
     if dist is None or dist.total == 0:
         raise ParameterError(f"{what} needs a non-empty host distribution")
     if dist.l < l:
@@ -176,12 +179,9 @@ def group_scan_distribution(
         raise UnsupportedStrategyError("mss is stateful; it has no per-scan group distribution")
     if l > MAX_DENSE_LEVEL:
         raise ParameterError(f"dense q_g vector infeasible for l={l} (max {MAX_DENSE_LEVEL})")
-    m = 1 << l
     law = TargetLaw(strategy, dist)
-    if not law.needs_home:
-        return law.group_probabilities(np.arange(m))
-    # the rest uniform, each home tier's mass spread over its groups
-    q = np.full(m, law.rest / m)
+    # the shared group law, each home tier's mass spread over its groups
+    q = law.group_probabilities(np.arange(1 << l))
     for start, mass, size in _scanner_home_tiers(law, home_subnet):
         q[start >> law.bits : (start + size) >> law.bits] += mass * law.block / size
     return q
@@ -189,28 +189,30 @@ def group_scan_distribution(
 
 def _scanner_home_tiers(law: "TargetLaw", home) -> tuple[tuple[np.ndarray, float, int], ...]:
     """`law.home_tiers` of one scanner, whose home is one group index."""
-    if np.ndim(home) != 0:
+    if law.tiers and np.ndim(home) != 0:
         raise ParameterError(f"{law.strategy.kind} needs one home group index, got an array of shape {np.shape(home)}")
     return law.home_tiers(home)
 
 
 class TargetLaw:
-    """Per-scan target law of one strategy: set up once (q_g over the groups
-    with q_g > 0 for is, the argmax block for optis), then `draw` targets in
-    any shape.  is with q_g = p_g draws a host slot and an offset as one
+    """Per-scan target law of one strategy: a group law every scanner shares
+    (`group_probabilities`) and, for ls and 2lls, `tiers`: (mass, block
+    size) of each block around the scanner's home group a scan aims at,
+    innermost first (ls: the home /l; 2lls: the home /16, then /8), with
+    `rest` the mass spread over the whole space (1 without tiers).  Set up
+    once (q_g over the groups with q_g > 0 for is, the argmax block for
+    optis: these two alone aggregate a HostSet `dist`), then `draw` targets
+    in any shape.  is with q_g = p_g draws a host slot and an offset as one
     integer, so group g comes out with probability exactly c_g / N; an
     explicit q_g is searched in its cumulative sum.  mss draws its uniform
-    random phase.  `tiers` holds (mass, block size) of each block around the
-    scanner's home group a scan aims at, innermost first (ls: the home /l;
-    2lls: the home /16, then /8), and `rest` the mass spread over the whole
-    space (1 without tiers).  ls/2lls draw a uniform address and a uniform u
-    per scan, and the innermost tier whose cumulative mass exceeds u keeps
-    the address's low bits inside its block."""
+    random phase.  ls/2lls draw a uniform address and a uniform u per scan,
+    and the innermost tier whose cumulative mass exceeds u keeps the
+    address's low bits inside its block."""
 
-    __slots__ = ("strategy", "bits", "block", "tiers", "rest", "needs_home",
+    __slots__ = ("strategy", "bits", "block", "tiers", "rest",
                  "_groups", "_q", "_counts", "_slots", "_cum", "_base")
 
-    def __init__(self, strategy: ScanStrategy, dist: GroupDistribution | None = None):
+    def __init__(self, strategy: ScanStrategy, dist: GroupDistribution | HostSet | None = None):
         self.strategy = strategy
         self.bits = ADDRESS_BITS - strategy.l
         self.block = 1 << self.bits
@@ -220,7 +222,6 @@ class TargetLaw:
         elif strategy.kind == "2lls":
             self.tiers = ((strategy.p_c, 1 << 16), (strategy.p_b, 1 << 24))
             self.rest = 1.0 - strategy.p_b - strategy.p_c
-        self.needs_home = bool(self.tiers)
         self._groups = self._q = self._counts = self._slots = self._cum = self._base = None
         if strategy.kind == "is":
             if strategy.q_g is None:
@@ -234,25 +235,25 @@ class TargetLaw:
             self._base = _resolve_p(dist, strategy.l, "optis").argmax_index << self.bits
 
     def group_probabilities(self, groups: np.ndarray) -> np.ndarray:
-        """q_g at the given group indices for rs, is and optis: the one
-        definition of those laws."""
+        """The shared part of the law at the given group indices, its one
+        definition: q_g for rs, is and optis, rest / 2**l for ls and 2lls
+        (their home tiers come on top; mss reads as rs)."""
         kind = self.strategy.kind
-        if kind == "rs":
-            return np.full(np.shape(groups), 1.0 / (1 << self.strategy.l))
         if kind == "optis":
             return (groups == self._base >> self.bits).astype(np.float64)
         if kind != "is":
-            raise UnsupportedStrategyError(f"{kind} has no group law that is the same for every scanner")
+            return np.full(np.shape(groups), self.rest / (1 << self.strategy.l))
         pos = np.minimum(np.searchsorted(self._groups, groups), self._groups.size - 1)
         return np.where(self._groups[pos] == groups, self._q[pos], 0.0)
 
     def home_tiers(self, home) -> tuple[tuple[np.ndarray, float, int], ...]:
         """(block start, mass, block size) of each tier around home group
-        `home` (the /16 index for 2lls), innermost first.  `home` is an int or
-        an integer array; each start is int64 (uint32 & -size would overflow)."""
+        `home` (the /16 index for 2lls), innermost first; () without tiers,
+        whatever `home` is.  `home` is an int or an integer array; each start
+        is int64 (uint32 & -size would overflow)."""
         st = self.strategy
         h = np.asarray(home)
-        if h.dtype.kind not in "iu" or np.any(h < 0) or np.any(h >= 1 << st.l):
+        if self.tiers and (h.dtype.kind not in "iu" or np.any(h < 0) or np.any(h >= 1 << st.l)):
             raise ParameterError(f"{st.kind} needs a home group index in [0, 2**{st.l})")
         return tuple(((h.astype(np.int64) << self.bits) & -size, mass, size) for mass, size in self.tiers)
 
@@ -285,7 +286,7 @@ class TargetLaw:
                     + rng.integers(0, self.block, size=size, dtype=np.int64))
         if kind == "optis":
             return self._base + rng.integers(0, self.block, size=size, dtype=np.int64)
-        if not self.needs_home:  # rs, and the random phase of mss
+        if not self.tiers:  # rs, and the random phase of mss
             return rng.integers(0, ADDRESS_SPACE, size=size, dtype=np.int64)
         # a uniform address, then u picks the innermost tier whose cumulative
         # mass exceeds it; the address's low bits are uniform and independent
@@ -322,8 +323,7 @@ class ScannerState:
         self.bits = self._law.bits
         self.block = self._law.block
         self.home = home_subnet
-        if self._law.needs_home:
-            _scanner_home_tiers(self._law, home_subnet)  # rejects a missing, out-of-range or array home
+        _scanner_home_tiers(self._law, home_subnet)  # with tiers, rejects a missing, out-of-range or array home
         self.phase = "random"
         self.block_start = None
         self.cursor = None

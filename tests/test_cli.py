@@ -383,18 +383,13 @@ def test_internal_error_exits_4(hosts_file, tmp_path, monkeypatch):
 
 
 def test_epidemic_invariant_violation_exits_4(dist_file, tmp_path, monkeypatch, capsys):
-    # a positive exponent makes infections shrink: n(t) decreases
+    # a protection factor below 0 makes infections shrink: n(t) decreases
     from scanspread import epidemic
-    lump = epidemic._log_survival
 
-    def growing(*args):
-        cls, mult, exponent = lump(*args)
-        return cls, mult, lambda m, n: -exponent(m, n)
-
-    monkeypatch.setattr(epidemic, "_log_survival", growing)
+    monkeypatch.setattr(epidemic, "pp_factor", lambda d, p: -0.5)
     out = tmp_path / "o"
     assert run_cli("simulate", "epidemic", str(dist_file), "--strategy", "is:l=8", "--s", "1e6",
-                   "--horizon", "3", "--out-dir", str(out)) == 4
+                   "--horizon", "3", "--pp", "0.5,0.5", "--out-dir", str(out)) == 4
     err = capsys.readouterr().err
     assert "Traceback" not in err and "n(t) decreased or exceeded N" in err
     assert not (out / "trace.csv").exists()

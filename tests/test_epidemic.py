@@ -129,6 +129,24 @@ def test_monte_carlo_agrees_with_closed_forms():
         assert abs(z) < 4.0, f"{token}: mc={r.mean_alpha} analytic={expect} z={z:.2f}"
 
 
+@pytest.mark.parametrize("token, calls", [
+    ("rs:l=8", 0), ("ls:l=8,pa=0.75", 0), ("2lls:pb=0.25,pc=0.5", 0), ("is:l=8", 1), ("optis:l=8", 1),
+])
+def test_only_the_laws_that_read_a_distribution_aggregate_the_hosts(token, calls, monkeypatch):
+    _, hosts = zipf_hosts()
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return ss.addrspace.aggregate(*args)
+
+    for module in (ss.strategies, epidemic):
+        monkeypatch.setattr(module, "aggregate", counted, raising=False)
+    cfg = ss.EarlyStageConfig(ss.parse_strategy(token), s=1.0, total_scans=100, runs=2, seed=0, hosts=hosts)
+    ss.estimate_infection_rate(cfg)
+    assert len(seen) == calls
+
+
 def test_materialized_input_equals_prematerialized():
     d, hosts = zipf_hosts()
     via_dist = ss.EarlyStageConfig(ss.ScanStrategy.rs(), s=10.0, total_scans=100,
@@ -257,7 +275,7 @@ def literal_early_hits(st, hosts, scans, runs, seed):
         if st.kind == "mss":
             anchors = addr[rng.integers(0, hosts.N, size=n)].tolist()
             want += [literal_sweep(hosts, anchor, bits, scans) for anchor in anchors]
-        elif law.needs_home:
+        elif law.tiers:
             homes = (addr[rng.integers(0, hosts.N, size=n)] >> bits).tolist()
             want += [literal_members(hosts, row) for row in literal_homed_targets(st, rng, homes, scans)]
         else:
@@ -568,8 +586,27 @@ def test_groups_of_one_class_share_their_column(token):
 @pytest.mark.parametrize("token", ["rs", "is:l=16", "ls:l=16,pa=0.75"])
 def test_uniform_fixture_lumps_to_two_classes(token):
     d = ss.synth_uniform(1256, 16, 357)
-    cls, mult, _ = epidemic._log_survival(ss.parse_strategy(token), d, 358.0, 0)
+    cls, mult, *_ = epidemic._log_survival(ss.parse_strategy(token), d, 358.0, 0)
     assert sorted(mult.tolist()) == [1, 1255] and mult[cls[0]] == 1
+
+
+@pytest.mark.parametrize("token, hosts", [
+    ("rs:l=8", 20000), ("is:l=8", 20000), ("optis:l=8", 20000), ("ls:l=8,pa=0.75", 20000),
+    ("2lls:pb=0.25,pc=0.5", 500),  # 339 occupied /16s, some sharing a /8: one propagate per seed
+])
+def test_first_tick_of_propagate_averaged_over_seeds_is_the_closed_form_rate(token, hosts):
+    # at s * tick = 1 one source infects 1 - exp(log1p(-q)) = q of an
+    # address's chance per tick, so the first tick's new infections, averaged
+    # over seed groups drawn by p, are alpha * tick less the seed's own hosts
+    st = ss.parse_strategy(token)
+    d = ss.synth_zipf(st.l, 1.0, hosts, seed=3)
+    p = d.probabilities_occupied()
+    gained = [ss.propagate(ss.EpidemicConfig(st, d, s=1.0, horizon=1, initial=int(g))).n[1] - 1.0
+              for g in d.indices]
+    own = [ss.group_scan_distribution(st, int(g), d)[g] for g in d.indices]
+    alpha = ss.alpha_for(st, ss.ScanContext(s=1.0, N=d.total, dist=d)).alpha
+    want = alpha - math.fsum(p * own) / 2.0 ** (32 - st.l)
+    assert math.fsum(p * gained) == pytest.approx(want, rel=1e-9, abs=0)
 
 
 def test_propagate_rs_reduces_to_single_population():

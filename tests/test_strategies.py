@@ -472,7 +472,7 @@ def test_group_probabilities_at_occupied_groups(four_hosts):
     assert TargetLaw(ss.ScanStrategy.importance(24), d).group_probabilities(groups).tolist() == [0.5, 0.0, 0.25]
     assert TargetLaw(ss.ScanStrategy.optimal(24), d).group_probabilities(groups).tolist() == [1.0, 0.0, 0.0]
     assert TargetLaw(ss.ScanStrategy.rs(24)).group_probabilities(groups).tolist() == [2.0**-24] * 3
-    with pytest.raises(UnsupportedStrategyError):
-        TargetLaw(ss.ScanStrategy.localized(24, 0.5)).group_probabilities(groups)
+    # ls and 2lls: the rest, spread uniformly; the home tiers come on top
+    assert TargetLaw(ss.ScanStrategy.localized(24, 0.5)).group_probabilities(groups).tolist() == [2.0**-25] * 3
     with pytest.raises(ParameterError):
         ss.group_scan_distribution(ss.ScanStrategy.importance(24), dist=d)  # a dense 2**24 output
