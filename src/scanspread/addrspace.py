@@ -45,10 +45,12 @@ _RUN = 4 * _CHUNK
 _CANONICAL_BYTES = b"0123456789.\n"
 _NL, _ZERO = ord("\n"), ord("0")
 
-# Text of each octet value: its digits, zero bytes up to 3, then '.'.
+# Text of each octet value: its digits, zero bytes up to 3, then '.'; and the
+# same 4 bytes as one uint32 word per value, which save_host_list gathers.
 _OCTET_TEXT = np.frombuffer(
     b"".join(str(v).encode().ljust(3, b"\0") + b"." for v in range(256)), dtype=np.uint8
 ).reshape(256, 4)
+_OCTET_WORDS = _OCTET_TEXT.reshape(-1).view(np.uint32)
 
 # _sample_distinct draws a permutation prefix only for blocks up to this size.
 _PERMUTE_MAX_BLOCK = 1 << 22
@@ -306,7 +308,7 @@ def _parse_canonical(data: bytes, origin: str | None) -> HostListResult:
     for run in _line_runs(data):
         start, end = _fields(run < _ZERO)
         width = np.minimum(end - start, 4)  # 4: too wide, whatever the digits
-        octet = _read_digits(run, start, width, np.int16)
+        octet = _read_digits(run, end, width, np.int16)
         fine = (width >= 1) & (width <= 3) & ((width == 1) | (run[start] != _ZERO)) & (octet <= 255)
         last = np.flatnonzero(run[end] == _NL)  # each line's last field
         count = np.diff(last, prepend=-1)
@@ -346,27 +348,41 @@ def _fields(sep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return start, end
 
 
-def _read_digits(run: np.ndarray, start: np.ndarray, width: np.ndarray, dtype) -> np.ndarray:
-    """The value, as `dtype`, of each field of `width` ASCII digits from
-    `start` in `run`, read from the left; `dtype` must hold every value."""
-    value = np.zeros(start.size, dtype=dtype)
-    for j in range(int(width.max(initial=0))):
-        digit = run[np.minimum(start + j, run.size - 1)].astype(dtype) - _ZERO
-        value = np.where(width > j, value * 10 + digit, value)
+def _read_digits(run: np.ndarray, end: np.ndarray, width: np.ndarray, dtype) -> np.ndarray:
+    """The value, as `dtype`, of each field of `width` ASCII digits that ends
+    just before `end` in `run`, read from the right: digit k from the end has
+    place 10**k.  `dtype` must hold every value.  Each step reuses the same
+    buffers; a position before the run's first byte is clipped to it, and
+    its digit is masked out, as is every digit past a field's width."""
+    value = np.zeros(end.size, dtype=dtype)
+    digit = np.empty(end.size, dtype=np.uint8)
+    placed = np.empty(end.size, dtype=dtype)
+    inside = np.empty(end.size, dtype=bool)
+    pos = end.copy()
+    for k in range(int(width.max(initial=0))):
+        pos -= 1
+        np.take(run, pos, out=digit, mode="clip")
+        digit -= _ZERO
+        digit *= np.greater(width, k, out=inside)
+        value += np.multiply(digit, dtype(10**k), out=placed)
     return value
 
 
 def save_host_list(path: str | Path, hosts: HostSet) -> None:
     """Write one dotted-quad per line, ascending; deterministic bytes.
 
-    Each chunk of addresses is laid out as 16 bytes per address from
-    _OCTET_TEXT; dropping the padding zeros leaves the text.
+    Each chunk of addresses is laid out in one reused buffer as 16 bytes per
+    address, a word of _OCTET_WORDS per octet; dropping the padding zeros
+    leaves the text.
     """
     addr = hosts.addresses
+    words = np.empty(4 * min(addr.size, _CHUNK), dtype=np.uint32)
     with open(path, "wb") as fh:
         for lo in range(0, addr.size, _CHUNK):
-            octets = addr[lo:lo + _CHUNK].astype(">u4").view(np.uint8).reshape(-1, 4)
-            text = _OCTET_TEXT[octets].reshape(-1, 16)
+            octets = addr[lo:lo + _CHUNK].astype(">u4").view(np.uint8)
+            # every index is an octet: "clip" writes straight into `out`, which "raise" would buffer
+            text = _OCTET_WORDS.take(octets, out=words[:octets.size], mode="clip")
+            text = text.view(np.uint8).reshape(-1, 16)
             text[:, 15] = _NL
             fh.write(text[text != 0])
 
@@ -557,7 +573,7 @@ def _dist_csv_canonical(path: Path, data: bytes) -> GroupDistribution | None:
         if (end.size % 2 or width.min() < 1 or width.max() > _MAX_DIGITS
                 or np.any(run[end[0::2]] != _COMMA) or np.any(run[end[1::2]] != _NL)):
             return None
-        value[n:n + end.size] = _read_digits(run, start, width, np.int64)
+        value[n:n + end.size] = _read_digits(run, end, width, np.int64)
         n += end.size
     return _checked_dist(path, int(m.group(1)), int(m.group(2)), value[0::2], value[1::2])
 
@@ -598,9 +614,9 @@ def _run_lengths(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def aggregate(hosts: HostSet, l: int) -> GroupDistribution:
     """Count hosts per /l prefix group."""
-    groups = hosts.addresses.astype(np.int64)
-    groups >>= block_bits(l)  # addresses sorted => groups sorted
-    return GroupDistribution(l, *_run_lengths(groups))
+    # uint32 >> 32 is 0 in numpy, so l = 0 needs no branch; sorted addresses
+    # make sorted groups
+    return GroupDistribution(l, *_run_lengths(hosts.addresses >> block_bits(l)))
 
 
 def refine(dist: GroupDistribution, hosts: HostSet, l: int) -> GroupDistribution:
@@ -705,6 +721,7 @@ def _sample_distinct(rng: np.random.Generator, k: int, size: int) -> np.ndarray:
 def materialize_hosts(dist: GroupDistribution, seed: int) -> HostSet:
     """Draw a concrete HostSet matching `dist`: each group's hosts are
     distinct addresses placed uniformly at random within the group's block.
+    The hosts go into one uint32 array as each run of groups is drawn.
 
     Deterministic for a given (dist, seed).  Stream contract: groups are
     filled in ascending index order from one seeded stream, each exactly as
@@ -726,13 +743,22 @@ def materialize_hosts(dist: GroupDistribution, seed: int) -> HostSet:
     """
     if seed < 0:
         raise ParameterError("seed must be >= 0")
+    hosts = np.empty(dist.total, dtype=np.uint32)  # each group gets exactly its count
+    n = 0
+    for part in _drawn_hosts(dist, np.random.default_rng(seed)):
+        hosts[n:n + part.size] = part
+        n += part.size
+    return HostSet(hosts)
+
+
+def _drawn_hosts(dist: GroupDistribution, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The hosts materialize_hosts draws, as int64 arrays in stream order: a
+    run of rejection-sampled groups, or one group, at a time."""
     bits = block_bits(dist.l)
     block = 1 << bits
-    rng = np.random.default_rng(seed)
     counts = dist.counts
     bases = dist.indices << bits
     breaks = np.flatnonzero((counts == block) | ((block <= _PERMUTE_MAX_BLOCK) & (3 * counts > block)))
-    parts = []
     start = 0
     for stop in [*breaks.tolist(), counts.size]:
         while start < stop:
@@ -743,27 +769,34 @@ def materialize_hosts(dist: GroupDistribution, seed: int) -> HostSet:
             state = rng.bit_generator.state
             draws = rng.integers(0, block, int(begin[m - 1] + batch[m - 1]), dtype=np.int64)
             hosts, filled = _first_distinct(draws, bases[start:start + m], k[:m], batch[:m])
-            parts.append(hosts)
             del draws  # before a replay draws its own batches
+            yield hosts
             if filled < m:  # replay the stream up to this group and fill it alone
                 rng.bit_generator.state = state
                 rng.integers(0, block, int(begin[filled]), dtype=np.int64)
-                parts.append(int(bases[start + filled]) + _sample_distinct(rng, int(k[filled]), block))
+                yield int(bases[start + filled]) + _sample_distinct(rng, int(k[filled]), block)
                 m = filled + 1
             start += m
         if stop < counts.size:
-            parts.append(int(bases[stop]) + _sample_distinct(rng, int(counts[stop]), block))
+            yield int(bases[stop]) + _sample_distinct(rng, int(counts[stop]), block)
             start = stop + 1
-    if not parts:
-        return HostSet([])
-    return HostSet(np.concatenate(parts))
 
 
 def _first_occurrences(values: np.ndarray) -> np.ndarray:
-    """Mask of the values that do not repeat an earlier value."""
-    order = np.argsort(values, kind="stable")
-    keep = np.empty(values.size, dtype=bool)
-    keep[order] = _run_starts(values[order])  # a stable sort puts each value's first entry first
+    """Mask of the values that do not repeat an earlier value.
+
+    Needs values in [0, 2**32) and fewer than 2**32 of them (addresses, or
+    offsets in a block of at most 2**32): each is packed with its position
+    into one uint64 key, value << 32 | position, so one plain sort puts each
+    value's first position at the start of its run of keys."""
+    keys = values.astype(np.uint64)
+    keys <<= 32
+    keys |= np.arange(values.size, dtype=np.uint64)
+    keys.sort()
+    first = keys[_run_starts(keys >> 32)]
+    first &= 0xFFFFFFFF
+    keep = np.zeros(values.size, dtype=bool)
+    keep[first] = True
     return keep
 
 

@@ -24,6 +24,12 @@ from scanspread.errors import (
 addresses = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=200)
 
 
+@pytest.fixture(scope="module")
+def paper_hosts():
+    """The 448,894 hosts of the paper fixture, materialized once."""
+    return ss.materialize_hosts(ss.synth_zipf(16, 1.0, 448894, seed=2), 5)
+
+
 # -- host-list parsing -----------------------------------------------------
 
 
@@ -221,6 +227,31 @@ def test_a_canonical_load_keeps_its_temporaries_narrow(tmp_path):
     assert peak < 4 * path.stat().st_size, peak / path.stat().st_size
 
 
+def test_a_five_digit_octet_in_a_later_run_reports_its_own_line(tmp_path):
+    # the digits are read from the right, so 12345 reads as some value; its
+    # width alone rejects it
+    lines = _lines_to(2 * addrspace._RUN + addrspace._RUN // 2, np.random.default_rng(6))
+    lines += ["10.0.0.1", "10.12345.0.1", "10.0.0.2"]
+    path = tmp_path / "hosts.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with pytest.raises(HostListParseError) as exc:
+        ss.load_host_list(path)
+    assert (exc.value.line_no, exc.value.text) == (len(lines) - 1, "10.12345.0.1")
+
+
+@pytest.mark.parametrize("dtype, widths", [(np.int64, range(1, 19)), (np.int16, range(1, 5))])
+def test_read_digits_matches_int(dtype, widths):
+    # the first field starts at byte 0 of the run: its positions past its
+    # width are clipped to that byte, and its digits there masked out
+    rng = np.random.default_rng(len(widths))
+    fields = ["7", ""] + ["".join(map(str, rng.integers(0, 10, w))) for w in widths for _ in range(3)]
+    run = np.frombuffer(("\n".join(fields) + "\n").encode("ascii"), dtype=np.uint8)
+    start, end = addrspace._fields(run < addrspace._ZERO)
+    value = addrspace._read_digits(run, end, end - start, dtype)
+    assert value.dtype == dtype
+    assert value.tolist() == [int(f or "0") for f in fields]
+
+
 def _dotted(a: int) -> str:
     return f"{(a >> 24) & 255}.{(a >> 16) & 255}.{(a >> 8) & 255}.{a & 255}"
 
@@ -235,6 +266,21 @@ def test_save_host_list_bytes_match_dotted_quads(tmp_path, addrs):
     path = tmp_path / "hosts.txt"
     ss.save_host_list(path, hosts)
     assert path.read_bytes() == "".join(_dotted(int(a)) + "\n" for a in hosts.addresses).encode("ascii")
+
+
+def test_save_host_list_keeps_its_temporaries_per_chunk(tmp_path):
+    # each chunk is laid out in one reused buffer: four times the hosts
+    # must not raise the peak
+    peaks = []
+    for chunks in (2, 8):
+        hosts = ss.HostSet(np.random.default_rng(chunks).integers(0, 2**32, chunks * addrspace._CHUNK))
+        tracemalloc.start()
+        try:
+            ss.save_host_list(tmp_path / f"hosts{chunks}.txt", hosts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 # -- HostSet ---------------------------------------------------------------
@@ -448,6 +494,16 @@ def test_aggregate_empty():
     empty = ss.GroupDistribution(32, [], [])
     for l in range(33):
         assert empty.coarsen(l) == ss.GroupDistribution(l, [], [])
+
+
+@pytest.mark.parametrize("l", [0, 1, 16, 31, 32])
+def test_aggregate_of_uint32_addresses_equals_the_int64_form(paper_hosts, l):
+    # uint32 >> 32 is 0, so l = 0 takes no branch of its own
+    for hosts in (paper_hosts, ss.HostSet([0, 2**32 - 1])):
+        groups = hosts.addresses.astype(np.int64) >> (32 - l)
+        got = ss.aggregate(hosts, l)
+        assert got == ss.GroupDistribution(l, *np.unique(groups, return_counts=True))
+        assert got.indices.dtype == np.int64
 
 
 @given(addrs=addresses, l=st.integers(0, 32), k=st.integers(0, 32))
@@ -774,6 +830,43 @@ def _materialize_reference(dist, seed, permute_max=1 << 22):
 ], ids=["zipf16", "zipf8", "uniform", "permutation", "full_block"])
 def test_materialize_is_byte_identical_to_the_per_group_loop(dist, seed):
     assert np.array_equal(ss.materialize_hosts(dist, seed).addresses, _materialize_reference(dist, seed))
+
+
+def test_materialize_keeps_its_temporaries_per_run_of_groups():
+    # 4 B a host for the uint32 output and 4 for HostSet's sorted copy; int64
+    # parts and their concatenation made it 22 B a host
+    dist = ss.synth_zipf(16, 1.0, 448894, seed=2)
+    tracemalloc.start()
+    try:
+        hosts = ss.materialize_hosts(dist, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15 * hosts.N, peak / hosts.N
+
+
+def _first_occurrences_reference(values):
+    """The definition: a stable sort puts each value's first entry first."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    keep = np.empty(values.size, dtype=bool)
+    keep[order[:1]] = True
+    keep[order[1:]] = ordered[1:] != ordered[:-1]
+    return keep
+
+
+def _repeating_values():
+    rng = np.random.default_rng(12)
+    pool = np.r_[0, 2**32 - 1, rng.integers(0, 2**32, 5000)]
+    return rng.choice(pool, 3 * addrspace._CHUNK)  # repeats far more than _CHUNK apart
+
+
+@pytest.mark.parametrize("values", [
+    [], [7], [0, 2**32 - 1, 0, 2**32 - 1, 5], [3] * 10, _repeating_values(),
+], ids=["empty", "single", "extremes", "all_equal", "random"])
+def test_first_occurrences_matches_the_stable_sort(values):
+    values = np.asarray(values, dtype=np.int64)
+    assert np.array_equal(addrspace._first_occurrences(values), _first_occurrences_reference(values))
 
 
 def test_materialize_replays_a_group_its_first_batch_cannot_fill(monkeypatch):
