@@ -387,6 +387,16 @@ def save_host_list(path: str | Path, hosts: HostSet) -> None:
             fh.write(text[text != 0])
 
 
+def _owned_int64(values) -> np.ndarray:
+    """values as a flat int64 array that no caller holds: converted by
+    np.asarray when that makes a new array, copied once when it would share
+    the caller's memory."""
+    arr = np.asarray(values, dtype=np.int64)
+    if arr is values or arr.base is not None:
+        arr = arr.copy()
+    return arr.reshape(-1)
+
+
 class GroupDistribution:
     """Host counts per /l prefix group, stored sparse (occupied groups only).
 
@@ -399,19 +409,21 @@ class GroupDistribution:
 
     def __init__(self, l: int, indices, counts):
         self._l = check_prefix_level(l)
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        cnt = np.asarray(counts, dtype=np.int64).reshape(-1)
+        idx, cnt = _owned_int64(indices), _owned_int64(counts)
         if idx.size != cnt.size:
             raise ParameterError("indices and counts length mismatch")
         if np.any(cnt < 0):
             raise ParameterError("counts must be non-negative")
-        keep = cnt > 0
-        idx, cnt = idx[keep], cnt[keep]
-        order = np.argsort(idx, kind="stable")
-        idx, cnt = idx[order], cnt[order]
+        # canonical input (strictly increasing indices, no zero count) is kept as it is
+        canonical = bool(np.all(idx[1:] > idx[:-1]) and np.all(cnt > 0))
+        if not canonical:
+            keep = cnt > 0
+            idx, cnt = idx[keep], cnt[keep]
+            order = np.argsort(idx, kind="stable")
+            idx, cnt = idx[order], cnt[order]
         if idx.size and (idx[0] < 0 or idx[-1] >= (1 << self._l)):
             raise ParameterError(f"group index out of range for l={self._l}")
-        if not _run_starts(idx).all():
+        if not canonical and not _run_starts(idx).all():
             raise ParameterError("duplicate group indices")
         block = block_size(self._l)
         over = cnt > block
@@ -607,7 +619,8 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 
 
 def _run_lengths(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct values, run lengths) of a sorted array."""
+    """(value, length) of each run of equal consecutive values: for a sorted
+    array, its distinct values and their counts."""
     first = np.flatnonzero(_run_starts(sorted_vals))
     return sorted_vals[first], np.diff(first, append=sorted_vals.size)
 
@@ -845,27 +858,42 @@ def write_table(path: str | Path, header: Iterable[str], columns: Iterable, comm
     """Write a CSV data file: a `# <comment>` line per comment, the header, then
     one '\\n'-terminated row per position of the equal-length columns.  Text
     cells are quoted as the csv module quotes them (only those holding ',' or
-    '"'); numbers are the repr of Python ints and floats, never numpy scalars."""
-    arrays = [np.asarray(col) for col in columns]
+    '"'); numbers are the repr of Python ints and floats, never numpy scalars.
+
+    A column object passed more than once (the same object, by identity) is
+    formatted once per step, and each run of r consecutive copies is written
+    as one text, `(cell + ",") * (r - 1) + cell`; equal but distinct arrays
+    are separate columns.  The bytes are those of one cell per column."""
+    arrays, slots, seen = [], [], {}  # the distinct columns, and the slot of each column among them
+    for col in columns:
+        if id(col) not in seen:  # seen holds col, so its id is not reused while we look
+            seen[id(col)] = (len(arrays), col)
+            arrays.append(np.asarray(col))
+        slots.append(seen[id(col)][0])
     rows = len(arrays[0]) if arrays else 0
     if any(len(a) != rows for a in arrays):
         raise ValueError("columns differ in length")
+    # (slot, copies) of each run of consecutive copies; None when every column is distinct
+    runs = None if len(arrays) == len(slots) else list(zip(*(v.tolist() for v in _run_lengths(np.array(slots)))))
     # per column, the formatter of its cells; None for float64, formatted per step
     fmts = [None if a.dtype == np.float64 else _csv_text if a.dtype.kind == "U" else repr for a in arrays]
     floats = [j for j, f in enumerate(fmts) if f is None]
-    step = max(1, _CHUNK // max(1, len(arrays)))  # rows per step: about _CHUNK cells
+    step = max(1, _CHUNK // max(1, len(slots)))  # rows per step: about _CHUNK cells
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"# {c}\n" for c in comments)
         fh.write(",".join(header) + "\n")
         for lo in range(0, rows, step):
             part = [a[lo:lo + step] for a in arrays]
             texts = _float_texts(np.array([part[j] for j in floats])) if floats else None
-            if len(floats) == len(part):  # float64 columns only: the rows are ready
+            if len(floats) == len(part) and runs is None:  # float64 columns only: the rows are ready
                 lines = texts.tolist()
             else:
                 cells = [map(f, a.tolist()) if f else None for f, a in zip(fmts, part)]
                 for j, col in zip(floats, texts.T.tolist() if floats else ()):
                     cells[j] = col
+                if runs is not None:
+                    cells = [list(col) if f else col for f, col in zip(fmts, cells)]
+                    cells = [cells[u] if r == 1 else [(t + ",") * (r - 1) + t for t in cells[u]] for u, r in runs]
                 lines = zip(*cells)
             fh.writelines(",".join(row) + "\n" for row in lines)
 

@@ -324,10 +324,11 @@ def cmd_simulate_epidemic(args: argparse.Namespace) -> None:
     time_col = f"t_{args.time_unit}"
     write_table(out_dir / "trace.csv", [time_col, "n_t"], [trace.times(), trace.n],
                 [f"strategy={trace.strategy} s={args.s!r} tick={args.tick!r} N={trace.total_population}"])
-    if trace.per_subnet is not None:
+    if trace.per_class is not None:
         occupied = dist.coarsen(strategy.l).indices.tolist()
+        cols = list(trace.per_class.T)  # one object per class: the writer formats each once
         write_table(out_dir / "per_subnet.csv", [time_col, *(f"m_{g}" for g in occupied)],
-                    [trace.times(), *trace.per_subnet.T])
+                    [trace.times(), *(cols[k] for k in trace.cls.tolist())])
     summary = {"total_population": trace.total_population}
     for frac in (0.5, 0.9, 0.99):
         t = time_to_fraction(trace, frac)

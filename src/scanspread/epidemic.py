@@ -297,13 +297,24 @@ class EpidemicConfig:
 
 @dataclass(frozen=True)
 class EpidemicTrace:
+    """The outbreak's n(t) and, under `record_per_subnet`, its per-class
+    values: `per_class` is (ticks + 1, classes), one column per class of
+    identical groups, and `cls` the class of each occupied group.  The
+    per-group view `per_subnet` is built from them on each access."""
+
     strategy: str
     l: int
     s: float
     tick: float
     total_population: int
     n: np.ndarray
-    per_subnet: np.ndarray | None = None
+    per_class: np.ndarray | None = None
+    cls: np.ndarray | None = None
+
+    @property
+    def per_subnet(self) -> np.ndarray | None:
+        """(ticks + 1, occupied groups): each group's column is its class's."""
+        return None if self.per_class is None else self.per_class[:, self.cls]
 
     def times(self) -> np.ndarray:
         return np.arange(self.n.size) * self.tick
@@ -315,8 +326,11 @@ def _lump(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     class's size and one position of each class."""
     order = np.lexsort(keys)
     new = np.logical_or.reduce([_run_starts(key[order]) for key in keys])
-    cls = np.empty(order.size, dtype=np.intp)
-    cls[order] = np.cumsum(new) - 1
+    rank = new.astype(np.intp)  # cast first: a cumsum of bools buffers a cast copy
+    np.cumsum(rank, out=rank)
+    rank -= 1
+    cls = np.empty_like(rank)
+    cls[order] = rank
     first = np.flatnonzero(new)
     return cls, np.diff(first, append=order.size), order[first]
 
@@ -346,7 +360,7 @@ def _log_survival(st: ScanStrategy, dist: GroupDistribution, s_tick: float, seed
     far = law.group_probabilities(dist.indices) / law.block
     widths = [law.block] + [size for _, size in law.tiers if size > law.block]
     logs = [np.log1p(-(sum(mass / size for mass, size in law.tiers if size >= width) + far)) for width in widths]
-    logs.append(np.log1p(-far))
+    logs.append(np.log1p(np.negative(far, out=far), out=far))  # far's last use: in place
     blocks = [dist.indices // (width // law.block) for width in widths[1:]]
     cls, mult, rep = _lump(alone, pop, logs[-1], *blocks)
     a, *b = (s_tick * (inner[rep] - outer[rep]) for inner, outer in zip(logs, logs[1:]))
@@ -361,11 +375,12 @@ def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
     initial group.  The recursion runs once per class of identical groups
     (`_log_survival`): groups that agree on every input of their update and
     start equal stay equal, and the seeded group is a class of its own, so
-    n(t) = sum over classes of multiplicity * m.  `per_subnet` has one
-    column per occupied group, in the order of `cfg.dist.coarsen(l).indices`,
-    each its class's value.  MSS is stateful per scanner and has no group
-    law, so it is not representable here.  Raises InternalConsistencyError
-    if n(t) decreases or exceeds N.
+    n(t) = sum over classes of multiplicity * m.  Under `record_per_subnet`
+    the trace keeps one column per class (`per_class`) and the class of each
+    occupied group (`cls`), in the order of `cfg.dist.coarsen(l).indices`;
+    `per_subnet` expands them to one column per group.  MSS is stateful per
+    scanner and has no group law, so it is not representable here.  Raises
+    InternalConsistencyError if n(t) decreases or exceeds N.
     """
     st = cfg.strategy
     if st.kind == "mss":
@@ -394,30 +409,36 @@ def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
     pop = np.empty(mult.size)
     pop[cls] = dist.counts
     weights = mult.astype(np.float64)
-    protect = 1.0 if cfg.pp is None else pp_factor(*cfg.pp)
+    protect = None if cfg.pp is None else pp_factor(*cfg.pp)
 
     m = np.zeros(mult.size)
     m[cls[i0]] = 1.0
     e, tmp = np.empty_like(m), np.empty_like(m)
     n_series = np.empty(cfg.horizon + 1)
     n_series[0] = 1.0
-    per_subnet = None
+    per_class = None
     if cfg.record_per_subnet:
-        per_subnet = np.empty((cfg.horizon + 1, cls.size))
-        np.take(m, cls, out=per_subnet[0])
+        per_class = np.empty((cfg.horizon + 1, m.size))
+        per_class[0] = m
+    # a = 0 without home tiers and protect = 1 without pp: skipping those
+    # terms changes no bit of m (0 + y differs from y at most in a zero's sign)
+    tiered = bool(np.any(a))
 
     for t in range(1, cfg.horizon + 1):  # into scratch arrays: a tick allocates only the block sums
-        np.multiply(a, m, out=e)
-        e += np.multiply(c, s_tick * n_series[t - 1], out=tmp)
+        np.multiply(c, s_tick * n_series[t - 1], out=e)
+        if tiered:
+            e += np.multiply(a, m, out=tmp)
         for b, starts, blk in wider:
             e += np.multiply(b, np.add.reduceat(np.multiply(weights, m, out=tmp), starts).take(blk), out=tmp)
         np.expm1(e, out=e)  # minus the share of a class's uninfected hosts hit this tick
         e *= np.subtract(pop, m, out=tmp)
-        m -= np.multiply(e, protect, out=e)
+        if protect is not None:
+            e *= protect
+        m -= e
         np.minimum(m, pop, out=m)  # m <= pop by this minimum: not re-checked below
         n_series[t] = weights @ m
-        if per_subnet is not None:
-            np.take(m, cls, out=per_subnet[t])
+        if per_class is not None:
+            per_class[t] = m
 
     if np.any(np.diff(n_series) < 0) or n_series[-1] > dist.total:
         raise InternalConsistencyError(f"{st.label}: n(t) decreased or exceeded N = {dist.total}")
@@ -428,7 +449,8 @@ def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
         tick=cfg.tick,
         total_population=dist.total,
         n=n_series,
-        per_subnet=per_subnet,
+        per_class=per_class,
+        cls=None if per_class is None else cls,
     )
 
 

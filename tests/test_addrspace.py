@@ -558,6 +558,34 @@ def test_distribution_validation():
         ss.GroupDistribution(28, [1, 3], [16, 17])
 
 
+def test_distribution_leaves_the_callers_arrays_writeable():
+    # canonical int64 input is taken without reordering, but never frozen in place
+    idx, cnt = np.array([1, 3, 7], dtype=np.int64), np.array([2, 5, 1], dtype=np.int64)
+    d = ss.GroupDistribution(4, idx, cnt)
+    assert idx.flags.writeable and cnt.flags.writeable
+    idx[0], cnt[0] = 0, 9
+    assert d.indices.tolist() == [1, 3, 7] and d.counts.tolist() == [2, 5, 1]
+    assert not d.indices.flags.writeable and not d.counts.flags.writeable
+    view = np.array([[1, 3], [7, 9]], dtype=np.int64)
+    d = ss.GroupDistribution(4, view[:, 0], view[0])  # views of one caller array
+    assert view.flags.writeable and not np.shares_memory(d.indices, view)
+
+
+def test_distribution_of_canonical_arrays_allocates_only_its_own():
+    # sorted indices and positive counts skip the keep-mask, the argsort and
+    # the reordered copies: the peak is the two owned copies and a bool mask
+    d = ss.synth_zipf(16, 1.0, 448894, seed=2)
+    idx, cnt = np.array(d.indices), np.array(d.counts)
+    tracemalloc.start()
+    try:
+        got = ss.GroupDistribution(16, idx, cnt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == d
+    assert peak <= 1.1 * (idx.nbytes + cnt.nbytes), peak / (idx.nbytes + cnt.nbytes)
+
+
 def test_distribution_dense_round_trip():
     dense = np.array([0, 3, 0, 1], dtype=np.int64)
     d = ss.GroupDistribution.from_dense(2, dense)
@@ -1005,6 +1033,34 @@ def test_write_table_equals_the_per_cell_repr_loop_over_several_steps(tmp_path):
     write_table(path, ["x", "y"], [x, y])  # float64 columns only
     assert path.read_bytes() == ("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))).encode()
     assert path.read_text().splitlines()[1:3] == ["0.0,-0.0", "-0.0,0.0"]
+
+
+def test_write_table_of_repeated_columns_equals_the_per_cell_repr_loop(tmp_path):
+    # one column object passed many times is formatted once per step and
+    # written as runs; equal but distinct arrays stay separate columns
+    rng = np.random.default_rng(4)
+    n = 3 * addrspace._CHUNK // 10 + 5  # steps of _CHUNK // 11 and _CHUNK // 20 rows: 4 and 7 steps
+    a, b = rng.choice([0.0, -0.0, 0.1, 1 / 3, math.nan, 2.0**53 + 2], (2, n))
+    twin = a.copy()
+    ints = rng.choice([0, -1, 7, 2**53 + 1], n)
+    text = rng.choice(["rs", "ls:l=16,pa=0.75", 'say "hi"'], n)
+    layouts = [
+        [a, a, a, b, twin, b, b, a, a, a, a],  # runs at both ends, repeats apart, an equal twin
+        [text, a, a, ints, b, b, b, ints, text, twin, a, twin, twin, text, text, a, ints, ints, b, a],
+    ]
+    for columns in layouts:
+        header = [f"c{k}" for k in range(len(columns))]
+        path = tmp_path / "t.csv"
+        write_table(path, header, columns, ["a comment"])
+        want = io.StringIO()
+        want.write("# a comment\n")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*([repr(v) for v in c.tolist()] if c.dtype.kind != "U" else c.tolist()
+                               for c in columns)))
+        assert path.read_bytes() == want.getvalue().encode()
+    write_table(path, ["x", "y", "z"], [a, twin, a.copy()])  # distinct columns only
+    assert path.read_bytes() == ("x,y,z\n" + "".join(f"{v!r},{v!r},{v!r}\n" for v in a.tolist())).encode()
 
 
 def test_write_table_refuses_columns_of_unequal_length(tmp_path):

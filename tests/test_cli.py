@@ -782,15 +782,29 @@ def test_epidemic_tables_keep_their_bytes(tmp_path):
     """trace.csv and per_subnet.csv hold what these per-row loops write for the
     same trace.  The trace's numbers come from numpy's log1p and expm1, whose
     last bit can differ between machines, so they are not hashed."""
-    dist = ss.synth_zipf(8, 1.5, 40, seed=2)
+    trace = _epidemic_tables_match_the_per_row_loops(tmp_path / "is", ss.synth_zipf(8, 1.5, 40, seed=2), "is:l=8")
+    assert trace.per_class.shape[1] < trace.per_subnet.shape[1]
+    # several classes in 10/8 and twins apart from each other: the writer's
+    # runs of one class's column are short and interleaved
+    groups = [(10 << 8) + g for g in (1, 2, 3, 9, 40)] + [(11 << 8) + 4, (200 << 8) + 7]
+    dist = ss.GroupDistribution(16, groups, [5, 2, 5, 1, 2, 5, 40])
+    trace = _epidemic_tables_match_the_per_row_loops(tmp_path / "2lls", dist, "2lls:pb=0.25,pc=0.5", (0.5, 0.25))
+    last = trace.per_subnet[-1]
+    assert trace.per_class.shape[1] == 5 and trace.n[-1] > 2  # three classes in 10/8, one in 11/8, the seed
+    assert last[0] == last[2] != last[5] and last[1] == last[4] and len(set(last.tolist())) == 5
+
+
+def _epidemic_tables_match_the_per_row_loops(tmp_path, dist, token, pp=None):
+    tmp_path.mkdir()
     dist.to_csv(tmp_path / "dist.csv")
     out = tmp_path / "e"
-    assert run_cli("simulate", "epidemic", str(tmp_path / "dist.csv"), "--strategy", "is:l=8",
-                   "--s", "10000000", "--tick", "0.1", "--horizon", "6", "--per-subnet",
+    extra = [] if pp is None else ["--pp", ",".join(map(repr, pp))]
+    assert run_cli("simulate", "epidemic", str(tmp_path / "dist.csv"), "--strategy", token,
+                   "--s", "10000000", "--tick", "0.1", "--horizon", "6", "--per-subnet", *extra,
                    "--out-dir", str(out)) == 0
-    trace = ss.propagate(ss.EpidemicConfig(ss.parse_strategy("is:l=8"), dist, s=1e7, horizon=6,
-                                           tick=0.1, record_per_subnet=True))
-    want = "# strategy=is:l=8 s=10000000.0 tick=0.1 N=40\nt_second,n_t\n"
+    trace = ss.propagate(ss.EpidemicConfig(ss.parse_strategy(token), dist, s=1e7, horizon=6,
+                                           tick=0.1, pp=pp, record_per_subnet=True))
+    want = f"# strategy={token} s=10000000.0 tick=0.1 N={dist.total}\nt_second,n_t\n"
     for k, n in enumerate(trace.n):
         want += f"{k * 0.1!r},{float(n)!r}\n"
     assert (out / "trace.csv").read_bytes() == want.encode()
@@ -800,3 +814,4 @@ def test_epidemic_tables_keep_their_bytes(tmp_path):
     for k in range(7):
         want += f"{k * 0.1!r}," + ",".join(repr(float(v)) for v in trace.per_subnet[k]) + "\n"
     assert (out / "per_subnet.csv").read_bytes() == want.encode()
+    return trace

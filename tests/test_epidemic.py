@@ -11,6 +11,7 @@ import scanspread as ss
 from scanspread import epidemic
 from scanspread.epidemic import _sweep_hits
 from scanspread.errors import ParameterError, UnsupportedStrategyError
+from scanspread.rates import pp_factor
 from scanspread.strategies import ScannerState, TargetLaw
 
 
@@ -581,6 +582,60 @@ def test_groups_of_one_class_share_their_column(token):
     assert np.all(cols[0, others] == 0.0) and cols[0, seed] == 1.0
     assert np.all(cols[1, others] < cols[1, seed]) and np.all(cols[:, others] <= cols[:, [seed]])
     assert trace.n[-1] > 100  # the classes go through real dynamics
+
+
+def full_tick_propagate(st, d, s, horizon, initial="densest", pp=None):
+    """propagate's recursion with every term of the tick written out: a * m
+    added and the protection factor applied even where they are 0 and 1."""
+    i0 = int(np.argmax(d.counts)) if initial == "densest" else int(np.searchsorted(d.indices, initial))
+    cls, mult, c, a, wider = epidemic._log_survival(st, d, s, i0)
+    pop = np.empty(mult.size)
+    pop[cls] = d.counts
+    weights = mult.astype(np.float64)
+    protect = 1.0 if pp is None else pp_factor(*pp)
+    m = np.zeros(mult.size)
+    m[cls[i0]] = 1.0
+    n, rows = [1.0], [m]
+    for _ in range(horizon):
+        e = a * m + c * (s * n[-1])
+        for b, starts, blk in wider:
+            e = e + b * np.add.reduceat(weights * m, starts)[blk]
+        m = np.minimum(m - np.expm1(e) * (pop - m) * protect, pop)
+        n.append(weights @ m)
+        rows.append(m)
+    return np.array(n), np.array(rows)[:, cls]
+
+
+@pytest.mark.parametrize("option", [None, "pp", "initial"])
+@pytest.mark.parametrize("token", FAMILIES)
+def test_propagate_equals_the_full_tick_bit_for_bit(token, option):
+    # the tick skips a * m without home tiers and the factor 1 without pp;
+    # neither may change a bit of n or of any group's column
+    d = ss.synth_zipf(16, 1.0, 448894, seed=2)
+    st = ss.parse_strategy(token)
+    kw = {"pp": (0.5, 0.5)} if option == "pp" else {"initial": int(d.indices[-1])} if option == "initial" else {}
+    trace = ss.propagate(ss.EpidemicConfig(st, d, s=2000.0, horizon=60, record_per_subnet=True, **kw))
+    n, per_group = full_tick_propagate(st, d, 2000.0, 60, **kw)
+    assert np.array_equal(trace.n, n) and np.array_equal(trace.per_subnet, per_group)
+    assert n[-1] > 10 * n[0]
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_a_recorded_outbreak_keeps_one_value_per_class_and_tick(token):
+    # one float per group and tick made this 7.2 MB; per class it is 721 x 2
+    # (2lls: x 6) floats and the set-up's temporaries of about five group arrays
+    d = ss.synth_uniform(1256, 16, 357)
+    cfg = ss.EpidemicConfig(ss.parse_strategy(token), d, s=358.0, horizon=720, record_per_subnet=True)
+    tracemalloc.start()
+    try:
+        trace = ss.propagate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    classes = trace.per_class.shape[1]
+    assert trace.per_class.shape == (721, classes) and trace.cls.shape == (d.occupied,)
+    assert peak < 721 * classes * 8 + 64 * 1024, peak
+    assert np.array_equal(trace.per_subnet, trace.per_class[:, trace.cls])
 
 
 @pytest.mark.parametrize("token", ["rs", "is:l=16", "ls:l=16,pa=0.75"])
