@@ -148,9 +148,19 @@ class HostSet:
 
     def _below(self, bound):
         """Hosts below each integer bound: the uint32 addresses are searched
-        for the bound clipped into [0, 2**32), and a bound >= 2**32 counts N."""
+        for the bound clipped into [0, 2**32), and a bound >= 2**32 counts N.
+        Array bounds are searched in ascending order, so that numpy starts
+        each search at the last one's result, and their counts scattered back."""
         bound = np.asarray(bound, dtype=np.int64)
-        n = np.searchsorted(self._addr, np.clip(bound, 0, ADDRESS_SPACE - 1).astype(np.uint32))
+        key = np.clip(bound, 0, ADDRESS_SPACE - 1).astype(np.uint32)
+        if key.ndim == 0:
+            n = np.searchsorted(self._addr, key)
+        else:
+            key = key.reshape(-1)
+            order = key.argsort()
+            n = np.empty(key.size, dtype=np.intp)
+            n[order] = np.searchsorted(self._addr, key.take(order))
+            n = n.reshape(bound.shape)
         return np.where(bound < ADDRESS_SPACE, n, self._addr.size)
 
     def count_members(self, targets: np.ndarray) -> int:
@@ -190,35 +200,45 @@ class _MemberIndex:
         self.leaves = np.zeros(4 * (int(self.rank[-1]) + int(count[-1]) + 1), dtype=np.uint64)
         for lo in range(0, addr.size, _CHUNK):
             a = addr[lo:lo + _CHUNK].astype(np.int64)
-            _or_bits(self.leaves, self._leaf(a >> 8) << 2 | (a >> 6) & 3, a & 63)
+            _or_bits(self.leaves, self._leaf(a) << 2 | (a >> 6) & 3, a & 63)
 
     @property
     def nbytes(self) -> int:
         return self.words.nbytes + self.rank.nbytes + self.leaves.nbytes
 
-    def _leaf(self, p: np.ndarray) -> np.ndarray:
-        """The leaf of each int64 /24 number p in [0, 2**24)."""
-        w = p >> 6
-        # the bits of /24s 64 * w .. p, with p's on top: their count is p's rank
-        upto = self.words[w] << (63 - (p & 63)).view(np.uint64)
-        return (self.rank[w] + np.bitwise_count(upto)) * (upto >> 63).view(np.int64)
+    def _leaf(self, a: np.ndarray) -> np.ndarray:
+        """The leaf of the /24 of each int64 address a: an index below
+        len(leaves) / 4 whatever a is, and the right leaf for a in
+        [0, 2**32).  a >> 14 is the word of a's /24, clipped into range."""
+        w = a >> 14
+        upto = self.words.take(w, mode="clip")
+        # the bits of /24s 64 * w .. a >> 8, with a's on top: their count is
+        # its rank; a shift by 63 - (a >> 8 & 63) puts it there
+        shift = a >> 8
+        np.invert(shift, out=shift)
+        shift &= 63
+        upto <<= shift.view(np.uint64)
+        leaf = np.add(self.rank.take(w, mode="clip"), np.bitwise_count(upto), out=w, dtype=np.int64)
+        upto >>= 63
+        leaf *= upto.view(np.int64)
+        return leaf
 
     def count_per_row(self, targets: np.ndarray) -> np.ndarray:
         """Members among each row of an int64 target block, looked up in
         column slices of about _CHUNK targets, so that the temporaries stay
-        O(_CHUNK) whatever the block's size.  Every target is looked up modulo
-        2**32, so every gather is in range; those outside [0, 2**32) are then
-        masked out."""
+        O(_CHUNK) whatever the block's size.  Every gather is in range for
+        any target (`_leaf`); targets outside [0, 2**32) are then masked out."""
         hits = np.zeros(targets.shape[0], dtype=np.int64)
         step = max(1, _CHUNK // max(1, targets.shape[0]))
         for lo in range(0, targets.shape[1], step):
             t = targets[:, lo:lo + step]
-            a = t & 0xFFFFFFFF
-            idx = self._leaf(a >> 8)
+            idx = self._leaf(t)
             idx <<= 2
-            idx |= (a >> 6) & 3
-            hit = self.leaves[idx]
-            hit >>= (a & 63).view(np.uint64)
+            part = t >> 6
+            part &= 3
+            idx |= part
+            hit = self.leaves.take(idx)
+            hit >>= np.bitwise_and(t, 63, out=part).view(np.uint64)
             hit &= t.view(np.uint64) < ADDRESS_SPACE
             hits += hit.view(np.int64).sum(axis=1)
         return hits

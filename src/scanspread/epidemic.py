@@ -175,12 +175,14 @@ def _sweep_hits(hosts: HostSet, anchor, bits: int, n_scans):
     offset = (anchor - start + 1) % block
     full, rem = np.divmod(np.asarray(n_scans, dtype=np.int64), block)
     end = offset + rem
-    count = hosts.count_in_interval
-    # the full passes, the head from offset to the block end or to end, and
-    # the wrapped tail; an interval kind a run does not scan is empty
-    return (full * count(start, start + block)
-            + count(start + offset, start + np.minimum(end, block))
-            + count(start, start + np.maximum(end - block, 0)))
+    # hosts from start up to each of: the block end (a full pass), the head's
+    # end and start (offset to the block end or to end), and the wrapped
+    # tail's end; one search of start serves all four, and an interval kind
+    # a run does not scan is empty
+    lo = start[..., None]
+    hi = lo + np.stack(np.broadcast_arrays(block, np.minimum(end, block), offset, np.maximum(end - block, 0)), axis=-1)
+    passed, head_end, head_start, tail = np.moveaxis(hosts.count_in_interval(lo, hi), -1, 0)
+    return full * passed + (head_end - head_start) + tail
 
 
 def _per_run_hits(cfg: EarlyStageConfig, seq: np.random.SeedSequence, rows: int,
@@ -356,14 +358,17 @@ def _log_survival(st: ScanStrategy, dist: GroupDistribution, s_tick: float, seed
     pop = dist.counts
     alone = np.arange(pop.size) == seed
     # a source sharing the target's block of width w hits an address by the
-    # shared law and by every tier at least w wide (the group itself first)
+    # shared law and by every tier at least w wide: the group itself first,
+    # for a law with tiers (without any, as rs, is and optis, a = 0)
     far = law.group_probabilities(dist.indices) / law.block
-    widths = [law.block] + [size for _, size in law.tiers if size > law.block]
+    home = [law.block] if law.tiers else []
+    widths = home + [size for _, size in law.tiers if size > law.block]
     logs = [np.log1p(-(sum(mass / size for mass, size in law.tiers if size >= width) + far)) for width in widths]
     logs.append(np.log1p(np.negative(far, out=far), out=far))  # far's last use: in place
-    blocks = [dist.indices // (width // law.block) for width in widths[1:]]
+    blocks = [dist.indices // (width // law.block) for width in widths[len(home):]]
     cls, mult, rep = _lump(alone, pop, logs[-1], *blocks)
-    a, *b = (s_tick * (inner[rep] - outer[rep]) for inner, outer in zip(logs, logs[1:]))
+    b = [s_tick * (inner[rep] - outer[rep]) for inner, outer in zip(logs, logs[1:])]
+    a = b.pop(0) if home else np.zeros(rep.size)
     wider = [(bk, *np.unique(key[rep], return_index=True, return_inverse=True)[1:]) for bk, key in zip(b, blocks)]
     return cls, mult, logs[-1][rep], a, wider
 

@@ -373,6 +373,35 @@ def test_count_in_interval_clips_bounds_like_an_int64_search(addrs):
     assert counts.tolist() == (np.searchsorted(ref, hi) - np.searchsorted(ref, lo)).tolist()
 
 
+@pytest.mark.parametrize("which", ["empty", "paper"])
+def test_count_in_interval_on_unsorted_array_bounds_equals_an_int64_search(which, request):
+    # array bounds are searched in ascending order and scattered back: each
+    # count must land on its own bound, among repeated bounds, hosts and
+    # their neighbours, bounds below 0 and bounds at or above 2**32
+    hosts = ss.HostSet([]) if which == "empty" else request.getfixturevalue("paper_hosts")
+    ref = hosts.addresses.astype(np.int64)
+    rng = np.random.default_rng(8)
+    near = ref[rng.integers(0, ref.size, 300)] + rng.integers(-1, 2, 300) if ref.size else []
+    edges = [-(2**40), -1, 0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40]
+    pool = np.concatenate([near, edges]).astype(np.int64)
+    n = 6000
+
+    def bounds():
+        b = np.concatenate([rng.integers(-(2**20), 2**32 + 2**20, n // 2), rng.choice(pool, n - n // 2)])
+        rng.shuffle(b)
+        return b
+
+    lo, hi = bounds(), bounds()
+    assert np.unique(lo).size < n and np.any(lo < 0) and np.any(hi >= 2**32)
+    got = hosts.count_in_interval(lo, hi)
+    assert got.dtype == np.int64 and got.shape == (n,)
+    assert np.array_equal(got, np.searchsorted(ref, hi) - np.searchsorted(ref, lo))
+    m = 500  # a (m, 1) lo against an (m,) hi: one count per pair
+    got = hosts.count_in_interval(lo[:m, None], hi[:m])
+    assert got.dtype == np.int64 and got.shape == (m, m)
+    assert np.array_equal(got, np.searchsorted(ref, hi[:m]) - np.searchsorted(ref, lo[:m])[:, None])
+
+
 def test_a_host_set_holds_one_uint32_array():
     h = ss.HostSet(np.random.default_rng(2).integers(0, 2**32, 1000))
     arrays = [v for v in (getattr(h, name) for name in type(h).__slots__) if isinstance(v, np.ndarray)]

@@ -494,6 +494,57 @@ def test_mss_full_deterministic(four_hosts):
     assert [r.mean_alpha for r in a] == [r.mean_alpha for r in b]
 
 
+# -- exact values ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pinned_hosts():
+    return ss.materialize_hosts(ss.synth_zipf(8, 1.0, 300_000, seed=7), seed=11)
+
+
+# mean_alpha and var_alpha, then the total hits and the sum of run index
+# times hits of the recorded per-run hits, at s = 100 and seed 3: 300 runs
+# of 2000 scans (blocks of 32 runs, the last one partial) for the draw kinds,
+# 5000 runs (two sweep blocks) for mss
+PINNED_ESTIMATES = {
+    "rs": (0.007333333333333334, 0.00039754738015607583, 44, 6400),
+    "is:l=8": (0.08333333333333334, 0.00431995540691193, 500, 73022),
+    "optis:l=8": (0.2853333333333334, 0.014667112597547381, 1712, 263328),
+    "ls:l=8,pa=0.75": (0.05516666666666667, 0.009178901895206244, 331, 50274),
+    "2lls:pb=0.25,pc=0.5": (0.061, 0.010915384615384617, 366, 57136),
+    "mss:l=8": (0.07941000000000001, 0.014795511002200444, 7941, 19786115),
+}
+# the same for estimate_mss_full, 5000 runs, by scan budget
+PINNED_MSS_FULL = {
+    10**5: (0.0670044, 0.008209354651570315, 335022, 837632876),
+    10**6: (0.07600802000000001, 0.00998295257619484, 3800401, 9547244143),
+    10**7: (0.07738067600000001, 0.010351504736850396, 38690338, 96606242700),
+}
+
+
+def pinned_values(r):
+    """The pinned values of one result; the index-weighted sum of the hits
+    changes if the recorded array leaves run order."""
+    h = r.per_run_hits
+    assert h.dtype == np.int64 and h.size == r.runs
+    return r.mean_alpha, r.var_alpha, int(h.sum()), int(np.arange(h.size) @ h)
+
+
+@pytest.mark.parametrize("token", list(PINNED_ESTIMATES))
+def test_estimates_keep_their_exact_values(token, pinned_hosts):
+    runs = 5000 if token.startswith("mss") else 300
+    cfg = ss.EarlyStageConfig(ss.parse_strategy(token), s=100.0, total_scans=2000, runs=runs, seed=3,
+                              hosts=pinned_hosts, record_hits=True)
+    assert pinned_values(ss.estimate_infection_rate(cfg)) == PINNED_ESTIMATES[token]
+
+
+def test_mss_full_keeps_its_exact_values(pinned_hosts):
+    cfg = ss.EarlyStageConfig(ss.ScanStrategy.sequential(8), s=100.0, total_scans=2000, runs=5000, seed=3,
+                              hosts=pinned_hosts, record_hits=True)
+    results = ss.estimate_mss_full(cfg, list(PINNED_MSS_FULL))
+    assert {r.total_scans: pinned_values(r) for r in results} == PINNED_MSS_FULL
+
+
 # -- per-subnet dynamics ---------------------------------------------------
 
 
