@@ -149,19 +149,14 @@ class HostSet:
     def _below(self, bound):
         """Hosts below each integer bound: the uint32 addresses are searched
         for the bound clipped into [0, 2**32), and a bound >= 2**32 counts N.
-        Array bounds are searched in ascending order, so that numpy starts
-        each search at the last one's result, and their counts scattered back."""
+        The bounds are searched in ascending order, so that numpy starts each
+        search at the last one's result, and their counts scattered back."""
         bound = np.asarray(bound, dtype=np.int64)
-        key = np.clip(bound, 0, ADDRESS_SPACE - 1).astype(np.uint32)
-        if key.ndim == 0:
-            n = np.searchsorted(self._addr, key)
-        else:
-            key = key.reshape(-1)
-            order = key.argsort()
-            n = np.empty(key.size, dtype=np.intp)
-            n[order] = np.searchsorted(self._addr, key.take(order))
-            n = n.reshape(bound.shape)
-        return np.where(bound < ADDRESS_SPACE, n, self._addr.size)
+        key = np.clip(bound, 0, ADDRESS_SPACE - 1).astype(np.uint32).reshape(-1)
+        order = key.argsort()
+        n = np.empty(key.size, dtype=np.intp)
+        n[order] = np.searchsorted(self._addr, key.take(order))
+        return np.where(bound < ADDRESS_SPACE, n.reshape(bound.shape), self._addr.size)
 
     def count_members(self, targets: np.ndarray) -> int:
         """How many entries of `targets` (with multiplicity) are hosts."""
