@@ -696,6 +696,24 @@ def test_uniform_fixture_lumps_to_two_classes(token):
     assert sorted(mult.tolist()) == [1, 1255] and mult[cls[0]] == 1
 
 
+@pytest.mark.parametrize("token", ["rs", "optis:l=16"])
+def test_a_law_without_tiers_sets_up_one_log_array_fewer(token):
+    # ls with one home tier needs the log of its group's own survival beside
+    # the shared law's; rs and optis have a = 0 and build only the latter, so
+    # they peak a group-sized float array (8 B a group) below it
+    d = ss.synth_zipf(16, 1.0, 448894, seed=2)
+    peaks = []
+    for tok in (token, "ls:l=16,pa=0.75"):
+        st = ss.parse_strategy(tok)
+        tracemalloc.start()
+        try:
+            epidemic._log_survival(st, d, 358.0, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] - 4 * d.occupied, (peaks, d.occupied)
+
+
 @pytest.mark.parametrize("token, hosts", [
     ("rs:l=8", 20000), ("is:l=8", 20000), ("optis:l=8", 20000), ("ls:l=8,pa=0.75", 20000),
     ("2lls:pb=0.25,pc=0.5", 500),  # 339 occupied /16s, some sharing a /8: one propagate per seed
