@@ -10,6 +10,7 @@ group.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 from ipaddress import AddressValueError, IPv4Address
@@ -104,9 +105,8 @@ class HostSet:
 
     def __init__(self, addresses):
         arr = np.asarray(addresses).reshape(-1)
+        _check_integers(arr, "addresses")
         if arr.dtype.kind not in "iu":  # integer arrays are range-checked as they are
-            if arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
-                raise ParameterError("addresses must be integers")
             arr = arr.astype(np.int64)
         if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= ADDRESS_SPACE):
             raise ParameterError("addresses must lie in [0, 2**32)")
@@ -260,16 +260,16 @@ def parse_host_list(source: str | Iterable[str], origin: str | None = None) -> H
     other malformed line raises HostListParseError with its line number.
 
     Canonical text -- a str of ASCII digits, '.' and '\\n' only, blank lines
-    included -- is parsed by a vectorized kernel.  Any other text, and any
-    iterable of lines, goes through the per-line IPv4Address loop that
-    defines the format; both give the same result and the same error.
+    included -- is parsed by a vectorized kernel.  Other text, cut into lines
+    as a text-mode file is, and any iterable of lines go through the per-line
+    IPv4Address loop that defines the format; both give the same outcome.
     """
     if isinstance(source, str):
         if source.isascii():
             data = source.encode("ascii")
             if not data.translate(None, _CANONICAL_BYTES):
                 return _parse_canonical(data, origin)
-        source = source.splitlines()
+        source = io.StringIO(source, newline=None)
     return _parse_host_lines(source, origin)
 
 
@@ -402,10 +402,17 @@ def save_host_list(path: str | Path, hosts: HostSet) -> None:
             fh.write(text[text != 0])
 
 
-def _owned_int64(values) -> np.ndarray:
+def _check_integers(arr: np.ndarray, what: str) -> None:
+    """Refuse a float array unless each value is an integer in int64's range: no cast truncates or warns."""
+    if arr.dtype.kind == "f" and not np.all((arr == np.trunc(arr)) & (arr >= -2.0**63) & (arr < 2.0**63)):
+        raise ParameterError(f"{what} must be integers in [-2**63, 2**63)")
+
+
+def _owned_int64(values, what: str) -> np.ndarray:
     """values as a flat int64 array that no caller holds: converted by
     np.asarray when that makes a new array, copied once when it would share
     the caller's memory."""
+    _check_integers(np.asarray(values), what)
     arr = np.asarray(values, dtype=np.int64)
     if arr is values or arr.base is not None:
         arr = arr.copy()
@@ -424,7 +431,7 @@ class GroupDistribution:
 
     def __init__(self, l: int, indices, counts):
         self._l = check_prefix_level(l)
-        idx, cnt = _owned_int64(indices), _owned_int64(counts)
+        idx, cnt = _owned_int64(indices, "group indices"), _owned_int64(counts, "counts")
         if idx.size != cnt.size:
             raise ParameterError("indices and counts length mismatch")
         if np.any(cnt < 0):
@@ -876,9 +883,9 @@ def write_table(path: str | Path, header: Iterable[str], columns: Iterable, comm
     '"'); numbers are the repr of Python ints and floats, never numpy scalars.
 
     A column object passed more than once (the same object, by identity) is
-    formatted once per step, and each run of r consecutive copies is written
-    as one text, `(cell + ",") * (r - 1) + cell`; equal but distinct arrays
-    are separate columns.  The bytes are those of one cell per column."""
+    formatted once per step; equal but distinct arrays are separate columns.
+    One loop writes each run of r consecutive copies (a distinct column is a
+    run of one) as one text, `(cell + ",") * (r - 1) + cell`."""
     arrays, slots, seen = [], [], {}  # the distinct columns, and the slot of each column among them
     for col in columns:
         if id(col) not in seen:  # seen holds col, so its id is not reused while we look
@@ -888,39 +895,30 @@ def write_table(path: str | Path, header: Iterable[str], columns: Iterable, comm
     rows = len(arrays[0]) if arrays else 0
     if any(len(a) != rows for a in arrays):
         raise ValueError("columns differ in length")
-    # (slot, copies) of each run of consecutive copies; None when every column is distinct
-    runs = None if len(arrays) == len(slots) else list(zip(*(v.tolist() for v in _run_lengths(np.array(slots)))))
+    # (slot, copies) of each run of consecutive copies, a distinct column being a run of one
+    runs = list(zip(*(v.tolist() for v in _run_lengths(np.array(slots)))))
     # per column, the formatter of its cells; None for float64, formatted per step
     fmts = [None if a.dtype == np.float64 else _csv_text if a.dtype.kind == "U" else repr for a in arrays]
-    floats = [j for j, f in enumerate(fmts) if f is None]
     step = max(1, _CHUNK // max(1, len(slots)))  # rows per step: about _CHUNK cells
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"# {c}\n" for c in comments)
         fh.write(",".join(header) + "\n")
         for lo in range(0, rows, step):
             part = [a[lo:lo + step] for a in arrays]
-            texts = _float_texts(np.array([part[j] for j in floats])) if floats else None
-            if len(floats) == len(part) and runs is None:  # float64 columns only: the rows are ready
-                lines = texts.tolist()
-            else:
-                cells = [map(f, a.tolist()) if f else None for f, a in zip(fmts, part)]
-                for j, col in zip(floats, texts.T.tolist() if floats else ()):
-                    cells[j] = col
-                if runs is not None:
-                    cells = [list(col) if f else col for f, col in zip(fmts, cells)]
-                    cells = [cells[u] if r == 1 else [(t + ",") * (r - 1) + t for t in cells[u]] for u, r in runs]
-                lines = zip(*cells)
-            fh.writelines(",".join(row) + "\n" for row in lines)
+            texts = iter(_float_texts(np.array([a for f, a in zip(fmts, part) if f is None])).tolist())
+            cells = [list(map(f, a.tolist())) if f else next(texts) for f, a in zip(fmts, part)]
+            cells = [cells[u] if r == 1 else [(t + ",") * (r - 1) + t for t in cells[u]] for u, r in runs]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _float_texts(block: np.ndarray) -> np.ndarray:
-    """The repr of each cell of a (columns, rows) float64 block, as a (rows,
-    columns) object array.  Each distinct bit pattern is formatted once, so
+    """The repr of each cell of a (columns, rows) float64 block, as an object
+    array of the same shape.  Each distinct bit pattern is formatted once, so
     0.0 and -0.0 stay apart."""
     bits = block.view(np.int64)
     keys, _ = _run_lengths(np.sort(bits, axis=None))
     text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
-    return text[np.searchsorted(keys, bits.T)]
+    return text[np.searchsorted(keys, bits)]
 
 
 def _csv_text(cell: str) -> str:

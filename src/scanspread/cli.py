@@ -465,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--kind", choices=("auto", "hosts", "dist"), default="auto")
     pe.add_argument("--strategy", required=True, metavar="TOKEN")
     pe.add_argument("--s", type=_finite_float, required=True)
-    pe.add_argument("--scans", type=int, default=1000, help="scans per run (default 1000)")
+    budget = pe.add_mutually_exclusive_group()  # --budgets sweeps in place of --scans
+    budget.add_argument("--scans", type=int, default=1000, help="scans per run (default 1000)")
     pe.add_argument("--runs", type=int, default=10000, help="independent runs (default 10000)")
     pe.add_argument("--seed", type=int, required=True)
     pe.add_argument("--mat-seed", type=int, default=None,
@@ -473,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--threads", type=int, default=1,
                     help="recorded in the manifest only: runs are serial, and outputs and speed "
                          "do not depend on it (default 1)")
-    pe.add_argument("--budgets", default=None, metavar="B1,B2,...",
-                    help="mss only: sweep these scan budgets instead of --scans")
+    budget.add_argument("--budgets", default=None, metavar="B1,B2,...",
+                        help="mss only: sweep these scan budgets instead of --scans")
     _add_common_out(pe)
     _add_time_unit(pe)
     pe.set_defaults(func=cmd_simulate_early)

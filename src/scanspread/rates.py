@@ -3,7 +3,7 @@
 The infection rate alpha is the expected number of new infections per unit
 time caused by one infected host at the very start of an outbreak, when the
 chance of double infection is negligible.  With scanning rate s, N vulnerable
-hosts, and address-space size omega:
+hosts, and address-space size omega = 2**32:
 
     alpha_RS = s * N / omega
 
@@ -80,12 +80,11 @@ class ScanContext:
     table values), then `dist` (coarsened as needed), then `hosts`.  Every
     distribution over the 2**l groups of level l has beta in [1, 2**l] and
     max p in [2**-l, 1], so an override outside those ranges, or at a level
-    outside 0..32, is refused.
+    outside 0..32, is refused.  N is at most omega, IPv4's 2**32 addresses.
     """
 
     s: float
     N: int
-    omega: float = float(ADDRESS_SPACE)
     dist: GroupDistribution | None = None
     hosts: HostSet | None = None
     beta_overrides: Mapping[int, float] | None = None
@@ -94,10 +93,8 @@ class ScanContext:
     def __post_init__(self):
         if not self.s > 0:
             raise ParameterError(f"scanning rate s must be > 0, got {self.s}")
-        if self.N < 1:
-            raise ParameterError(f"population N must be >= 1, got {self.N}")
-        if self.omega < self.N:
-            raise ParameterError("address-space size omega must be >= N")
+        if not 1 <= self.N <= ADDRESS_SPACE:
+            raise ParameterError(f"population N must be in [1, 2**32], got {self.N}")
         for overrides in (self.beta_overrides, self.max_p_overrides):
             bad = [l for l in overrides or () if not 0 <= l <= ADDRESS_BITS]
             if bad:
@@ -137,7 +134,7 @@ def _finite_rate(alpha: float, what: str) -> float:
 
 
 def alpha_rs(ctx: ScanContext) -> float:
-    return _finite_rate(ctx.s * ctx.N / ctx.omega, "alpha_RS = s * N / omega")
+    return _finite_rate(ctx.s * ctx.N / ADDRESS_SPACE, "alpha_RS = s * N / omega")
 
 
 def collision_probability(dist: GroupDistribution, q: np.ndarray) -> float:
@@ -204,7 +201,7 @@ def alpha_for(strategy: ScanStrategy, ctx: ScanContext) -> RateReport:
         collision_probability=p_h,
         uncertainty_bits=uncertainty,
         info_bits=l - uncertainty,
-        alpha=_finite_rate(base * math.ldexp(p_h, l), f"alpha of {strategy.label}"),
+        alpha=base * math.ldexp(p_h, l),  # p_h <= 1 keeps it at most s * N
         alpha_stage1=base if strategy.kind == "mss" else None,
     )
 

@@ -90,14 +90,17 @@ other_line = st.one_of(
     st.tuples(st.sampled_from([" ", "\t", " \t"]), st.one_of(canonical_good, canonical_bad),
               st.sampled_from(["", " ", "\t"])).map("".join),  # surrounding whitespace
     st.sampled_from(["\u0661.2.3.4", "1.2.3.\u0664", "10.0.0.\uff11"]),  # non-ASCII digits
+    # characters that str.splitlines ends a line at but a text-mode file does not
+    st.tuples(canonical_good, st.sampled_from(list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")),
+              canonical_good).map("".join),
 )
 
 
 @st.composite
 def host_list_texts(draw):
     """Valid and blank lines with a few others inserted: invalid ones and,
-    unless the text is to stay canonical, comments, padded lines and
-    non-ASCII digits."""
+    unless the text is to stay canonical, comments, padded lines, non-ASCII
+    digits and characters that end a line for str.splitlines only."""
     canonical = draw(st.booleans())
     lines = draw(st.lists(canonical_good, max_size=30))
     for _ in range(draw(st.integers(0, 3))):
@@ -110,6 +113,11 @@ def host_list_texts(draw):
     return text
 
 
+def _text_lines(text: str) -> list[str]:
+    """The lines of `text` as a file in text mode reads them."""
+    return list(io.StringIO(text, newline=None))
+
+
 def _outcome(parse, *args):
     try:
         return parse(*args)
@@ -120,9 +128,10 @@ def _outcome(parse, *args):
 @given(text=host_list_texts())
 @settings(max_examples=300, deadline=None)
 def test_parsers_agree_with_the_per_line_loop(tmp_path_factory, text):
-    # the IPv4Address loop defines the format; the vectorized parser must
-    # give the same result or fail on the same line with the same text
-    expected = _outcome(addrspace._parse_host_lines, text.splitlines(), "src")
+    # the IPv4Address loop over the lines of a text-mode file defines the
+    # format; the vectorized parser must give the same result or fail on the
+    # same line with the same text
+    expected = _outcome(addrspace._parse_host_lines, _text_lines(text), "src")
     assert _outcome(ss.parse_host_list, text, "src") == expected
     path = tmp_path_factory.mktemp("hosts") / "list.txt"
     path.write_bytes(text.encode("utf-8"))
@@ -207,7 +216,7 @@ def test_a_last_line_without_its_newline_may_straddle_a_run(tmp_path):
 @settings(max_examples=200, deadline=None)
 def test_parsers_agree_with_the_per_line_loop_at_any_run_size(text, run):
     # runs of a few bytes put every line edge at a window edge somewhere
-    expected = _outcome(addrspace._parse_host_lines, text.splitlines(), "src")
+    expected = _outcome(addrspace._parse_host_lines, _text_lines(text), "src")
     with mock.patch.object(addrspace, "_RUN", run):
         assert _outcome(ss.parse_host_list, text, "src") == expected
 
@@ -585,6 +594,15 @@ def test_distribution_validation():
         ss.GroupDistribution(4, [1], [-2])
     with pytest.raises(CapacityError, match="group 3 needs 17 distinct hosts but a /28 block has 16 addresses"):
         ss.GroupDistribution(28, [1, 3], [16, 17])
+
+
+@pytest.mark.parametrize("indices, counts", [
+    ([0, 1.7], [3, 4]), ([0, 1], [2.5, 4]), ([0, 1], [math.nan, 4]), ([0, 1], [1e30, 1]),
+], ids=["fractional_index", "fractional_count", "nan_count", "count_past_int64"])
+def test_distribution_refuses_counts_and_indices_that_are_not_int64_integers(indices, counts):
+    # each was truncated, cast with a warning or overflowed instead
+    with pytest.raises(ParameterError, match=r"must be integers in \[-2\*\*63, 2\*\*63\)"):
+        ss.GroupDistribution(8, indices, counts)
 
 
 def test_distribution_leaves_the_callers_arrays_writeable():

@@ -257,6 +257,16 @@ def test_rates_that_overflow_or_rest_on_impossible_factors_exit_2(tmp_path, caps
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("scans", ["7", "1000", "0"])
+def test_simulate_early_refuses_scans_with_budgets(dist_file, tmp_path, capsys, scans):
+    # a budget sweep takes its scan counts from --budgets alone
+    out = tmp_path / "o"
+    assert run_cli("simulate", "early", str(dist_file), "--strategy", "mss:l=8", "--s", "1", "--seed", "1",
+                   "--scans", scans, "--budgets", "10", "--out-dir", str(out)) == 2
+    assert "argument --budgets: not allowed with argument --scans" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["analyze", "{dist}"], ["defense", "pp", "--beta", "50", "--d", "0.5"]],
                          ids=["analyze", "defense"])
 def test_time_unit_is_refused_where_no_rate_is_written(dist_file, tmp_path, capsys, argv):

@@ -1,5 +1,6 @@
 import csv
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -66,16 +67,16 @@ def test_context_validation():
         ss.ScanContext(s=0.0, N=10)
     with pytest.raises(ParameterError):
         ss.ScanContext(s=1.0, N=0)
-    with pytest.raises(ParameterError):
-        ss.ScanContext(s=1.0, N=100, omega=50.0)
+    with pytest.raises(ParameterError, match=r"population N must be in \[1, 2\*\*32\]"):
+        ss.ScanContext(s=1.0, N=2**32 + 1)  # more hosts than IPv4 addresses
     with pytest.raises(ParameterError):
         ss.ScanContext(s=1.0, N=100).beta_at(8)  # nothing to derive from
     with pytest.raises(ParameterError, match="levels are 0..32"):
         ss.ScanContext(s=1.0, N=100, max_p_overrides={33: 0.5})
-    # alpha_RS is finite, but alpha = alpha_RS * 2**32 * p_h is not
-    big = ss.ScanContext(s=1e300, N=1, omega=1.0, beta_overrides={32: 2.0**32})
-    with pytest.raises(ParameterError, match="alpha of is:l=32 is inf"):
-        ss.alpha_for(ss.ScanStrategy.importance(32), big)
+    # p_h <= 1 bounds alpha = alpha_RS * 2**l * p_h by s * N, so alpha is
+    # finite wherever alpha_RS is: here it reaches s * N at the float maximum
+    big = ss.ScanContext(s=sys.float_info.max / 2, N=2, beta_overrides={32: 2.0**32})
+    assert ss.alpha_for(ss.ScanStrategy.importance(32), big).alpha == sys.float_info.max
 
 
 # -- the closed forms ------------------------------------------------------
