@@ -65,7 +65,7 @@ from .rates import (
     rate_table,
     write_rates_csv,
 )
-from .strategies import ScannerState, ScanStrategy, group_scan_distribution, parse_strategy
+from .strategies import ScanStrategy, group_scan_distribution, parse_strategy
 
 __all__ = [
     "__version__",
@@ -86,5 +86,5 @@ __all__ = [
     "code_red_alpha_per_second", "collision_probability", "ipv6_alpha",
     "pp_min_deployment", "pp_modified_alpha", "pp_requirement", "rate_table",
     "write_rates_csv",
-    "ScannerState", "ScanStrategy", "group_scan_distribution", "parse_strategy",
+    "ScanStrategy", "group_scan_distribution", "parse_strategy",
 ]

@@ -403,8 +403,12 @@ def save_host_list(path: str | Path, hosts: HostSet) -> None:
 
 
 def _check_integers(arr: np.ndarray, what: str) -> None:
-    """Refuse a float array unless each value is an integer in int64's range: no cast truncates or warns."""
-    if arr.dtype.kind == "f" and not np.all((arr == np.trunc(arr)) & (arr >= -2.0**63) & (arr < 2.0**63)):
+    """Refuse a value that is not an integer in int64's range: no cast truncates, warns, wraps or overflows."""
+    if arr.dtype.kind == "f":
+        ok = np.all((arr == np.trunc(arr)) & (arr >= -2.0**63) & (arr < 2.0**63))
+    else:  # numpy holds Python ints from 2**63 as uint64, and past 2**64 as objects
+        ok = arr.dtype not in (np.uint64, object) or not arr.size or -2**63 <= int(arr.min()) <= int(arr.max()) < 2**63
+    if not ok:
         raise ParameterError(f"{what} must be integers in [-2**63, 2**63)")
 
 
@@ -618,8 +622,6 @@ def _checked_dist(path: Path, l: int, n: int, indices, counts) -> GroupDistribut
         dist = GroupDistribution(l, indices, counts)
     except ParameterError as exc:
         raise DistributionFormatError(f"{path}: {exc}") from None
-    except OverflowError:  # a field the csv loop read is outside int64
-        raise DistributionFormatError(f"{path}: a group index or count is outside [-2**63, 2**63)") from None
     if dist.total != n:
         raise DistributionFormatError(f"{path}: counts sum to {dist.total}, header says N={n}")
     return dist

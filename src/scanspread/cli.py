@@ -271,6 +271,8 @@ def cmd_simulate_early(args: argparse.Namespace) -> None:
         threads=args.threads,
     )
     if args.budgets:
+        if strategy.kind != "mss":
+            raise ParameterError(f"--budgets needs an mss strategy, got {strategy.kind}")
         try:
             budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
         except ValueError:

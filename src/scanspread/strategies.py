@@ -180,18 +180,13 @@ def group_scan_distribution(
     if l > MAX_DENSE_LEVEL:
         raise ParameterError(f"dense q_g vector infeasible for l={l} (max {MAX_DENSE_LEVEL})")
     law = TargetLaw(strategy, dist)
+    if law.tiers and np.ndim(home_subnet) != 0:
+        raise ParameterError(f"{kind} needs one home group index, got an array of shape {np.shape(home_subnet)}")
     # the shared group law, each home tier's mass spread over its groups
     q = law.group_probabilities(np.arange(1 << l))
-    for start, mass, size in _scanner_home_tiers(law, home_subnet):
+    for start, mass, size in law.home_tiers(home_subnet):
         q[start >> law.bits : (start + size) >> law.bits] += mass * law.block / size
     return q
-
-
-def _scanner_home_tiers(law: "TargetLaw", home) -> tuple[tuple[np.ndarray, float, int], ...]:
-    """`law.home_tiers` of one scanner, whose home is one group index."""
-    if law.tiers and np.ndim(home) != 0:
-        raise ParameterError(f"{law.strategy.kind} needs one home group index, got an array of shape {np.shape(home)}")
-    return law.home_tiers(home)
 
 
 class TargetLaw:
@@ -303,54 +298,3 @@ class TargetLaw:
             moved *= mask
             out ^= moved
         return out
-
-
-class ScannerState:
-    """Mutable per-scanner state; yields one target address per call.
-
-    Only MSS actually carries state (random phase until the first hit, then a
-    cyclic sweep of the hit's block); the other strategies are memoryless and
-    `on_hit` is a no-op for them.
-    """
-
-    __slots__ = ("strategy", "rng", "bits", "block", "home", "_law", "phase", "block_start", "cursor")
-
-    def __init__(self, strategy: ScanStrategy, rng: np.random.Generator,
-                 home_subnet: int | None = None, dist: GroupDistribution | None = None):
-        self.strategy = strategy
-        self.rng = rng
-        self._law = TargetLaw(strategy, dist)
-        self.bits = self._law.bits
-        self.block = self._law.block
-        self.home = home_subnet
-        _scanner_home_tiers(self._law, home_subnet)  # with tiers, rejects a missing, out-of-range or array home
-        self.phase = "random"
-        self.block_start = None
-        self.cursor = None
-
-    def next_target(self) -> int:
-        """Draw the next target address."""
-        return int(self.draw_targets(1)[0])
-
-    def on_hit(self, address: int) -> None:
-        """Report a successful probe; only MSS reacts (once)."""
-        if self.strategy.kind != "mss" or self.phase == "sequential":
-            return
-        self.phase = "sequential"
-        self.block_start = (address >> self.bits) << self.bits
-        self.cursor = (address - self.block_start + 1) % self.block
-
-    def draw_targets(self, n: int) -> np.ndarray:
-        """Vectorized batch of n targets (int64).
-
-        Outside the MSS sweep this is `TargetLaw.draw`, which the Monte Carlo
-        engine calls once per block, so a batch consumes the stream exactly as
-        a one-run engine block does after its home draw.  next_target is the
-        n = 1 case.  For MSS in the sequential phase the batch continues the
-        sweep and does not transition state.
-        """
-        if self.phase == "random":
-            return self._law.draw(self.rng, n, self.home)
-        offs = (self.cursor + np.arange(n, dtype=np.int64)) % self.block
-        self.cursor = int((self.cursor + n) % self.block)
-        return self.block_start + offs

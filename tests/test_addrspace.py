@@ -296,10 +296,10 @@ def test_save_host_list_keeps_its_temporaries_per_chunk(tmp_path):
 
 
 def test_hostset_rejects_out_of_range():
-    with pytest.raises(ParameterError):
-        ss.HostSet([-1])
-    with pytest.raises(ParameterError):
-        ss.HostSet([2**32])
+    # past int64, as uint64 or as Python ints numpy keeps as objects
+    for bad in ([-1], [2**32], np.array([2**63 + 2], dtype=np.uint64), [2**70], [-(2**70), 1]):
+        with pytest.raises(ParameterError):
+            ss.HostSet(bad)
 
 
 def test_hostset_rejects_non_integral_addresses():
@@ -598,9 +598,11 @@ def test_distribution_validation():
 
 @pytest.mark.parametrize("indices, counts", [
     ([0, 1.7], [3, 4]), ([0, 1], [2.5, 4]), ([0, 1], [math.nan, 4]), ([0, 1], [1e30, 1]),
-], ids=["fractional_index", "fractional_count", "nan_count", "count_past_int64"])
+    ([0], np.array([2**63 + 2], dtype=np.uint64)), ([0], [2**63 + 2]), ([2**64 + 5], [1]),
+], ids=["fractional_index", "fractional_count", "nan_count", "count_past_int64", "uint64_count_past_int64",
+        "int_count_past_int64", "int_index_past_uint64"])
 def test_distribution_refuses_counts_and_indices_that_are_not_int64_integers(indices, counts):
-    # each was truncated, cast with a warning or overflowed instead
+    # each was truncated, cast with a warning, wrapped or overflowed instead
     with pytest.raises(ParameterError, match=r"must be integers in \[-2\*\*63, 2\*\*63\)"):
         ss.GroupDistribution(8, indices, counts)
 

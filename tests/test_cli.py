@@ -323,6 +323,7 @@ EPIDEMIC = ["simulate", "epidemic", "{dist}", "--strategy", "rs:l=8", "--s", "1"
      "seed must be >= 0"),
     (["synth", "hosts", "--dist", "{dist}", "--seed", "-3", "--out", "{out}/h.txt"], "seed must be >= 0"),
     (EARLY + ["--strategy", "mss:l=8", "--budgets", "10,abc"], "bad --budgets '10,abc'"),
+    (EARLY + ["--strategy", "rs", "--budgets", "10"], "--budgets needs an mss strategy, got rs"),
     (EPIDEMIC + ["--horizon", "3", "--initial", "abc"], "bad --initial 'abc'"),
     (EARLY + ["--strategy", "rs", "--scans", HUGE], "total_scans must be in [1, 2**32]"),
     (EARLY + ["--strategy", "rs", "--runs", HUGE], "runs must be in [2, 2**32]"),
@@ -333,8 +334,8 @@ EPIDEMIC = ["simulate", "epidemic", "{dist}", "--strategy", "rs:l=8", "--s", "1"
      f"group 0 needs {HUGE} distinct hosts but a /8 block has 16777216 addresses"),
     (["synth", "zipf", "--l", "8", "--exponent", "1", "--hosts", HUGE, "--seed", "1", "--out", "{out}/d.csv"],
      "needs at least 390625000000000000 distinct hosts but a /8 block has 16777216 addresses"),
-], ids=["early_seed", "early_mat_seed", "zipf_seed", "hosts_seed", "budgets_abc", "initial_abc", "scans_huge",
-        "runs_huge", "mss_scans_huge", "mss_budgets_huge", "horizon_huge", "uniform_per_group_huge",
+], ids=["early_seed", "early_mat_seed", "zipf_seed", "hosts_seed", "budgets_abc", "budgets_rs", "initial_abc",
+        "scans_huge", "runs_huge", "mss_scans_huge", "mss_budgets_huge", "horizon_huge", "uniform_per_group_huge",
         "zipf_hosts_huge"])
 def test_negative_seeds_and_out_of_range_integers_exit_2(dist_file, tmp_path, capsys, argv, says):
     out = tmp_path / "o"

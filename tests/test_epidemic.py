@@ -12,7 +12,7 @@ from scanspread import epidemic
 from scanspread.epidemic import _sweep_hits
 from scanspread.errors import ParameterError, UnsupportedStrategyError
 from scanspread.rates import pp_factor
-from scanspread.strategies import ScannerState, TargetLaw
+from scanspread.strategies import TargetLaw
 
 
 def zipf_hosts(l=8, n=50000, dist_seed=7, mat_seed=11):
@@ -34,6 +34,12 @@ def scalar_recursion(n0, pop, s, omega, ticks, tick=1.0):
 
 
 def test_sweep_hits_matches_enumeration():
+    def enumerated(hosts, anchor, bits, n_scans):
+        block = 1 << bits
+        base = anchor >> bits << bits
+        member = set(hosts.addresses.tolist())
+        return sum(1 for j in range(1, n_scans + 1) if base + ((anchor - base + j) % block) in member)
+
     rng = np.random.default_rng(0)
     for _ in range(200):
         bits = int(rng.integers(2, 8))
@@ -43,12 +49,24 @@ def test_sweep_hits_matches_enumeration():
         hosts = ss.HostSet(base + rng.permutation(block)[:k])
         anchor = base + int(rng.integers(0, block))
         n_scans = int(rng.integers(0, 4 * block))
-        member = set(int(a) for a in hosts.addresses)
-        want = sum(
-            1 for j in range(1, n_scans + 1)
-            if base + ((anchor - base + j) % block) in member
-        )
-        assert _sweep_hits(hosts, anchor, bits, n_scans) == want
+        assert _sweep_hits(hosts, anchor, bits, n_scans) == enumerated(hosts, anchor, bits, n_scans)
+    # anchors at their block's last address, where anchor + 1 wraps to the
+    # block start (in the space's last block, anchor + 1 is 2**32), with
+    # budgets of no scan, one scan, one pass and one scan past it: as
+    # scalars, and as the uint32 anchor arrays both engine callers pass,
+    # with one budget (the early engine) or one budget per anchor (mss_full)
+    bits, block = 4, 16
+    anchors = np.array([(7 << bits) + block - 1, 2**32 - 1], dtype=np.uint32)
+    hosts = ss.HostSet([(7 << bits) - 1, 7 << bits, (7 << bits) + 5, (7 << bits) + block - 1, 8 << bits,
+                        2**32 - block, 2**32 - 11, 2**32 - 1])
+    budgets = [0, 1, block, block + 1]
+    want = [0, 1, 3, 4]
+    for anchor in anchors.tolist():
+        assert [enumerated(hosts, anchor, bits, n) for n in budgets] == want
+        assert [_sweep_hits(hosts, anchor, bits, n) for n in budgets] == want
+    assert [_sweep_hits(hosts, anchors, bits, n).tolist() for n in budgets] == [[hits] * 2 for hits in want]
+    got = _sweep_hits(hosts, np.repeat(anchors, len(budgets)), bits, np.array(budgets * 2))
+    assert got.tolist() == want * 2
 
 
 # -- early-stage Monte Carlo ----------------------------------------------
@@ -203,38 +221,6 @@ def literal_homed_targets(st, rng, homes, scans):
     return np.array([[(home << bits) // size * size + a % size
                       for a, size in zip(row, (sizes[bisect.bisect_right(cum, x)] for x in xs))]
                      for home, row, xs in zip(homes, addresses, uniforms)], dtype=np.int64)
-
-
-@pytest.mark.parametrize("token", ["rs", "is:l=8", "optis:l=8", "ls:l=8,pa=0.75", "2lls:pb=0.25,pc=0.5"])
-@pytest.mark.parametrize("scans, runs", [(100_000, 20), (1000, 150)])
-def test_engine_and_scanner_state_draw_the_same_targets(token, scans, runs):
-    # block b of the engine = ScannerState.draw_targets on child stream b:
-    # one draw of the whole block's targets, or (ls/2lls) the block's homes
-    # first and then, for a one-run block, one scanner on the same stream,
-    # or the literal per-target draw of a block of several runs; 100,000
-    # scans give one run per block, 1000 scans 65 runs and a partial last block
-    _, hosts = zipf_hosts()
-    st = ss.parse_strategy(token)
-    cfg = ss.EarlyStageConfig(st, s=100.0, total_scans=scans, runs=runs, seed=4,
-                              hosts=hosts, record_hits=True)
-    hits = ss.estimate_infection_rate(cfg).per_run_hits
-    addr = hosts.addresses.astype(np.int64)
-    bits = 32 - st.l
-    dist = ss.aggregate(hosts, st.l)
-    want = []
-    for rng, n in block_streams(np.random.SeedSequence(4), runs, draw_rows(scans)):
-        if st.kind in ("ls", "2lls"):
-            homes = (addr[rng.integers(0, hosts.N, size=n)] >> bits).tolist()
-            if n == 1:
-                state = ScannerState(st, rng, home_subnet=homes[0], dist=dist)
-                want.append(hosts.count_members(state.draw_targets(scans)))
-            else:
-                want += [hosts.count_members(row) for row in literal_homed_targets(st, rng, homes, scans)]
-        else:
-            targets = ScannerState(st, rng, dist=dist).draw_targets(n * scans).reshape(n, scans)
-            want += [hosts.count_members(row) for row in targets]
-    assert hits.tolist() == want
-    assert sum(want) > 0
 
 
 def literal_members(hosts, targets):

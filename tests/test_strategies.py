@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import scanspread as ss
 from scanspread.errors import ParameterError, UnsupportedStrategyError
-from scanspread.strategies import ScannerState, TargetLaw
+from scanspread.strategies import TargetLaw
 
 
 # -- tokens ----------------------------------------------------------------
@@ -170,75 +170,23 @@ def test_law_requires_home_for_localized():
         ss.group_scan_distribution(ss.ScanStrategy.localized(8, 0.5))
 
 
-# -- scanner state ---------------------------------------------------------
-
-
-def test_memoryless_strategies_ignore_hits():
-    state = ScannerState(ss.ScanStrategy.rs(), np.random.default_rng(0))
-    state.on_hit(12345)
-    assert state.phase == "random"
-    assert 0 <= state.next_target() < 2**32
-
-
-def test_mss_sweeps_block_once_per_cycle():
-    # tiny block (/28) so a full cycle is 16 targets
-    st = ss.ScanStrategy.sequential(28)
-    state = ScannerState(st, np.random.default_rng(1))
-    hit = (5 << 4) + 9
-    state.on_hit(hit)
-    assert state.phase == "sequential"
-    block = [(5 << 4) + off for off in range(16)]
-    targets = [state.next_target() for _ in range(16)]
-    assert targets[0] == hit + 1
-    assert sorted(targets) == block  # each address exactly once
-    assert [state.next_target() for _ in range(16)] == targets  # cyclic
-
-
-def test_mss_transitions_exactly_once():
-    st = ss.ScanStrategy.sequential(28)
-    state = ScannerState(st, np.random.default_rng(2))
-    state.on_hit(100)
-    first = state.next_target()
-    state.on_hit(first)  # later hits must not re-anchor
-    assert state.next_target() == first + 1
-
-
-def test_mss_wraps_at_block_end():
-    st = ss.ScanStrategy.sequential(28)
-    state = ScannerState(st, np.random.default_rng(3))
-    state.on_hit((7 << 4) + 15)  # last address of the block
-    assert state.next_target() == 7 << 4  # wraps to the block start
-
-
-def test_state_validation(four_hosts):
-    rng = np.random.default_rng(0)
-    with pytest.raises(ParameterError):
-        ScannerState(ss.ScanStrategy.importance(8), rng)  # q = p needs a dist
-    with pytest.raises(ParameterError):
-        ScannerState(ss.ScanStrategy.localized(8, 0.5), rng)  # needs a home
-    ScannerState(ss.ScanStrategy.importance(8), rng, dist=ss.aggregate(four_hosts, 8))
-
-
 @pytest.mark.parametrize("home", [np.array([3, 4]), np.array([[3]]), [3]])
 @pytest.mark.parametrize("strategy", [ss.ScanStrategy.localized(8, 0.5), ss.ScanStrategy.two_level(0.25, 0.5)],
                          ids=["ls", "2lls"])
 def test_one_scanner_refuses_an_array_home(strategy, home):
     with pytest.raises(ParameterError, match="one home group index"):
         ss.group_scan_distribution(strategy, home_subnet=home)
-    with pytest.raises(ParameterError, match="one home group index"):
-        ScannerState(strategy, np.random.default_rng(0), home_subnet=home)
     # a numpy integer scalar is one home
     ref = ss.group_scan_distribution(strategy, home_subnet=3)
-    assert np.array_equal(ss.group_scan_distribution(strategy, home_subnet=np.int64(3)), ref)
-    assert ScannerState(strategy, np.random.default_rng(0), home_subnet=np.uint32(3)).draw_targets(4).shape == (4,)
+    for one in (np.int64(3), np.uint32(3)):
+        assert np.array_equal(ss.group_scan_distribution(strategy, home_subnet=one), ref)
 
 
 # -- empirical frequencies -------------------------------------------------
 
 
 def test_rs_draw_frequencies_uniform():
-    state = ScannerState(ss.ScanStrategy.rs(l=4), np.random.default_rng(10))
-    t = state.draw_targets(10**6)
+    t = TargetLaw(ss.ScanStrategy.rs(l=4)).draw(np.random.default_rng(10), 10**6)
     counts = np.bincount(t >> 28, minlength=16)
     expect = 10**6 / 16
     sigma = math.sqrt(10**6 * (1 / 16) * (15 / 16))
@@ -248,30 +196,31 @@ def test_rs_draw_frequencies_uniform():
 def test_is_draw_frequencies_match_q():
     q = np.array([0.5, 0.25, 0.125, 0.125])
     st = ss.ScanStrategy.importance(2, q_g=q)
-    state = ScannerState(st, np.random.default_rng(11))
-    t = state.draw_targets(10**6)
+    t = TargetLaw(st).draw(np.random.default_rng(11), 10**6)
     counts = np.bincount(t >> 30, minlength=4)
     for j in range(4):
         sigma = math.sqrt(10**6 * q[j] * (1 - q[j]))
         assert abs(counts[j] - 10**6 * q[j]) < 5 * sigma
 
 
-def test_ls_home_frequency():
-    pa = 0.75
-    state = ScannerState(ss.ScanStrategy.localized(16, pa), np.random.default_rng(12), home_subnet=4660)
-    t = state.draw_targets(10**6)
-    in_home = np.count_nonzero((t >> 16) == 4660)
-    p = pa + (1 - pa) / 65536
-    sigma = math.sqrt(10**6 * p * (1 - p))
-    assert abs(in_home - 10**6 * p) < 4 * sigma
+@pytest.mark.parametrize("l, pa, home, seed, size, n", [(16, 0.75, 4660, 12, 10**6, 10**6), (8, 1.0, 9, 15, 1, 50)],
+                         ids=["one_draw", "single_draws"])
+def test_ls_home_frequency(l, pa, home, seed, size, n):
+    # n targets in draws of `size`; with pa = 1 every single draw is in the home block
+    law = TargetLaw(ss.ScanStrategy.localized(l, pa))
+    rng = np.random.default_rng(seed)
+    t = np.concatenate([law.draw(rng, size, home) for _ in range(n // size)])
+    in_home = np.count_nonzero((t >> (32 - l)) == home)
+    p = pa + (1 - pa) / 2**l
+    sigma = math.sqrt(n * p * (1 - p))
+    assert abs(in_home - n * p) <= 4 * sigma
 
 
 def test_2lls_level_frequencies():
     pb, pc = 0.25, 0.5
     home = (10 << 8) | 7
-    state = ScannerState(ss.ScanStrategy.two_level(pb, pc), np.random.default_rng(13), home_subnet=home)
     n = 10**6
-    t = state.draw_targets(n)
+    t = TargetLaw(ss.ScanStrategy.two_level(pb, pc)).draw(np.random.default_rng(13), n, home)
     in16 = np.count_nonzero((t >> 16) == home)
     in8 = np.count_nonzero((t >> 24) == 10)
     p16 = pc + pb / 256 + (1 - pb - pc) / 65536
@@ -282,8 +231,7 @@ def test_2lls_level_frequencies():
 
 def test_optis_draws_stay_in_argmax_block(four_hosts):
     d = ss.aggregate(four_hosts, 8)
-    state = ScannerState(ss.ScanStrategy.optimal(8), np.random.default_rng(14), dist=d)
-    t = state.draw_targets(1000)
+    t = TargetLaw(ss.ScanStrategy.optimal(8), d).draw(np.random.default_rng(14), 1000)
     assert np.all((t >> 24) == 10)
 
 
@@ -307,12 +255,6 @@ def test_out_of_range_homes_are_rejected(home):
         law.home_tiers(home)
     with pytest.raises(ParameterError):
         law.draw(np.random.default_rng(0), (2, 3), home)
-
-
-def test_single_draws_follow_the_same_law():
-    state = ScannerState(ss.ScanStrategy.localized(8, 1.0), np.random.default_rng(15), home_subnet=9)
-    for _ in range(50):
-        assert state.next_target() >> 24 == 9
 
 
 # -- the law over occupied groups ------------------------------------------
@@ -462,7 +404,6 @@ def test_sorted_importance_lookup_equals_the_unsorted_search(n, ties):
 
     want = dense_importance_draw(q, 8, stream(), n)
     assert np.array_equal(law.draw(stream(), n), want)
-    assert np.array_equal(ScannerState(st, stream()).draw_targets(n), want)
     assert set((want >> 24).tolist()) <= {0, 3, 40, 41, 200, 255}
 
 
