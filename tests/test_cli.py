@@ -147,6 +147,13 @@ def test_bad_dist_csv_exits_3(tmp_path):
     assert run_cli("analyze", str(p)) == 3
 
 
+def test_a_dist_csv_count_past_int64_exits_3(tmp_path, capsys):
+    p = tmp_path / "big.csv"
+    p.write_text(f"# l=8 N=5\ngroup_index,count\n1,{2**63 + 2}\n", encoding="ascii")
+    assert run_cli("analyze", str(p), "--out-dir", str(tmp_path / "o")) == 3
+    assert capsys.readouterr().err == f"error: {p}: counts must be integers in [-2**63, 2**63)\n"
+
+
 def test_a_dist_csv_field_past_the_csv_size_limit_exits_3(tmp_path, capsys):
     # the vectorized reader leaves a field of over 18 digits to the csv loop,
     # whose module refuses fields longer than 131,072 characters
@@ -525,6 +532,13 @@ def test_manifest_hashes_an_input_before_the_command_overwrites_it(dist_file):
     manifest = json.loads(Path(f"{dist_file}.manifest.json").read_text())
     assert manifest["inputs"] == {str(dist_file): digest}
     assert ss.load_host_list(dist_file).hosts.N == 4  # the host list did replace the distribution
+
+
+def test_every_public_name_resolves():
+    # what `from scanspread import *` binds: a stale __all__ entry fails it
+    namespace = {}
+    exec("from scanspread import *", namespace)
+    assert set(ss.__all__) <= namespace.keys()
 
 
 def test_version_matches_pyproject():

@@ -229,6 +229,29 @@ def test_2lls_level_frequencies():
     assert abs(in8 - n * p8) < 4 * math.sqrt(n * p8 * (1 - p8))
 
 
+LAWS_OF_A_DISTRIBUTION = pytest.mark.parametrize("strategy", [ss.ScanStrategy.importance(8), ss.ScanStrategy.optimal(8)],
+                                                 ids=["is", "optis"])
+
+
+@pytest.mark.parametrize("dist, says", [
+    (None, "needs a non-empty host distribution"),
+    (ss.GroupDistribution(8, [], []), "needs a non-empty host distribution"),
+    (ss.HostSet([]), "needs a non-empty host distribution"),
+    (ss.GroupDistribution(4, [10], [3]), "needs a distribution at l >= 8, got l=4"),
+], ids=["none", "empty_dist", "empty_hosts", "coarser"])
+@LAWS_OF_A_DISTRIBUTION
+def test_a_law_of_the_hosts_needs_a_non_empty_distribution_at_its_level(strategy, dist, says):
+    with pytest.raises(ParameterError, match=says):
+        TargetLaw(strategy, dist)
+
+
+@LAWS_OF_A_DISTRIBUTION
+def test_a_host_set_and_a_finer_distribution_draw_what_the_aggregate_draws(strategy, four_hosts):
+    want = TargetLaw(strategy, ss.aggregate(four_hosts, 8)).draw(np.random.default_rng(17), 1000)
+    for dist in (four_hosts, ss.aggregate(four_hosts, 16)):
+        assert np.array_equal(TargetLaw(strategy, dist).draw(np.random.default_rng(17), 1000), want)
+
+
 def test_optis_draws_stay_in_argmax_block(four_hosts):
     d = ss.aggregate(four_hosts, 8)
     t = TargetLaw(ss.ScanStrategy.optimal(8), d).draw(np.random.default_rng(14), 1000)
