@@ -406,8 +406,13 @@ def _check_integers(arr: np.ndarray, what: str) -> None:
     """Refuse a value that is not an integer in int64's range: no cast truncates, warns, wraps or overflows."""
     if arr.dtype.kind == "f":
         ok = np.all((arr == np.trunc(arr)) & (arr >= -2.0**63) & (arr < 2.0**63))
-    else:  # numpy holds Python ints from 2**63 as uint64, and past 2**64 as objects
-        ok = arr.dtype not in (np.uint64, object) or not arr.size or -2**63 <= int(arr.min()) <= int(arr.max()) < 2**63
+    elif arr.dtype == object:  # Python ints past 2**64, Fractions, Decimals: each must equal its int
+        try:
+            ok = all(v == int(v) and -2**63 <= v < 2**63 for v in arr.flat)
+        except (TypeError, ValueError, ArithmeticError):  # int(None), int(nan), int(inf)
+            ok = False
+    else:  # numpy holds Python ints from 2**63 as uint64
+        ok = arr.dtype != np.uint64 or not arr.size or int(arr.max()) < 2**63
     if not ok:
         raise ParameterError(f"{what} must be integers in [-2**63, 2**63)")
 

@@ -26,11 +26,12 @@ log1p(-q).  One survival operator advances every family,
 with pp the proactive-protection factor (1 without protection).  Every
 family's exponent is one linear form, read off its `TargetLaw`,
 
-    E_i = a_i * m_i + c_i * (s * tick * n_t) + sum_k b_k * W_k(i):
+    E_i = a * m_i + c_i * (s * tick * n_t) + sum_k b_k * W_k(i):
 
 every source scans by the shared group law (c_i), and one in group i's
-block of a home tier also by that tier (a_i for group i itself, b_k for
-wider tier k, such as the 2lls home /8 whose infected hosts W_k(i) sums).
+block of a home tier also by that tier (a for group i itself, b_k for wider
+tier k, such as the 2lls home /8 whose infected hosts W_k(i) sums; a law
+with tiers spreads its other scans uniformly, so a and b_k are scalars).
 Without tiers (rs, is, optis) a and W vanish, E_i depends on n_t alone, and
 summed over groups the recursion reduces exactly to the single-population
 form
@@ -342,10 +343,10 @@ def _log_survival(st: ScanStrategy, dist: GroupDistribution, s_tick: float, seed
     the coefficients of the family's log-survival exponent over them.
 
     Returns (cls, mult, c, a, wider): the class of each occupied group, the
-    number of groups in each class, and per class the coefficients of
-    E = a * m + c * (s_tick * n) + sum over wider of b * W[blk], where wider
-    holds (b, starts, blk) of each home tier wider than a group and
-    W = np.add.reduceat(mult * m, starts) sums its blocks' infected hosts.
+    number of groups in each class, c per class and the law's scalars a and
+    b of E = a * m + c * (s_tick * n) + sum over wider of repeat(b * W, runs),
+    wider holding (b, starts, runs) of each home tier wider than a group and
+    W = np.add.reduceat(mult * m, starts) summing its blocks' infected hosts.
     exp(E) is the probability that one address of a class's group escapes
     every scan of one tick, given m infected per group of each class and n
     in all.  Groups of one class agree on their population, their hit
@@ -355,22 +356,16 @@ def _log_survival(st: ScanStrategy, dist: GroupDistribution, s_tick: float, seed
     classes are one run.
     """
     law = TargetLaw(st, dist)
-    pop = dist.counts
-    alone = np.arange(pop.size) == seed
-    # a source sharing the target's block of width w hits an address by the
-    # shared law and by every tier at least w wide: the group itself first,
-    # for a law with tiers (without any, as rs, is and optis, a = 0)
     far = law.group_probabilities(dist.indices) / law.block
-    home = [law.block] if law.tiers else []
-    widths = home + [size for _, size in law.tiers if size > law.block]
-    logs = [np.log1p(-(sum(mass / size for mass, size in law.tiers if size >= width) + far)) for width in widths]
-    logs.append(np.log1p(np.negative(far, out=far), out=far))  # far's last use: in place
-    blocks = [dist.indices // (width // law.block) for width in widths[len(home):]]
-    cls, mult, rep = _lump(alone, pop, logs[-1], *blocks)
-    b = [s_tick * (inner[rep] - outer[rep]) for inner, outer in zip(logs, logs[1:])]
-    a = b.pop(0) if home else np.zeros(rep.size)
-    wider = [(bk, *np.unique(key[rep], return_index=True, return_inverse=True)[1:]) for bk, key in zip(b, blocks)]
-    return cls, mult, logs[-1][rep], a, wider
+    # a law with tiers spreads its rest uniformly (far is one value) and its tier 0 is the group
+    # itself: a source in the target's block of tier k hits an address by far and by tiers k and up
+    logs = [np.log1p(-(sum(mass / size for mass, size in law.tiers[k:]) + far[0])) for k in range(len(law.tiers) + 1)]
+    c = np.log1p(np.negative(far, out=far), out=far)  # far's last use: in place
+    blocks = [dist.indices // (size // law.block) for _, size in law.tiers[1:]]
+    cls, mult, rep = _lump(np.arange(dist.occupied) == seed, dist.counts, c, *blocks)
+    a, *b = [s_tick * (inner - outer) for inner, outer in zip(logs, logs[1:])] or [0.0]
+    wider = [(bk, *np.unique(key[rep], return_index=True, return_counts=True)[1:]) for bk, key in zip(b, blocks)]
+    return cls, mult, c[rep], a, wider
 
 
 def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
@@ -427,14 +422,12 @@ def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
         per_class[0] = m
     # a = 0 without home tiers and protect = 1 without pp: skipping those
     # terms changes no bit of m (0 + y differs from y at most in a zero's sign)
-    tiered = bool(np.any(a))
-
-    for t in range(1, cfg.horizon + 1):  # into scratch arrays: a tick allocates only the block sums
+    for t in range(1, cfg.horizon + 1):  # into scratch arrays: a tick allocates only the block terms
         np.multiply(c, s_tick * n_series[t - 1], out=e)
-        if tiered:
+        if a:
             e += np.multiply(a, m, out=tmp)
-        for b, starts, blk in wider:
-            e += np.multiply(b, np.add.reduceat(np.multiply(weights, m, out=tmp), starts).take(blk), out=tmp)
+        for b, starts, runs in wider:
+            e += np.repeat(b * np.add.reduceat(np.multiply(weights, m, out=tmp), starts), runs)
         np.expm1(e, out=e)  # minus the share of a class's uninfected hosts hit this tick
         e *= np.subtract(pop, m, out=tmp)
         if protect is not None:

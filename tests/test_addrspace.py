@@ -3,6 +3,8 @@ import io
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -303,10 +305,13 @@ def test_hostset_rejects_out_of_range():
 
 
 def test_hostset_rejects_non_integral_addresses():
-    for bad in ([1.7, 2.2], [1.0, float("nan")], np.array([3.5])):
+    # numpy keeps the Fractions, Decimals and None as objects, which an int64 cast would truncate or refuse
+    for bad in ([1.7, 2.2], [1.0, float("nan")], np.array([3.5]), [Fraction(5, 2)], [Decimal("1.9"), 3],
+                [Decimal("NaN")], [2**70, Fraction(1, 3)], [1, None]):
         with pytest.raises(ParameterError):
             ss.HostSet(bad)
     assert list(ss.HostSet([2.0, 1.0, 2**32 - 1.0])) == [1, 2, 2**32 - 1]
+    assert list(ss.HostSet([Fraction(4, 2), Decimal("7"), 5])) == [2, 5, 7]
 
 
 def test_hostset_range_checks_integer_input_without_widening_it():
@@ -599,12 +604,18 @@ def test_distribution_validation():
 @pytest.mark.parametrize("indices, counts", [
     ([0, 1.7], [3, 4]), ([0, 1], [2.5, 4]), ([0, 1], [math.nan, 4]), ([0, 1], [1e30, 1]),
     ([0], np.array([2**63 + 2], dtype=np.uint64)), ([0], [2**63 + 2]), ([2**64 + 5], [1]),
+    ([Decimal("1.9")], [3]), ([1], [Fraction(7, 2)]), ([0], [Decimal("Infinity")]),
 ], ids=["fractional_index", "fractional_count", "nan_count", "count_past_int64", "uint64_count_past_int64",
-        "int_count_past_int64", "int_index_past_uint64"])
+        "int_count_past_int64", "int_index_past_uint64", "decimal_index", "fraction_count", "infinite_decimal_count"])
 def test_distribution_refuses_counts_and_indices_that_are_not_int64_integers(indices, counts):
     # each was truncated, cast with a warning, wrapped or overflowed instead
     with pytest.raises(ParameterError, match=r"must be integers in \[-2\*\*63, 2\*\*63\)"):
         ss.GroupDistribution(8, indices, counts)
+
+
+def test_distribution_takes_integral_objects():
+    d = ss.GroupDistribution(8, [Decimal("1"), Fraction(6, 2)], [Fraction(4, 2), 2**0])
+    assert d.indices.tolist() == [1, 3] and d.counts.tolist() == [2, 1]
 
 
 def test_distribution_leaves_the_callers_arrays_writeable():

@@ -635,8 +635,8 @@ def full_tick_propagate(st, d, s, horizon, initial="densest", pp=None):
     n, rows = [1.0], [m]
     for _ in range(horizon):
         e = a * m + c * (s * n[-1])
-        for b, starts, blk in wider:
-            e = e + b * np.add.reduceat(weights * m, starts)[blk]
+        for b, starts, runs in wider:
+            e = e + np.repeat(b * np.add.reduceat(weights * m, starts), runs)
         m = np.minimum(m - np.expm1(e) * (pop - m) * protect, pop)
         n.append(weights @ m)
         rows.append(m)
@@ -682,14 +682,13 @@ def test_uniform_fixture_lumps_to_two_classes(token):
     assert sorted(mult.tolist()) == [1, 1255] and mult[cls[0]] == 1
 
 
-@pytest.mark.parametrize("token", ["rs", "optis:l=16"])
-def test_a_law_without_tiers_sets_up_one_log_array_fewer(token):
-    # ls with one home tier needs the log of its group's own survival beside
-    # the shared law's; rs and optis have a = 0 and build only the latter, so
-    # they peak a group-sized float array (8 B a group) below it
+@pytest.mark.parametrize("token, per_group", [("ls:l=16,pa=0.75", 2), ("2lls:pb=0.25,pc=0.5", 12)])
+def test_home_tiers_cost_no_group_sized_array(token, per_group):
+    # a tier's coefficient is one number, so ls sets up what rs does and 2lls
+    # adds only its /8 block keys (8 B a group) to rs's set-up peak
     d = ss.synth_zipf(16, 1.0, 448894, seed=2)
     peaks = []
-    for tok in (token, "ls:l=16,pa=0.75"):
+    for tok in ("rs", token):
         st = ss.parse_strategy(tok)
         tracemalloc.start()
         try:
@@ -697,7 +696,30 @@ def test_a_law_without_tiers_sets_up_one_log_array_fewer(token):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] < peaks[1] - 4 * d.occupied, (peaks, d.occupied)
+    assert peaks[1] <= peaks[0] + per_group * d.occupied, (peaks, d.occupied)
+
+
+@pytest.mark.parametrize("token", ["ls:l=16,pa=0.75", "ls:l=16,pa=0.1234567", "ls:l=16,pa=0",
+                                   "2lls:pb=0.25,pc=0.5", "2lls:pb=0.1,pc=0.2", "2lls:pb=0,pc=0"])
+def test_tier_coefficients_are_the_laws_scalars(token):
+    # full_tick_propagate reads a and b from _log_survival itself: here they
+    # are written out per tier, innermost first, with the rest spread over 2**32
+    st = ss.parse_strategy(token)
+    d = ss.synth_zipf(16, 1.0, 30000, seed=3)
+    s_tick = 358.0 * 0.37
+    cls, mult, c, a, wider = epidemic._log_survival(st, d, s_tick, 2)
+    if st.kind == "ls":
+        rest = 1.0 - st.p_a
+        x = np.array([st.p_a / 2**16, 0.0]) + rest / 2**32
+    else:
+        rest = 1.0 - st.p_b - st.p_c
+        x = np.array([st.p_c / 2**16 + st.p_b / 2**24, st.p_b / 2**24, 0.0]) + rest / 2**32
+    logs = np.log1p(-x)
+    want = s_tick * (logs[:-1] - logs[1:])
+    got = [a] + [b for b, *_ in wider]
+    assert len(got) == want.size and all(np.ndim(v) == 0 for v in got)
+    assert all(v == w for v, w in zip(got, want)), (got, want)
+    assert c.shape == mult.shape and np.all(c == logs[-1])
 
 
 @pytest.mark.parametrize("token, hosts", [
