@@ -98,8 +98,10 @@ class HostSet:
     """An ordered set of distinct IPv4 addresses, stored sorted ascending.
 
     The sorted uint32 addresses are the only per-host array (4 B a host).  The
-    first membership query builds a _MemberIndex (3 MB plus 32 B per occupied
-    /24), which later queries reuse."""
+    first membership query builds a _MemberIndex (4 MiB plus 32 B per occupied
+    /24), which later queries reuse.  Queries take integer targets and bounds
+    of any integer dtype as they are; other values must pass the integer check
+    that addresses pass."""
 
     __slots__ = ("_addr", "_members")
 
@@ -149,14 +151,13 @@ class HostSet:
     def _below(self, bound):
         """Hosts below each integer bound: the uint32 addresses are searched
         for the bound clipped into [0, 2**32), and a bound >= 2**32 counts N.
-        The bounds are searched in ascending order, so that numpy starts each
-        search at the last one's result, and their counts scattered back."""
-        bound = np.asarray(bound, dtype=np.int64)
-        key = np.clip(bound, 0, ADDRESS_SPACE - 1).astype(np.uint32).reshape(-1)
-        order = key.argsort()
-        n = np.empty(key.size, dtype=np.intp)
-        n[order] = np.searchsorted(self._addr, key.take(order))
-        return np.where(bound < ADDRESS_SPACE, n.reshape(bound.shape), self._addr.size)
+        The bounds are searched in ascending order (_ascending_search)."""
+        bound = np.asarray(bound)
+        if bound.dtype == np.uint64:  # a bound from 2**63 would wrap below 0
+            bound = np.minimum(bound, ADDRESS_SPACE)
+        bound = _query_int64(bound, "interval bounds")
+        n = _ascending_search(self._addr, np.clip(bound, 0, ADDRESS_SPACE - 1).astype(np.uint32))
+        return np.where(bound < ADDRESS_SPACE, n, self._addr.size)
 
     def count_members(self, targets: np.ndarray) -> int:
         """How many entries of `targets` (with multiplicity) are hosts."""
@@ -164,86 +165,131 @@ class HostSet:
 
     def count_members_per_row(self, targets: np.ndarray) -> np.ndarray:
         """Hosts among each row of a (rows, n) target block, with multiplicity.
-        Targets outside [0, 2**32) are misses."""
+        Targets outside [0, 2**32) are misses, uint64 ones from 2**63 too."""
         if self._members is None:
             self._members = _MemberIndex(self._addr)
-        return self._members.count_per_row(np.asarray(targets, dtype=np.int64))
+        return self._members.count_per_row(_query_int64(targets, "targets"))
+
+
+def _ascending_search(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """np.searchsorted(a, keys) for keys of a's dtype, in keys' shape: the
+    keys are searched in ascending order, so that numpy starts each search
+    at the last one's result, and their results scattered back."""
+    flat = keys.reshape(-1)
+    order = flat.argsort()
+    n = np.empty(flat.size, dtype=np.intp)
+    n[order] = np.searchsorted(a, flat.take(order))
+    return n.reshape(keys.shape)
+
+
+def _query_int64(values, what: str) -> np.ndarray:
+    """values as int64, for a query: an integer array as it is, so that the
+    check costs nothing and uint64 values from 2**63 wrap below 0 (outside
+    every query's range); any other array only if _check_integers takes it."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        _check_integers(arr, what)
+    return arr.astype(np.int64, copy=False)
 
 
 class _MemberIndex:
     """Static membership index of sorted uint32 addresses: a rank directory
-    (Jacobson, FOCS 1989) over a bitmap of occupied /24s, and a 256-bit leaf
-    per occupied /24, in the manner of Roaring bitmaps (Chambi et al., SP&E
-    46(5), 2016).
+    (Jacobson, FOCS 1989) over a bitmap of occupied /24s, each count stored
+    beside its bits as in Vigna's rank9 (WEA 2008), so that a lookup reads one
+    directory entry; and a 256-bit leaf per occupied /24, in the manner of
+    Roaring bitmaps (Chambi et al., SP&E 46(5), 2016).
 
-    - words: bit j of word w is set when /24 number 64 * w + j holds a host;
-    - rank: the occupied /24s before word w;
-    - leaves: (occupied + 1) leaves of 4 uint64 words.  Leaf 0 is all zero:
-      every /24 without hosts points to it.  The k-th occupied /24 (from 1)
-      has leaf k, whose bit a & 255 is set for each of its hosts a.
+    - directory: 2**19 + 2 uint64 entries.  Entry e + 1 covers /24s 32 * e to
+      32 * e + 31: bit j of its low half is set when /24 32 * e + j holds a
+      host, and its high half counts the occupied /24s before it.  Entries 0
+      and 2**19 + 1 are zero: the lookup index (a >> 13) + 1 of a target a
+      outside [0, 2**32) is clipped onto one of them.
+    - leaves: (occupied + 1) leaves of 32 bytes.  Leaf 0 is all zero: every
+      /24 without hosts points to it.  The k-th occupied /24 (from 1) has
+      leaf k, whose byte (a >> 3) & 31 has bit a & 7 set for each of its
+      hosts a.  The leaves are bytes, so no lookup depends on byte order.
     """
 
-    __slots__ = ("words", "rank", "leaves")
+    __slots__ = ("directory", "leaves")
 
     def __init__(self, addr: np.ndarray):
-        self.words = np.zeros(1 << 18, dtype=np.uint64)
-        for lo in range(0, addr.size, _CHUNK):  # steps keep the temporaries O(_CHUNK)
-            p = addr[lo:lo + _CHUNK] >> 8
-            _or_bits(self.words, p >> 6, p & 63)
-        count = np.bitwise_count(self.words)
-        self.rank = np.cumsum(count, dtype=np.int32) - count
-        self.leaves = np.zeros(4 * (int(self.rank[-1]) + int(count[-1]) + 1), dtype=np.uint64)
+        self.directory = d = np.zeros((1 << 19) + 2, dtype=np.uint64)
+        # steps of _CHUNK hosts or entries keep the temporaries O(_CHUNK)
         for lo in range(0, addr.size, _CHUNK):
-            a = addr[lo:lo + _CHUNK].astype(np.int64)
-            _or_bits(self.leaves, self._leaf(a) << 2 | (a >> 6) & 3, a & 63)
+            p = addr[lo:lo + _CHUNK] >> 8
+            _or_bits(d, (p >> 5) + 1, p & 31)
+        occupied = 0  # the occupied /24s before the step's first entry
+        for lo in range(0, d.size - 1, _CHUNK):  # the last entry stays zero
+            bits = d[lo:min(lo + _CHUNK, d.size - 1)]
+            count = np.bitwise_count(bits)
+            before = np.cumsum(count, dtype=np.uint64)
+            step = int(before[-1])
+            before -= count
+            before += np.uint64(occupied)
+            before <<= np.uint64(32)
+            bits |= before
+            occupied += step
+        self.leaves = np.zeros(32 * (occupied + 1), dtype=np.uint8)
+        leaf = 0  # the leaf of the /24 before the step's first host
+        for lo in range(0, addr.size, _CHUNK):
+            a = addr[lo:lo + _CHUNK]
+            p = a >> 8
+            starts = _run_starts(p)
+            starts[0] = lo == 0 or p[0] != addr[lo - 1] >> 8
+            k = np.cumsum(starts, dtype=np.int64)
+            k += leaf
+            leaf = int(k[-1])
+            k <<= 5
+            k |= (a >> 3) & 31
+            _or_bits(self.leaves, k, a & 7)
 
     @property
     def nbytes(self) -> int:
-        return self.words.nbytes + self.rank.nbytes + self.leaves.nbytes
-
-    def _leaf(self, a: np.ndarray) -> np.ndarray:
-        """The leaf of the /24 of each int64 address a: an index below
-        len(leaves) / 4 whatever a is, and the right leaf for a in
-        [0, 2**32).  a >> 14 is the word of a's /24, clipped into range."""
-        w = a >> 14
-        upto = self.words.take(w, mode="clip")
-        # the bits of /24s 64 * w .. a >> 8, with a's on top: their count is
-        # its rank; a shift by 63 - (a >> 8 & 63) puts it there
-        shift = a >> 8
-        np.invert(shift, out=shift)
-        shift &= 63
-        upto <<= shift.view(np.uint64)
-        leaf = np.add(self.rank.take(w, mode="clip"), np.bitwise_count(upto), out=w, dtype=np.int64)
-        upto >>= 63
-        leaf *= upto.view(np.int64)
-        return leaf
+        return self.directory.nbytes + self.leaves.nbytes
 
     def count_per_row(self, targets: np.ndarray) -> np.ndarray:
         """Members among each row of an int64 target block, looked up in
         column slices of about _CHUNK targets, so that the temporaries stay
-        O(_CHUNK) whatever the block's size.  Every gather is in range for
-        any target (`_leaf`); targets outside [0, 2**32) are then masked out."""
+        O(_CHUNK) whatever the block's size.  A target a outside [0, 2**32)
+        reads a zero directory entry, so its leaf is 0."""
         hits = np.zeros(targets.shape[0], dtype=np.int64)
         step = max(1, _CHUNK // max(1, targets.shape[0]))
         for lo in range(0, targets.shape[1], step):
             t = targets[:, lo:lo + step]
-            idx = self._leaf(t)
-            idx <<= 2
-            part = t >> 6
-            part &= 3
-            idx |= part
-            hit = self.leaves.take(idx)
-            hit >>= np.bitwise_and(t, 63, out=part).view(np.uint64)
-            hit &= t.view(np.uint64) < ADDRESS_SPACE
-            hits += hit.view(np.int64).sum(axis=1)
+            scratch = t >> 13
+            scratch += 1
+            leaf = self.directory.take(scratch, mode="clip")
+            # the bits of /24s 32 * e .. a >> 8, with a's on top, make the
+            # rank within the entry: a shift by 63 - (a >> 8 & 31) puts them
+            # there and drops the entry's count
+            np.right_shift(t, 8, out=scratch)
+            np.invert(scratch, out=scratch)
+            scratch &= 31
+            scratch |= 32
+            upto = np.left_shift(leaf, scratch.view(np.uint64), out=scratch.view(np.uint64))
+            leaf >>= 32
+            leaf += np.bitwise_count(upto)
+            upto >>= 63
+            leaf *= upto  # 0 where a's /24 holds no host
+            leaf <<= 5
+            np.right_shift(t, 3, out=scratch)
+            scratch &= 31
+            leaf |= upto  # byte (a >> 3) & 31 of the leaf
+            hit = self.leaves.take(leaf.view(np.int64))
+            shift = t.astype(np.uint8)
+            shift &= 7
+            hit >>= shift
+            hit &= 1
+            hits += hit.sum(axis=1, dtype=np.int64)
         return hits
 
 
 def _or_bits(dst: np.ndarray, key: np.ndarray, bit: np.ndarray) -> None:
     """dst[key] |= 1 << bit for every pair, with `key` sorted: the bits of a
     run of equal keys are ORed together first, so each key is written once."""
+    one = dst.dtype.type(1)
     starts = np.flatnonzero(_run_starts(key))
-    dst[key[starts]] |= np.bitwise_or.reduceat(np.uint64(1) << bit.astype(np.uint64), starts)
+    dst[key[starts]] |= np.bitwise_or.reduceat(one << bit.astype(dst.dtype), starts)
 
 
 @dataclass(frozen=True)
@@ -411,8 +457,10 @@ def _check_integers(arr: np.ndarray, what: str) -> None:
             ok = all(v == int(v) and -2**63 <= v < 2**63 for v in arr.flat)
         except (TypeError, ValueError, ArithmeticError):  # int(None), int(nan), int(inf)
             ok = False
-    else:  # numpy holds Python ints from 2**63 as uint64
+    elif arr.dtype.kind in "iu":  # numpy holds Python ints from 2**63 as uint64
         ok = arr.dtype != np.uint64 or not arr.size or int(arr.max()) < 2**63
+    else:  # strings, bools, complex numbers, dates: a cast would take '5' as 5
+        ok = False
     if not ok:
         raise ParameterError(f"{what} must be integers in [-2**63, 2**63)")
 

@@ -59,6 +59,7 @@ from .addrspace import (
     ADDRESS_SPACE,
     GroupDistribution,
     HostSet,
+    _ascending_search,
     _run_starts,
     _square_sum,
     materialize_hosts,
@@ -148,9 +149,11 @@ class _EarlyEngine:
         self.hosts = hosts
         self.total = cfg.total_scans
         self.bits = ADDRESS_BITS - st.l
-        self.law = None  # mss sweeps
+        self.law = self.sweep = None
         self.rows = _SWEEP_ROWS
-        if st.kind != "mss":
+        if st.kind == "mss":
+            self.sweep = _sweeps(hosts, self.bits)
+        else:
             self.law = TargetLaw(st, cfg.dist if cfg.dist is not None and cfg.dist.l >= st.l else hosts)
             self.rows = max(1, _BLOCK_TARGETS // cfg.total_scans)
 
@@ -158,32 +161,57 @@ class _EarlyEngine:
         """Hits of the `n` runs of block = (rng, n), in order."""
         rng, n = block
         hosts = self.hosts
-        if self.law is None:
+        if self.sweep is not None:
             # stage 2 in isolation: sweep anchored at a random vulnerable
             # host's block, starting just past it.  Sequential scanning is
             # deterministic given the anchor, so hits are an exact interval count.
-            return _sweep_hits(hosts, hosts.addresses[rng.integers(0, hosts.N, size=n)], self.bits, self.total)
+            i = rng.integers(0, hosts.N, size=n)
+            return self.sweep(hosts.addresses[i], self.total, i + 1)
         homes = hosts.addresses[rng.integers(0, hosts.N, size=(n, 1))] >> self.bits if self.law.tiers else None
         return hosts.count_members_per_row(self.law.draw(rng, (n, self.total), homes))
 
 
+def _sweeps(hosts: HostSet, bits: int):
+    """The hits of cyclic ascending sweeps of hosts' 2**bits-address blocks:
+    sweep(anchor, n_scans, upto) scans n_scans addresses of anchor's block
+    from anchor + 1, where `upto` counts the hosts at or below anchor (i + 1
+    for anchor = hosts.addresses[i]); anchors and scan counts are scalars or
+    arrays.  A block's first and past host ranks come from a search of its
+    index among the occupied blocks, so only the head's end and the wrapped
+    tail's end search the hosts."""
+    key = hosts.addresses >> bits
+    first = np.flatnonzero(_run_starts(key))  # rank of each occupied block's first host
+    groups = np.append(key[first], 1 << (ADDRESS_BITS - bits))  # then one past every block
+    ranks = np.append(first, hosts.N)
+    block = 1 << bits
+
+    def sweep(anchor, n_scans, upto):
+        anchor = np.asarray(anchor, dtype=np.int64)
+        g = anchor >> bits
+        start = g << bits
+        offset = (anchor - start + 1) % block
+        full, rem = np.divmod(np.asarray(n_scans, dtype=np.int64), block)
+        end = offset + rem
+        k = _ascending_search(groups, g)
+        lo = ranks.take(k)
+        passed = ranks.take(k + (groups.take(k) == g)) - lo  # 0 for a block without hosts
+        # hosts below the head's start (anchor + 1, or the block's start when
+        # anchor is its last address) and below the head's end, and from the
+        # block's start to the wrapped tail's end (empty without a tail)
+        head_start = np.where(offset == 0, lo, upto)
+        ends = np.stack(np.broadcast_arrays(np.minimum(end, block), np.maximum(end - block, 0)), axis=-1)
+        head_end, tail_end = np.moveaxis(hosts.count_in_interval(0, start[..., None] + ends), -1, 0)
+        return full * passed + (head_end - head_start) + (tail_end - lo)
+
+    return sweep
+
+
 def _sweep_hits(hosts: HostSet, anchor, bits: int, n_scans):
     """Hits of a cyclic ascending sweep of anchor's block, from anchor+1, for
-    scalar or array-valued anchors and scan counts."""
-    anchor = np.asarray(anchor, dtype=np.int64)
-    block = 1 << bits
-    start = (anchor >> bits) << bits
-    offset = (anchor - start + 1) % block
-    full, rem = np.divmod(np.asarray(n_scans, dtype=np.int64), block)
-    end = offset + rem
-    # hosts from start up to each of: the block end (a full pass), the head's
-    # end and start (offset to the block end or to end), and the wrapped
-    # tail's end; one search of start serves all four, and an interval kind
-    # a run does not scan is empty
-    lo = start[..., None]
-    hi = lo + np.stack(np.broadcast_arrays(block, np.minimum(end, block), offset, np.maximum(end - block, 0)), axis=-1)
-    passed, head_end, head_start, tail = np.moveaxis(hosts.count_in_interval(lo, hi), -1, 0)
-    return full * passed + (head_end - head_start) + tail
+    scalar or array-valued anchors and scan counts whose ranks are not known:
+    one search counts the hosts at or below each anchor."""
+    upto = hosts.count_in_interval(0, np.asarray(anchor, dtype=np.int64) + 1)
+    return _sweeps(hosts, bits)(anchor, n_scans, upto)
 
 
 def _per_run_hits(cfg: EarlyStageConfig, seq: np.random.SeedSequence, rows: int,
@@ -248,16 +276,16 @@ def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[Ea
     if not scan_budgets or any(not 1 <= int(b) <= ADDRESS_SPACE for b in scan_budgets):  # as total_scans
         raise ParameterError(f"scan budgets must be integers in [1, 2**{ADDRESS_BITS}]")
     hosts = _resolve_hosts(cfg)
-    bits = ADDRESS_BITS - cfg.strategy.l
+    sweep = _sweeps(hosts, ADDRESS_BITS - cfg.strategy.l)
     p_first = hosts.N / ADDRESS_SPACE
 
     def block_hits(budget: int, block) -> np.ndarray:
         rng, n = block
         stage1 = rng.geometric(p_first, size=n)
         found = stage1 <= budget  # whether a run finds a host within budget
-        anchors = hosts.addresses[rng.integers(0, hosts.N, size=int(np.count_nonzero(found)))]
+        i = rng.integers(0, hosts.N, size=int(np.count_nonzero(found)))
         hits = np.zeros(n, dtype=np.int64)
-        hits[found] = 1 + _sweep_hits(hosts, anchors, bits, budget - stage1[found])
+        hits[found] = 1 + sweep(hosts.addresses[i], budget - stage1[found], i + 1)
         return hits
 
     seqs = np.random.SeedSequence(cfg.seed).spawn(len(scan_budgets))

@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import scanspread as ss
 from scanspread import addrspace
-from scanspread.addrspace import _sample_distinct, block_size, write_ccdf_csv, write_table
+from scanspread.addrspace import _CHUNK, _MemberIndex, _sample_distinct, block_size, write_ccdf_csv, write_table
 from scanspread.errors import (
     CapacityError,
     DistributionFormatError,
@@ -307,7 +308,7 @@ def test_hostset_rejects_out_of_range():
 def test_hostset_rejects_non_integral_addresses():
     # numpy keeps the Fractions, Decimals and None as objects, which an int64 cast would truncate or refuse
     for bad in ([1.7, 2.2], [1.0, float("nan")], np.array([3.5]), [Fraction(5, 2)], [Decimal("1.9"), 3],
-                [Decimal("NaN")], [2**70, Fraction(1, 3)], [1, None]):
+                [Decimal("NaN")], [2**70, Fraction(1, 3)], [1, None], ["5"], [True], [5 + 0j]):
         with pytest.raises(ParameterError):
             ss.HostSet(bad)
     assert list(ss.HostSet([2.0, 1.0, 2**32 - 1.0])) == [1, 2, 2**32 - 1]
@@ -352,6 +353,42 @@ def test_hostset_interval_and_membership():
     assert h.count_in_interval(0, 2**32) == 4
     assert h.count_members(np.array([5, 5, 7, 15])) == 3
     assert ss.HostSet([]).count_members(np.array([1, 2])) == 0
+
+
+def test_queries_refuse_targets_and_bounds_that_are_not_integers():
+    # an int64 cast took 5.9 and 7.2 for hosts 5 and 7, 4.5 for 4 (so host 5
+    # fell outside [4.5, 5.5)), '5' for host 5, and warned on infinity
+    h = ss.HostSet([5, 7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([[5.9, 7.2, 6.0]], [[np.inf, 5]], [[-np.inf]], [[np.nan]], [["5"]], [[True]],
+                    [[1 + 0j]], np.array([[Fraction(11, 2)]], dtype=object), [[2**64]]):
+            with pytest.raises(ParameterError, match="targets must be integers"):
+                h.count_members_per_row(bad)
+            with pytest.raises(ParameterError, match="targets must be integers"):
+                h.count_members(np.reshape(bad, -1))
+        for lo, hi in ((4.5, 5.5), (0, np.inf), (-np.inf, 9), ("0", 9), (0, [6.5, 8]), (Fraction(9, 2), 6),
+                       (0, 2**64)):
+            with pytest.raises(ParameterError, match="interval bounds must be integers"):
+                h.count_in_interval(lo, hi)
+    # integral floats and objects are taken, as HostSet takes them
+    assert h.count_members_per_row([[5.0, 7.0, 6.0]]).tolist() == [2]
+    assert h.count_members(np.array([Fraction(10, 2), Decimal("7")], dtype=object)) == 2
+    assert h.count_in_interval(4.0, 6.0) == 1 and h.count_in_interval(np.float32(5), [6.0, 8.0]).tolist() == [1, 2]
+
+
+def test_integer_queries_skip_the_value_check():
+    # integer targets and bounds are taken as they are: no pass over their
+    # values, and uint64 targets from 2**63 are misses (they wrap below 0);
+    # a uint64 bound from 2**63 counts every host below it
+    h = ss.HostSet([5, 7, 2**32 - 1])
+    big = np.array([2**63, 2**63 + 5, 2**64 - 2**32 + 7, 2**64 - 1, 5], dtype=np.uint64)
+    with mock.patch.object(addrspace, "_check_integers", side_effect=AssertionError("value check")):
+        assert h.count_members(big) == 1
+        assert h.count_members_per_row(np.array([[5, -1, 2**32 + 5]], dtype=np.int64)).tolist() == [1]
+        assert h.count_members(np.array([5, 7], dtype=np.uint8)) == 2
+        assert h.count_in_interval(np.uint64(0), big).tolist() == [3, 3, 3, 3, 0]
+        assert h.count_in_interval(np.int8(-3), np.uint16(8)) == 2
 
 
 @given(addrs=st.lists(st.integers(0, 2**32 - 1), max_size=40),
@@ -462,10 +499,12 @@ def sorted_members_per_row(addresses, targets):
     return np.bincount(hit_rows, minlength=rows).astype(np.int64, copy=False)
 
 
-# /24s on the index's word edges (index = 0 and 63 mod 64) and the last one,
-# and offsets on its leaves' uint64 edges
-EDGE_24S = [0, 63, 64, 127, 64 * 1000, 64 * 1000 + 63, 2**24 - 64, 2**24 - 1]
-EDGE_OFFSETS = [0, 1, 63, 64, 127, 128, 191, 192, 254, 255]
+# /24s on the edges of the index's 32-/24 directory entries (index = 0 and
+# 31 mod 32), the first and the last one among them, and offsets on the edges
+# of its leaves' bytes and of 64-bit words
+EDGE_24S = [0, 31, 32, 63, 64, 95, 96, 127, 64 * 1000, 64 * 1000 + 63,
+            2**24 - 64, 2**24 - 33, 2**24 - 32, 2**24 - 1]
+EDGE_OFFSETS = [0, 1, 7, 8, 15, 16, 63, 64, 127, 128, 191, 192, 247, 248, 254, 255]
 index_host = st.one_of(
     st.integers(0, 2**32 - 1),
     st.tuples(st.sampled_from(EDGE_24S), st.sampled_from(EDGE_OFFSETS)).map(lambda t: t[0] << 8 | t[1]),
@@ -511,7 +550,21 @@ def test_the_index_is_built_once_and_stays_within_its_bound():
     assert hosts.count_members(block) == int(first.sum())
     assert hosts._members is index
     occupied = np.unique(hosts.addresses >> 8).size
-    assert index.nbytes <= 3 * 2**20 + 32 * (occupied + 1)
+    assert index.nbytes == (2**19 + 2) * 8 + 32 * (occupied + 1)
+
+
+def test_the_index_builds_within_its_size_and_chunk_sized_temporaries():
+    # the hosts span several _CHUNK steps, and most /24s hold one host; the
+    # build's temporaries measured 36 B per _CHUNK entry, and a second
+    # directory-sized array would add 32
+    hosts = ss.HostSet(np.random.default_rng(6).integers(0, 2**32, 5 * _CHUNK))
+    tracemalloc.start()
+    try:
+        index = _MemberIndex(hosts.addresses)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= index.nbytes + 48 * _CHUNK, (peak - index.nbytes) / _CHUNK
 
 
 # -- aggregate / refine ----------------------------------------------------

@@ -69,6 +69,27 @@ def test_sweep_hits_matches_enumeration():
     assert got.tolist() == want * 2
 
 
+@pytest.mark.parametrize("bits", [0, 4, 32])
+def test_sweeps_from_anchor_ranks_equal_the_literal_sweep(bits):
+    # the engine callers pass each anchor's rank i (upto = i + 1): every host
+    # as an anchor, among them each block's first and last address, 0 and
+    # 2**32 - 1, with budgets around one pass and past several
+    block = 1 << bits
+    edges = [g * block + d for g in (1, 2, 7) for d in (0, block - 1)] if bits < 32 else []
+    raw = np.concatenate([[0, 1, 2**32 - 2, 2**32 - 1], edges, np.random.default_rng(9).integers(0, 2**32, 60)])
+    hosts = ss.HostSet(raw)
+    addr = hosts.addresses
+    sweep = epidemic._sweeps(hosts, bits)
+    ranks = np.arange(hosts.N)
+    budgets = [0, 1, block - 1, block, block + 1, 3 * block + 2]
+    want = {n: [literal_sweep(hosts, int(a), bits, n) for a in addr.tolist()] for n in budgets}
+    for n in budgets:
+        assert sweep(addr, n, ranks + 1).tolist() == want[n]
+        assert [int(sweep(int(addr[i]), n, i + 1)) for i in (0, hosts.N - 1)] == [want[n][0], want[n][-1]]
+    per_run = np.array(budgets * 100)[:hosts.N]
+    assert sweep(addr, per_run, ranks + 1).tolist() == [want[n][i] for i, n in enumerate(per_run.tolist())]
+
+
 # -- early-stage Monte Carlo ----------------------------------------------
 
 
