@@ -225,8 +225,8 @@ class _MemberIndex:
             before = np.cumsum(count, dtype=np.uint64)
             step = int(before[-1])
             before -= count
-            before += np.uint64(occupied)
-            before <<= np.uint64(32)
+            before += occupied
+            before <<= 32
             bits |= before
             occupied += step
         self.leaves = np.zeros(32 * (occupied + 1), dtype=np.uint8)
@@ -235,7 +235,7 @@ class _MemberIndex:
             a = addr[lo:lo + _CHUNK]
             p = a >> 8
             starts = _run_starts(p)
-            starts[0] = lo == 0 or p[0] != addr[lo - 1] >> 8
+            starts[0] = lo == 0 or p[0] != addr[lo - 1] >> 8  # a /24 that two steps share starts once
             k = np.cumsum(starts, dtype=np.int64)
             k += leaf
             leaf = int(k[-1])
@@ -259,9 +259,9 @@ class _MemberIndex:
             scratch = t >> 13
             scratch += 1
             leaf = self.directory.take(scratch, mode="clip")
-            # the bits of /24s 32 * e .. a >> 8, with a's on top, make the
-            # rank within the entry: a shift by 63 - (a >> 8 & 31) puts them
-            # there and drops the entry's count
+            # the entry's bits up to a's /24, with a's on top, count a's rank
+            # within the entry: a shift by 63 - (a >> 8 & 31) puts them there
+            # and drops the entry's count
             np.right_shift(t, 8, out=scratch)
             np.invert(scratch, out=scratch)
             scratch &= 31
@@ -274,7 +274,7 @@ class _MemberIndex:
             leaf <<= 5
             np.right_shift(t, 3, out=scratch)
             scratch &= 31
-            leaf |= upto  # byte (a >> 3) & 31 of the leaf
+            leaf |= scratch.view(np.uint64)  # byte (a >> 3) & 31 of the leaf
             hit = self.leaves.take(leaf.view(np.int64))
             shift = t.astype(np.uint8)
             shift &= 7

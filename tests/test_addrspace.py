@@ -657,9 +657,10 @@ def test_distribution_validation():
 @pytest.mark.parametrize("indices, counts", [
     ([0, 1.7], [3, 4]), ([0, 1], [2.5, 4]), ([0, 1], [math.nan, 4]), ([0, 1], [1e30, 1]),
     ([0], np.array([2**63 + 2], dtype=np.uint64)), ([0], [2**63 + 2]), ([2**64 + 5], [1]),
-    ([Decimal("1.9")], [3]), ([1], [Fraction(7, 2)]), ([0], [Decimal("Infinity")]),
+    ([Decimal("1.9")], [3]), ([1], [Fraction(7, 2)]), ([0], [Decimal("Infinity")]), (["1"], [3]), ([1], [True]),
 ], ids=["fractional_index", "fractional_count", "nan_count", "count_past_int64", "uint64_count_past_int64",
-        "int_count_past_int64", "int_index_past_uint64", "decimal_index", "fraction_count", "infinite_decimal_count"])
+        "int_count_past_int64", "int_index_past_uint64", "decimal_index", "fraction_count", "infinite_decimal_count",
+        "string_index", "bool_count"])
 def test_distribution_refuses_counts_and_indices_that_are_not_int64_integers(indices, counts):
     # each was truncated, cast with a warning, wrapped or overflowed instead
     with pytest.raises(ParameterError, match=r"must be integers in \[-2\*\*63, 2\*\*63\)"):
