@@ -70,12 +70,23 @@ _COMMA = ord(",")
 _MAX_DIGITS = 18
 
 
+def check_int(value, what: str, lo: int, hi: int | None = None) -> int:
+    """value as a Python int: the one check of every scalar integer parameter.
+    It takes an int or a numpy integer, never a bool, in [lo, hi] (no upper
+    bound when hi is None); anything else raises ParameterError naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    v = int(value)
+    if hi is None and v < lo:
+        raise ParameterError(f"{what} must be >= {lo}, got {v}")
+    if hi is not None and not lo <= v <= hi:
+        top = f"2**{hi.bit_length() - 1}" if hi >= 1 << 10 and not hi & (hi - 1) else hi  # 2**32, not its digits
+        raise ParameterError(f"{what} must be in [{lo}, {top}], got {v}")
+    return v
+
+
 def check_prefix_level(l: int) -> int:
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool):
-        raise ParameterError(f"prefix level must be an integer, got {l!r}")
-    if not 0 <= l <= ADDRESS_BITS:
-        raise ParameterError(f"prefix level must be in [0, 32], got {l}")
-    return int(l)
+    return check_int(l, "prefix level", 0, ADDRESS_BITS)
 
 
 def block_bits(l: int) -> int:
@@ -716,9 +727,7 @@ def refine(dist: GroupDistribution, hosts: HostSet, l: int) -> GroupDistribution
     count must equal the sum of its two children.  A mismatch means the inputs
     do not describe the same population and raises InternalConsistencyError.
     """
-    l = check_prefix_level(l)
-    if l < 1:
-        raise ParameterError("refine needs l >= 1")
+    l = check_int(l, "refine's level l", 1, ADDRESS_BITS)
     if dist.l != l - 1:
         raise ParameterError(f"parent distribution is at l={dist.l}, expected {l - 1}")
     fine = aggregate(hosts, l)
@@ -733,10 +742,8 @@ def refine(dist: GroupDistribution, hosts: HostSet, l: int) -> GroupDistribution
 def synth_uniform(n_occupied: int, l: int, hosts_per_group: int) -> GroupDistribution:
     """Equal counts in the first `n_occupied` groups at level l."""
     l = check_prefix_level(l)
-    if not 1 <= n_occupied <= (1 << l):
-        raise ParameterError(f"n_occupied must be in [1, 2**{l}]")
-    if hosts_per_group < 1:
-        raise ParameterError("hosts_per_group must be >= 1")
+    n_occupied = check_int(n_occupied, "n_occupied", 1, 1 << l)
+    hosts_per_group = check_int(hosts_per_group, "hosts_per_group", 1)
     if hosts_per_group > block_size(l):  # before an int64 array is asked to hold it
         raise CapacityError(
             f"group 0 needs {hosts_per_group} distinct hosts but a /{l} block has {block_size(l)} addresses"
@@ -754,15 +761,11 @@ def synth_zipf(l: int, exponent: float, n_hosts: int, seed: int) -> GroupDistrib
     Counts are integers summing exactly to n_hosts (largest-remainder
     rounding; ties go to the lower rank).
     """
-    l = check_prefix_level(l)
-    if l > MAX_DENSE_LEVEL:
-        raise ParameterError(f"synth_zipf supports l <= {MAX_DENSE_LEVEL}")
+    l = check_int(l, "synth_zipf's prefix level", 0, MAX_DENSE_LEVEL)  # a dense draw over the 2**l groups
     if not exponent > 0:
         raise ParameterError("exponent must be > 0")
-    if n_hosts < 1:
-        raise ParameterError("n_hosts must be >= 1")
-    if seed < 0:
-        raise ParameterError("seed must be >= 0")
+    n_hosts = check_int(n_hosts, "n_hosts", 1)
+    seed = check_int(seed, "seed", 0)
     m = 1 << l
     if n_hosts > ADDRESS_SPACE:  # some group is over capacity, and int64 shares could wrap
         raise CapacityError(f"{n_hosts} hosts in {m} groups: some group needs at least {-(-n_hosts // m)} "
@@ -831,8 +834,7 @@ def materialize_hosts(dist: GroupDistribution, seed: int) -> HostSet:
       are drawn again, `_sample_distinct` fills the group, and the next run
       starts after it.
     """
-    if seed < 0:
-        raise ParameterError("seed must be >= 0")
+    seed = check_int(seed, "seed", 0)
     hosts = np.empty(dist.total, dtype=np.uint32)  # each group gets exactly its count
     n = 0
     for part in _drawn_hosts(dist, np.random.default_rng(seed)):
@@ -952,28 +954,15 @@ def write_table(path: str | Path, header: Iterable[str], columns: Iterable, comm
         raise ValueError("columns differ in length")
     # (slot, copies) of each run of consecutive copies, a distinct column being a run of one
     runs = list(zip(*(v.tolist() for v in _run_lengths(np.array(slots)))))
-    # per column, the formatter of its cells; None for float64, formatted per step
-    fmts = [None if a.dtype == np.float64 else _csv_text if a.dtype.kind == "U" else repr for a in arrays]
+    fmts = [_csv_text if a.dtype.kind == "U" else repr for a in arrays]  # per column, its cells' formatter
     step = max(1, _CHUNK // max(1, len(slots)))  # rows per step: about _CHUNK cells
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"# {c}\n" for c in comments)
         fh.write(",".join(header) + "\n")
         for lo in range(0, rows, step):
-            part = [a[lo:lo + step] for a in arrays]
-            texts = iter(_float_texts(np.array([a for f, a in zip(fmts, part) if f is None])).tolist())
-            cells = [list(map(f, a.tolist())) if f else next(texts) for f, a in zip(fmts, part)]
+            cells = [list(map(f, a[lo:lo + step].tolist())) for f, a in zip(fmts, arrays)]
             cells = [cells[u] if r == 1 else [(t + ",") * (r - 1) + t for t in cells[u]] for u, r in runs]
             fh.writelines(",".join(row) + "\n" for row in zip(*cells))
-
-
-def _float_texts(block: np.ndarray) -> np.ndarray:
-    """The repr of each cell of a (columns, rows) float64 block, as an object
-    array of the same shape.  Each distinct bit pattern is formatted once, so
-    0.0 and -0.0 stay apart."""
-    bits = block.view(np.int64)
-    keys, _ = _run_lengths(np.sort(bits, axis=None))
-    text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
-    return text[np.searchsorted(keys, bits)]
 
 
 def _csv_text(cell: str) -> str:

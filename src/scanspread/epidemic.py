@@ -62,6 +62,7 @@ from .addrspace import (
     _ascending_search,
     _run_starts,
     _square_sum,
+    check_int,
     materialize_hosts,
 )
 from .errors import InternalConsistencyError, ParameterError, UnsupportedStrategyError
@@ -74,9 +75,12 @@ class EarlyStageConfig:
     """Inputs of a Monte Carlo early-stage estimate.
 
     Hosts come either from `hosts` directly or by materializing `dist` with
-    `materialize_seed`.  `seed` drives the per-block streams.  `threads` is
-    validated and kept for the record only: runs are serial.  The runs-long
-    array of per-run hits is built only under `record_hits`.
+    `materialize_seed`; the runs scan those hosts and read their target law
+    (is, optis) from them, so `dist` is used only when `hosts` is None.
+    Integer fields are stored as the Python ints check_int returns.  `seed`
+    drives the per-block streams.  `threads` is validated and kept for the
+    record only: runs are serial.  The runs-long array of per-run hits is
+    built only under `record_hits`.
     """
 
     strategy: ScanStrategy
@@ -95,15 +99,14 @@ class EarlyStageConfig:
             raise ParameterError("scanning rate s must be > 0")
         # Arrays of runs and of scans are allocated; at most 2**32 entries
         # keeps every request a MemoryError at worst (numpy raises ValueError
-        # from 2**60 entries and OverflowError past int64).
-        if not 1 <= self.total_scans <= ADDRESS_SPACE:
-            raise ParameterError(f"total_scans must be in [1, 2**{ADDRESS_BITS}]")
-        if not 2 <= self.runs <= ADDRESS_SPACE:
-            raise ParameterError(f"runs must be in [2, 2**{ADDRESS_BITS}] (2 for a sample variance)")
-        if self.seed < 0 or (self.materialize_seed is not None and self.materialize_seed < 0):
-            raise ParameterError("seeds must be >= 0")
-        if self.threads < 1:
-            raise ParameterError("threads must be >= 1")
+        # from 2**60 entries and OverflowError past int64).  A sample variance
+        # needs 2 runs.
+        object.__setattr__(self, "total_scans", check_int(self.total_scans, "total_scans", 1, ADDRESS_SPACE))
+        object.__setattr__(self, "runs", check_int(self.runs, "runs", 2, ADDRESS_SPACE))
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0))
+        if self.materialize_seed is not None:
+            object.__setattr__(self, "materialize_seed", check_int(self.materialize_seed, "materialize_seed", 0))
+        object.__setattr__(self, "threads", check_int(self.threads, "threads", 1))
         if self.hosts is None and self.dist is None:
             raise ParameterError("supply hosts or a distribution to materialize")
         if self.hosts is None and self.materialize_seed is None:
@@ -141,8 +144,8 @@ class _EarlyEngine:
     runs from the block's (generator, runs) pair: the block's homes (ls,
     2lls) or anchors (mss) as one array, then for every kind but mss one
     TargetLaw draw of the whole block's targets and one membership pass; or
-    the MSS sweep.  `perfbench/selftest.py` injects its Monte Carlo fault by
-    patching `run`."""
+    the MSS sweep.  The law is read from `hosts`, the hosts the runs scan.
+    `perfbench/selftest.py` injects its Monte Carlo fault by patching `run`."""
 
     def __init__(self, cfg: EarlyStageConfig, hosts: HostSet):
         st = cfg.strategy
@@ -154,7 +157,7 @@ class _EarlyEngine:
         if st.kind == "mss":
             self.sweep = _sweeps(hosts, self.bits)
         else:
-            self.law = TargetLaw(st, cfg.dist if cfg.dist is not None and cfg.dist.l >= st.l else hosts)
+            self.law = TargetLaw(st, hosts)
             self.rows = max(1, _BLOCK_TARGETS // cfg.total_scans)
 
     def run(self, block) -> np.ndarray:
@@ -273,8 +276,9 @@ def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[Ea
     """
     if cfg.strategy.kind != "mss":
         raise ParameterError("estimate_mss_full is only defined for mss")
-    if not scan_budgets or any(not 1 <= int(b) <= ADDRESS_SPACE for b in scan_budgets):  # as total_scans
-        raise ParameterError(f"scan budgets must be integers in [1, 2**{ADDRESS_BITS}]")
+    budgets = [check_int(b, "scan budget", 1, ADDRESS_SPACE) for b in scan_budgets]  # as total_scans
+    if not budgets:
+        raise ParameterError("estimate_mss_full needs at least one scan budget")
     hosts = _resolve_hosts(cfg)
     sweep = _sweeps(hosts, ADDRESS_BITS - cfg.strategy.l)
     p_first = hosts.N / ADDRESS_SPACE
@@ -288,9 +292,9 @@ def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[Ea
         hits[found] = 1 + sweep(hosts.addresses[i], budget - stage1[found], i + 1)
         return hits
 
-    seqs = np.random.SeedSequence(cfg.seed).spawn(len(scan_budgets))
+    seqs = np.random.SeedSequence(cfg.seed).spawn(len(budgets))
     return [_result(cfg, budget, *_per_run_hits(cfg, seq, _SWEEP_ROWS, partial(block_hits, budget)))
-            for budget, seq in zip(map(int, scan_budgets), seqs)]
+            for budget, seq in zip(budgets, seqs)]
 
 
 # -- deterministic per-subnet dynamics -------------------------------------
@@ -300,10 +304,10 @@ def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[Ea
 class EpidemicConfig:
     """Inputs of the mean-field outbreak model.
 
-    `horizon` is the number of ticks; `initial` is a group index or
-    "densest" (the most-populated group, ties to the lowest index).  `pp`
-    optionally applies a proactive-protection factor (d, p) to every new
-    infection.
+    `horizon` is the number of ticks; `initial` is a group index at the
+    strategy's level, in [0, 2**l), or "densest" (the most-populated group,
+    ties to the lowest index).  `pp` optionally applies a
+    proactive-protection factor (d, p) to every new infection.
     """
 
     strategy: ScanStrategy
@@ -320,8 +324,9 @@ class EpidemicConfig:
             raise ParameterError("need s > 0 and tick > 0")
         # horizon + 1 values of n(t) are allocated; the bound keeps that a
         # MemoryError at worst, as for EarlyStageConfig's counts
-        if not 1 <= self.horizon <= ADDRESS_SPACE:
-            raise ParameterError(f"horizon must be in [1, 2**{ADDRESS_BITS}] ticks")
+        object.__setattr__(self, "horizon", check_int(self.horizon, "horizon", 1, ADDRESS_SPACE))
+        if not (isinstance(self.initial, str) and self.initial == "densest"):
+            object.__setattr__(self, "initial", check_int(self.initial, "initial", 0, (1 << self.strategy.l) - 1))
         if self.pp is not None:
             pp_factor(*self.pp)
 
@@ -426,12 +431,9 @@ def propagate(cfg: EpidemicConfig) -> EpidemicTrace:
     if cfg.initial == "densest":
         i0 = int(np.argmax(dist.counts))
     else:
-        g0 = int(cfg.initial)
-        if not 0 <= g0 < dist.n_groups:
-            raise ParameterError(f"initial group {g0} out of range for l={l}")
-        i0 = int(np.searchsorted(dist.indices, g0))
-        if i0 == dist.occupied or dist.indices[i0] != g0:
-            raise ParameterError(f"initial group {g0} has no vulnerable hosts")
+        i0 = int(np.searchsorted(dist.indices, cfg.initial))
+        if i0 == dist.occupied or dist.indices[i0] != cfg.initial:
+            raise ParameterError(f"initial group {cfg.initial} has no vulnerable hosts")
     s_tick = cfg.s * cfg.tick
     cls, mult, c, a, wider = _log_survival(st, dist, s_tick, i0)
     pop = np.empty(mult.size)

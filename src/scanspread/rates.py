@@ -38,7 +38,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .addrspace import ADDRESS_BITS, ADDRESS_SPACE, GroupDistribution, HostSet, aggregate, write_table
+from .addrspace import ADDRESS_BITS, ADDRESS_SPACE, GroupDistribution, HostSet, aggregate, check_int, write_table
 from .errors import ParameterError
 from .infometrics import NonUniformity, non_uniformity_factor
 from .strategies import ScanStrategy, TargetLaw
@@ -80,7 +80,8 @@ class ScanContext:
     table values), then `dist` (coarsened as needed), then `hosts`.  Every
     distribution over the 2**l groups of level l has beta in [1, 2**l] and
     max p in [2**-l, 1], so an override outside those ranges, or at a level
-    outside 0..32, is refused.  N is at most omega, IPv4's 2**32 addresses.
+    that is not an integer in 0..32, is refused.  N is an integer of at most
+    omega, IPv4's 2**32 addresses, and is stored as a Python int.
     """
 
     s: float
@@ -93,12 +94,10 @@ class ScanContext:
     def __post_init__(self):
         if not self.s > 0:
             raise ParameterError(f"scanning rate s must be > 0, got {self.s}")
-        if not 1 <= self.N <= ADDRESS_SPACE:
-            raise ParameterError(f"population N must be in [1, 2**32], got {self.N}")
+        object.__setattr__(self, "N", check_int(self.N, "population N", 1, ADDRESS_SPACE))
         for overrides in (self.beta_overrides, self.max_p_overrides):
-            bad = [l for l in overrides or () if not 0 <= l <= ADDRESS_BITS]
-            if bad:
-                raise ParameterError(f"override at level {bad[0]}: levels are 0..{ADDRESS_BITS}")
+            for l in overrides or ():
+                check_int(l, "override level", 0, ADDRESS_BITS)
 
     def _dist_at(self, l: int) -> GroupDistribution | None:
         if self.dist is not None and self.dist.l >= l:
@@ -248,9 +247,7 @@ def pp_requirement(beta: NonUniformity | float, d: float) -> float:
     p = 0 cannot reach the RS baseline at this deployment level.
     """
     b = _pp_beta(beta)
-    if not 0.0 < d <= 1.0:
-        raise ParameterError("deployment fraction d must be in (0, 1]")
-    return (1.0 - (1.0 - d) * b) / (d * b)
+    return (1.0 - pp_factor(d, 0.0) * b) / (d * b)  # pp_factor(d, 0) = 1 - d, d checked
 
 
 def pp_min_deployment(beta: NonUniformity | float) -> float:
@@ -265,7 +262,8 @@ def ipv6_alpha(s: float, N: int, beta32: float) -> float:
     beta32 is the non-uniformity factor of the host distribution over the
     2**32 top-level groups, so it lies in [1, 2**32]; alpha = (s * N / 2**64) * beta32.
     """
-    if not s > 0 or N < 1:
-        raise ParameterError("need s > 0 and N >= 1")
+    if not s > 0:
+        raise ParameterError("scanning rate s must be > 0")
+    N = check_int(N, "population N", 1)
     b = _beta_in_range(beta32, ADDRESS_BITS, "beta32")
     return _finite_rate((s * N / IPV6_SPACE) * b, "the IPv6 rate")

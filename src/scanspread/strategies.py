@@ -63,7 +63,7 @@ class ScanStrategy:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown strategy kind {self.kind!r}; valid: {', '.join(KINDS)}")
-        check_prefix_level(self.l)
+        object.__setattr__(self, "l", check_prefix_level(self.l))
         if self.kind == "2lls" and self.l != 16:
             raise ParameterError("2lls is defined at l=16")
         if self.q_g is not None:
@@ -199,13 +199,15 @@ class TargetLaw:
     optis: these two alone aggregate a HostSet `dist`), then `draw` targets
     in any shape.  is with q_g = p_g draws a host slot and an offset as one
     integer, so group g comes out with probability exactly c_g / N; an
-    explicit q_g is searched in its cumulative sum.  mss draws its uniform
-    random phase.  ls/2lls draw a uniform address and a uniform u per scan,
-    and the innermost tier whose cumulative mass exceeds u keeps the
-    address's low bits inside its block."""
+    explicit q_g is searched in its cumulative sum.  The other kinds draw
+    one uniform integer per scan from `_span` = (lo, hi): the whole space
+    for rs, the random phase of mss and ls/2lls, the argmax block for
+    optis.  ls/2lls then draw a uniform u per scan, and the innermost tier
+    whose cumulative mass exceeds u keeps the address's low bits inside its
+    block."""
 
     __slots__ = ("strategy", "bits", "block", "tiers", "rest",
-                 "_groups", "_q", "_counts", "_slots", "_cum", "_base")
+                 "_groups", "_q", "_counts", "_slots", "_cum", "_span")
 
     def __init__(self, strategy: ScanStrategy, dist: GroupDistribution | HostSet | None = None):
         self.strategy = strategy
@@ -217,7 +219,8 @@ class TargetLaw:
         elif strategy.kind == "2lls":
             self.tiers = ((strategy.p_c, 1 << 16), (strategy.p_b, 1 << 24))
             self.rest = 1.0 - strategy.p_b - strategy.p_c
-        self._groups = self._q = self._counts = self._slots = self._cum = self._base = None
+        self._groups = self._q = self._counts = self._slots = self._cum = None
+        self._span = (0, ADDRESS_SPACE)
         if strategy.kind == "is":
             if strategy.q_g is None:
                 d = _resolve_p(dist, strategy.l, "is with q_g = p_g")
@@ -227,7 +230,8 @@ class TargetLaw:
                 self._q = strategy.q_g[self._groups]
                 self._cum = np.cumsum(self._q)  # a sequential sum: the dense cumsum at these groups
         elif strategy.kind == "optis":
-            self._base = _resolve_p(dist, strategy.l, "optis").argmax_index << self.bits
+            lo = _resolve_p(dist, strategy.l, "optis").argmax_index << self.bits
+            self._span = (lo, lo + self.block)
 
     def group_probabilities(self, groups: np.ndarray) -> np.ndarray:
         """The shared part of the law at the given group indices, its one
@@ -235,7 +239,7 @@ class TargetLaw:
         (their home tiers come on top; mss reads as rs)."""
         kind = self.strategy.kind
         if kind == "optis":
-            return (groups == self._base >> self.bits).astype(np.float64)
+            return (groups == self._span[0] >> self.bits).astype(np.float64)
         if kind != "is":
             return np.full(np.shape(groups), self.rest / (1 << self.strategy.l))
         pos = np.minimum(np.searchsorted(self._groups, groups), self._groups.size - 1)
@@ -279,15 +283,13 @@ class TargetLaw:
             np.minimum(g, self._cum.size - 1, out=g)
             return ((self._groups[g.reshape(u.shape)] << self.bits)
                     + rng.integers(0, self.block, size=size, dtype=np.int64))
-        if kind == "optis":
-            return self._base + rng.integers(0, self.block, size=size, dtype=np.int64)
-        if not self.tiers:  # rs, and the random phase of mss
-            return rng.integers(0, ADDRESS_SPACE, size=size, dtype=np.int64)
-        # a uniform address, then u picks the innermost tier whose cumulative
-        # mass exceeds it; the address's low bits are uniform and independent
-        # of u, so each tier, outermost first, keeps them inside its block
-        tiers = self.home_tiers(home)
-        out = rng.integers(0, ADDRESS_SPACE, size=size, dtype=np.int64)
+        tiers = self.home_tiers(home)  # checks home before the draw
+        out = rng.integers(*self._span, size=size, dtype=np.int64)
+        if not tiers:  # rs, optis, and the random phase of mss
+            return out
+        # then u picks the innermost tier whose cumulative mass exceeds it; the
+        # address's low bits are uniform and independent of u, so each tier,
+        # outermost first, keeps them inside its block
         u = rng.random(size)
         inside = [u < cum for cum in itertools.accumulate(mass for _, mass, _ in tiers)]
         del u  # before the scratch array, so that the two never coexist

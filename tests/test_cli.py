@@ -248,7 +248,7 @@ def test_non_finite_numbers_exit_2(dist_file, tmp_path, capsys, argv):
      "beta(8) must be in [1, 2**8], got 257.0"),
     (["rates", "--s", "1", "--N", "4", "--maxp", "0.001", "--strategy", "optis:l=8"],
      "max p at l=8 must be in [2**-8, 1]"),
-    (["rates", "--s", "1", "--N", "4", "--beta", "40=3"], "override at level 40: levels are 0..32"),
+    (["rates", "--s", "1", "--N", "4", "--beta", "40=3"], "override level must be in [0, 32], got 40"),
     (["defense", "pp", "--beta", "1e10", "--d", "0.5"], "beta must be in [1, 2**32], got 10000000000.0"),
     (["defense", "pp", "--beta", "4294967297", "--d-grid", "0.5:1:0.25"], "beta must be in [1, 2**32]"),
     (["defense", "pp", "--beta", "50", "--d", "0.5", "--s", "100"], "pp takes --s and --N together"),
@@ -324,8 +324,8 @@ EPIDEMIC = ["simulate", "epidemic", "{dist}", "--strategy", "rs:l=8", "--s", "1"
 
 
 @pytest.mark.parametrize("argv, says", [
-    (EARLY + ["--strategy", "rs", "--seed", "-1"], "seeds must be >= 0"),
-    (EARLY + ["--strategy", "rs", "--mat-seed", "-1"], "seeds must be >= 0"),
+    (EARLY + ["--strategy", "rs", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (EARLY + ["--strategy", "rs", "--mat-seed", "-1"], "materialize_seed must be >= 0, got -1"),
     (["synth", "zipf", "--l", "8", "--exponent", "1", "--hosts", "10", "--seed", "-3", "--out", "{out}/d.csv"],
      "seed must be >= 0"),
     (["synth", "hosts", "--dist", "{dist}", "--seed", "-3", "--out", "{out}/h.txt"], "seed must be >= 0"),
@@ -335,8 +335,8 @@ EPIDEMIC = ["simulate", "epidemic", "{dist}", "--strategy", "rs:l=8", "--s", "1"
     (EARLY + ["--strategy", "rs", "--scans", HUGE], "total_scans must be in [1, 2**32]"),
     (EARLY + ["--strategy", "rs", "--runs", HUGE], "runs must be in [2, 2**32]"),
     (EARLY + ["--strategy", "mss:l=8", "--scans", "99999999999999999999"], "total_scans must be in [1, 2**32]"),
-    (EARLY + ["--strategy", "mss:l=8", "--budgets", "99999999999999999999"], "scan budgets must be integers in"),
-    (EPIDEMIC + ["--horizon", HUGE], "horizon must be in [1, 2**32] ticks"),
+    (EARLY + ["--strategy", "mss:l=8", "--budgets", "99999999999999999999"], "scan budget must be in [1, 2**32], got"),
+    (EPIDEMIC + ["--horizon", HUGE], f"horizon must be in [1, 2**32], got {HUGE}"),
     (["synth", "uniform", "--l", "8", "--groups", "2", "--per-group", HUGE, "--out", "{out}/d.csv"],
      f"group 0 needs {HUGE} distinct hosts but a /8 block has 16777216 addresses"),
     (["synth", "zipf", "--l", "8", "--exponent", "1", "--hosts", HUGE, "--seed", "1", "--out", "{out}/d.csv"],
@@ -481,7 +481,7 @@ def test_module_entry_point_runs_as_a_process(dist_file, tmp_path):
     run = subprocess.run([sys.executable, "-m", "scanspread", "simulate", "early", str(dist_file), "--strategy", "rs",
                           "--s", "1", "--seed", "-1", "--out-dir", str(tmp_path / "o")],
                          capture_output=True, text=True, env=env, timeout=120)
-    assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: seeds must be >= 0\n")
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: seed must be >= 0, got -1\n")
 
 
 def test_version_flag():
@@ -542,8 +542,13 @@ def test_every_public_name_resolves():
 
 
 def test_version_matches_pyproject():
+    # one version string: pyproject.toml declares none of its own and has
+    # setuptools read scanspread.__version__ (regexes, as tomllib is new in 3.11)
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
-    assert re.search(r'(?m)^version = "([^"]+)"$', pyproject).group(1) == ss.__version__
+    assert re.search(r'(?m)^dynamic = \["version"\]$', pyproject)
+    assert re.search(r'(?m)^\[tool\.setuptools\.dynamic\]\nversion = \{attr = "scanspread\.__version__"\}$', pyproject)
+    assert not re.search(r"(?m)^version = \"", pyproject)
+    assert re.fullmatch(r"\d+\.\d+\.\d+", ss.__version__)
 
 
 # -- rates -----------------------------------------------------------------

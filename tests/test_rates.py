@@ -71,7 +71,7 @@ def test_context_validation():
         ss.ScanContext(s=1.0, N=2**32 + 1)  # more hosts than IPv4 addresses
     with pytest.raises(ParameterError):
         ss.ScanContext(s=1.0, N=100).beta_at(8)  # nothing to derive from
-    with pytest.raises(ParameterError, match="levels are 0..32"):
+    with pytest.raises(ParameterError, match=r"override level must be in \[0, 32\], got 33"):
         ss.ScanContext(s=1.0, N=100, max_p_overrides={33: 0.5})
     # p_h <= 1 bounds alpha = alpha_RS * 2**l * p_h by s * N, so alpha is
     # finite wherever alpha_RS is: here it reaches s * N at the float maximum
