@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 from ipaddress import AddressValueError, IPv4Address
@@ -83,6 +84,28 @@ def check_int(value, what: str, lo: int, hi: int | None = None) -> int:
         top = f"2**{hi.bit_length() - 1}" if hi >= 1 << 10 and not hi & (hi - 1) else hi  # 2**32, not its digits
         raise ParameterError(f"{what} must be in [{lo}, {top}], got {v}")
     return v
+
+
+def check_real(value, what: str, lo: float, hi: float = math.inf, open_lo: bool = False) -> float:
+    """value as a Python float: the one check of every scalar real parameter.
+    It takes an int, a float or a numpy real, never a bool, finite and in [lo, hi]
+    ((lo, hi] under open_lo); anything else raises ParameterError naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"{what} must be a real number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:  # an int past the largest float
+        v = math.inf if value > 0 else -math.inf
+    if not (lo < v if open_lo else lo <= v) or not v <= hi or not math.isfinite(v):  # true for nan
+        span = f"{'(' if open_lo else '['}{_bound_text(lo)}, {_bound_text(hi)}{']' if hi < math.inf else ')'}"
+        raise ParameterError(f"{what} must be in {span}, got {v!r}")
+    return v
+
+
+def _bound_text(x: float) -> str:
+    """A bound in check_real's messages: a power of two other than 1 as 2**k."""
+    m, e = math.frexp(x)
+    return f"2**{e - 1}" if m == 0.5 and e != 1 else f"{x:g}"
 
 
 def check_prefix_level(l: int) -> int:
@@ -575,6 +598,7 @@ class GroupDistribution:
         return f"GroupDistribution(l={self._l}, occupied={self.occupied}, total={self._total})"
 
     def count_of(self, index: int) -> int:
+        index = check_int(index, "group index", 0, (1 << self._l) - 1)
         pos = np.searchsorted(self._indices, index)
         if pos < self._indices.size and self._indices[pos] == index:
             return int(self._counts[pos])
@@ -762,8 +786,7 @@ def synth_zipf(l: int, exponent: float, n_hosts: int, seed: int) -> GroupDistrib
     rounding; ties go to the lower rank).
     """
     l = check_int(l, "synth_zipf's prefix level", 0, MAX_DENSE_LEVEL)  # a dense draw over the 2**l groups
-    if not exponent > 0:
-        raise ParameterError("exponent must be > 0")
+    exponent = check_real(exponent, "exponent", 0, open_lo=True)
     n_hosts = check_int(n_hosts, "n_hosts", 1)
     seed = check_int(seed, "seed", 0)
     m = 1 << l
@@ -771,7 +794,7 @@ def synth_zipf(l: int, exponent: float, n_hosts: int, seed: int) -> GroupDistrib
         raise CapacityError(f"{n_hosts} hosts in {m} groups: some group needs at least {-(-n_hosts // m)} "
                             f"distinct hosts but a /{l} block has {block_size(l)} addresses")
     ranks = np.arange(1, m + 1, dtype=np.float64)
-    weights = ranks ** (-float(exponent))
+    weights = ranks ** -exponent
     shares = n_hosts * (weights / weights.sum())
     base = np.floor(shares).astype(np.int64)
     short = n_hosts - int(base.sum())

@@ -63,10 +63,11 @@ from .addrspace import (
     _run_starts,
     _square_sum,
     check_int,
+    check_real,
     materialize_hosts,
 )
 from .errors import InternalConsistencyError, ParameterError, UnsupportedStrategyError
-from .rates import pp_factor
+from .rates import _finite_rate, pp_factor
 from .strategies import ScanStrategy, TargetLaw
 
 
@@ -77,10 +78,10 @@ class EarlyStageConfig:
     Hosts come either from `hosts` directly or by materializing `dist` with
     `materialize_seed`; the runs scan those hosts and read their target law
     (is, optis) from them, so `dist` is used only when `hosts` is None.
-    Integer fields are stored as the Python ints check_int returns.  `seed`
-    drives the per-block streams.  `threads` is validated and kept for the
-    record only: runs are serial.  The runs-long array of per-run hits is
-    built only under `record_hits`.
+    Integer fields and s are stored as the Python ints and float their checks
+    return.  `seed` drives the per-block streams.  `threads` is validated and
+    kept for the record only: runs are serial.  The runs-long array of
+    per-run hits is built only under `record_hits`.
     """
 
     strategy: ScanStrategy
@@ -95,8 +96,7 @@ class EarlyStageConfig:
     record_hits: bool = False
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ParameterError("scanning rate s must be > 0")
+        object.__setattr__(self, "s", check_real(self.s, "scanning rate s", 0, open_lo=True))
         # Arrays of runs and of scans are allocated; at most 2**32 entries
         # keeps every request a MemoryError at worst (numpy raises ValueError
         # from 2**60 entries and OverflowError past int64).  A sample variance
@@ -241,14 +241,14 @@ def _result(cfg: EarlyStageConfig, total_scans: int, total: int, square: int,
             hits: np.ndarray | None) -> EarlyStageResult:
     n = cfg.runs
     scale = cfg.s / total_scans
-    # exact integers until the one correctly rounded division each
+    # exact integers until the one correctly rounded division each; a moment past the floats is refused
     return EarlyStageResult(
         strategy=cfg.strategy.label,
         total_scans=total_scans,
         runs=n,
         seed=cfg.seed,
-        mean_alpha=total / n * scale,
-        var_alpha=(n * square - total * total) / (n * (n - 1)) * scale * scale,
+        mean_alpha=_finite_rate(total / n * scale, "mean_alpha"),
+        var_alpha=_finite_rate((n * square - total * total) / (n * (n - 1)) * scale * scale, "var_alpha"),
         per_run_hits=hits,
     )
 
@@ -306,8 +306,8 @@ class EpidemicConfig:
 
     `horizon` is the number of ticks; `initial` is a group index at the
     strategy's level, in [0, 2**l), or "densest" (the most-populated group,
-    ties to the lowest index).  `pp` optionally applies a
-    proactive-protection factor (d, p) to every new infection.
+    ties to the lowest index).  `pp` optionally applies a proactive-protection
+    factor (d, p) to every new infection.  s and tick are stored as floats.
     """
 
     strategy: ScanStrategy
@@ -320,8 +320,8 @@ class EpidemicConfig:
     record_per_subnet: bool = False
 
     def __post_init__(self):
-        if not self.s > 0 or not self.tick > 0:
-            raise ParameterError("need s > 0 and tick > 0")
+        object.__setattr__(self, "s", check_real(self.s, "scanning rate s", 0, open_lo=True))
+        object.__setattr__(self, "tick", check_real(self.tick, "tick", 0, open_lo=True))
         # horizon + 1 values of n(t) are allocated; the bound keeps that a
         # MemoryError at worst, as for EarlyStageConfig's counts
         object.__setattr__(self, "horizon", check_int(self.horizon, "horizon", 1, ADDRESS_SPACE))
@@ -486,9 +486,7 @@ def time_to_fraction(trace: EpidemicTrace, fraction: float) -> float | None:
     """First time n(t) reaches fraction * N, linearly interpolated between
     ticks; None if the trace never gets there.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ParameterError("fraction must be in (0, 1]")
-    target = fraction * trace.total_population
+    target = check_real(fraction, "fraction", 0, 1, open_lo=True) * trace.total_population
     n = trace.n
     if n[0] >= target:
         return 0.0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .addrspace import GroupDistribution, HostSet, _run_lengths, aggregate
+from .addrspace import GroupDistribution, HostSet, _run_lengths, aggregate, check_real
 from .errors import ParameterError
 
 # Orders this close to 1 are rejected; the q -> 1 limit is shannon_entropy.
@@ -64,10 +64,9 @@ def renyi_entropy(dist: GroupDistribution, q: float) -> float:
     Orders within 1e-6 of 1 are rejected; use shannon_entropy for the limit.
     """
     _require_hosts(dist)
-    if not q >= 0:
-        raise ParameterError(f"entropy order must be >= 0, got {q}")
-    if math.isinf(q):
+    if isinstance(q, (float, np.floating)) and q == math.inf:
         return min_entropy(dist)
+    q = check_real(q, "entropy order q", 0)
     if abs(q - 1.0) < _Q_NEAR_ONE:
         raise ParameterError("order too close to 1; the limit is shannon_entropy")
     n = dist.total

@@ -38,7 +38,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .addrspace import ADDRESS_BITS, ADDRESS_SPACE, GroupDistribution, HostSet, aggregate, check_int, write_table
+from .addrspace import (ADDRESS_BITS, ADDRESS_SPACE, GroupDistribution, HostSet, aggregate, check_int, check_real,
+                        write_table)
 from .errors import ParameterError
 from .infometrics import NonUniformity, non_uniformity_factor
 from .strategies import ScanStrategy, TargetLaw
@@ -55,21 +56,12 @@ def code_red_alpha_per_second() -> float:
     return CODE_RED_POPULATION * (CODE_RED_SCANS_PER_MINUTE / 60.0) / ADDRESS_SPACE
 
 
-def _beta_in_range(beta: float, l: int, what: str) -> float:
-    """beta as a float, refused unless it lies in [1, 2**l]: the range of the
-    non-uniformity factor of every distribution over the 2**l groups of level l."""
-    b = float(beta)
-    if not 1.0 <= b <= math.ldexp(1.0, l):  # false for nan
-        raise ParameterError(f"{what} must be in [1, 2**{l}], got {b!r}")
-    return b
-
-
 def _pp_beta(beta: NonUniformity | float) -> float:
-    """The beta a proactive-protection bound reads: a NonUniformity at its own
-    level, a bare number at most 2**32 (the largest beta of any level)."""
+    """The beta a proactive-protection bound reads, in [1, 2**l] as every beta(l)
+    is: a NonUniformity at its own level l, a bare number at l = 32."""
     if isinstance(beta, NonUniformity):
-        return _beta_in_range(beta.beta, beta.l, f"beta({beta.l})")
-    return _beta_in_range(beta, ADDRESS_BITS, "beta")
+        return check_real(beta.beta, f"beta({beta.l})", 1, math.ldexp(1.0, beta.l))
+    return check_real(beta, "beta", 1, ADDRESS_SPACE)
 
 
 @dataclass(frozen=True)
@@ -80,8 +72,8 @@ class ScanContext:
     table values), then `dist` (coarsened as needed), then `hosts`.  Every
     distribution over the 2**l groups of level l has beta in [1, 2**l] and
     max p in [2**-l, 1], so an override outside those ranges, or at a level
-    that is not an integer in 0..32, is refused.  N is an integer of at most
-    omega, IPv4's 2**32 addresses, and is stored as a Python int.
+    that is not an integer in 0..32, is refused.  N (at most omega, IPv4's
+    2**32 addresses) and s are stored as the int and float their checks return.
     """
 
     s: float
@@ -92,8 +84,7 @@ class ScanContext:
     max_p_overrides: Mapping[int, float] | None = None
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ParameterError(f"scanning rate s must be > 0, got {self.s}")
+        object.__setattr__(self, "s", check_real(self.s, "scanning rate s", 0, open_lo=True))
         object.__setattr__(self, "N", check_int(self.N, "population N", 1, ADDRESS_SPACE))
         for overrides in (self.beta_overrides, self.max_p_overrides):
             for l in overrides or ():
@@ -108,7 +99,7 @@ class ScanContext:
 
     def beta_at(self, l: int) -> float:
         if self.beta_overrides is not None and l in self.beta_overrides:
-            return _beta_in_range(self.beta_overrides[l], l, f"beta({l})")
+            return check_real(self.beta_overrides[l], f"beta({l})", 1, math.ldexp(1.0, l))
         d = self._dist_at(l)
         if d is None:
             raise ParameterError(f"no source for beta({l}): supply hosts, a distribution at l >= {l}, or an override")
@@ -116,10 +107,7 @@ class ScanContext:
 
     def max_p_at(self, l: int) -> float:
         if self.max_p_overrides is not None and l in self.max_p_overrides:
-            max_p = float(self.max_p_overrides[l])
-            if not math.ldexp(1.0, -l) <= max_p <= 1.0:
-                raise ParameterError(f"max p at l={l} must be in [2**-{l}, 1], got {max_p!r}")
-            return max_p
+            return check_real(self.max_p_overrides[l], f"max p at l={l}", math.ldexp(1.0, -l), 1)
         d = self._dist_at(l)
         if d is None:
             raise ParameterError(f"no source for max p at l={l}: supply hosts, a distribution, or an override")
@@ -128,7 +116,7 @@ class ScanContext:
 
 def _finite_rate(alpha: float, what: str) -> float:
     if not math.isfinite(alpha):
-        raise ParameterError(f"{what} is {alpha!r}: s and N are too large for a float rate")
+        raise ParameterError(f"{what} is {alpha!r}: s is too large for a float rate")
     return alpha
 
 
@@ -221,10 +209,8 @@ def pp_factor(d: float, p: float) -> float:
     """The share 1 - d + d*p of new infections that proactive protection lets
     through: a fraction d of hosts deploys, and a deployed host looks
     vulnerable to a probe with probability p."""
-    if not 0.0 < d <= 1.0:
-        raise ParameterError("deployment fraction d must be in (0, 1]")
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError("apparent-vulnerability probability p must be in [0, 1]")
+    d = check_real(d, "deployment fraction d", 0, 1, open_lo=True)
+    p = check_real(p, "apparent-vulnerability probability p", 0, 1)
     return 1.0 - d + d * p
 
 
@@ -260,10 +246,10 @@ def ipv6_alpha(s: float, N: int, beta32: float) -> float:
     """Rate of /32-level importance scanning in the 2**64 address space.
 
     beta32 is the non-uniformity factor of the host distribution over the
-    2**32 top-level groups, so it lies in [1, 2**32]; alpha = (s * N / 2**64) * beta32.
+    2**32 top-level groups, so it lies in [1, 2**32]; N is at most 2**64.
+    alpha = (s * N / 2**64) * beta32.
     """
-    if not s > 0:
-        raise ParameterError("scanning rate s must be > 0")
-    N = check_int(N, "population N", 1)
-    b = _beta_in_range(beta32, ADDRESS_BITS, "beta32")
+    s = check_real(s, "scanning rate s", 0, open_lo=True)
+    N = check_int(N, "population N", 1, 1 << 64)
+    b = check_real(beta32, "beta32", 1, ADDRESS_SPACE)
     return _finite_rate((s * N / IPV6_SPACE) * b, "the IPv6 rate")

@@ -26,22 +26,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .addrspace import (ADDRESS_BITS, ADDRESS_SPACE, MAX_DENSE_LEVEL, GroupDistribution, HostSet, aggregate,
-                        check_prefix_level)
+                        check_int, check_real)
 from .errors import ParameterError, UnsupportedStrategyError
 
-# The token grammar: each kind's keys in label order, and the ScanStrategy
-# field and type each key names.  rs alone may leave out l (default 16).
+# The token grammar: each kind's keys in label order, and the ScanStrategy field,
+# type and range [lo, hi] of each key.  Every kind has l; rs may leave it out (16).
 _TOKEN_KEYS = {
     "rs": ("l",), "is": ("l",), "optis": ("l",), "ls": ("l", "pa"), "2lls": ("pb", "pc"), "mss": ("l",),
 }
-_KEY_FIELDS = {"l": ("l", int), "pa": ("p_a", float), "pb": ("p_b", float), "pc": ("p_c", float)}
+_KEY_FIELDS = {"l": ("l", int, 0, ADDRESS_BITS), "pa": ("p_a", float, 0, 1), "pb": ("p_b", float, 0, 1),
+               "pc": ("p_c", float, 0, 1)}
 KINDS = tuple(_TOKEN_KEYS)
 
 
 def _fmt(x: float) -> str:
     """x as `:g` when that reads back as x, else as repr: exact either way."""
     text = f"{x:g}"
-    return text if float(text) == x else repr(float(x))
+    return text if float(text) == x else repr(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +64,15 @@ class ScanStrategy:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown strategy kind {self.kind!r}; valid: {', '.join(KINDS)}")
-        object.__setattr__(self, "l", check_prefix_level(self.l))
+        keys = _TOKEN_KEYS[self.kind]
+        for key, (name, typ, lo, hi) in _KEY_FIELDS.items():
+            value = getattr(self, name)
+            if typ is int:
+                object.__setattr__(self, name, check_int(value, "prefix level", lo, hi))
+            elif (value is None) == (key in keys):
+                raise ParameterError(f"{self.kind} {'needs' if value is None else 'takes no'} {name}")
+            elif value is not None:
+                object.__setattr__(self, name, check_real(value, f"{self.kind} {name}", lo, hi))
         if self.kind == "2lls" and self.l != 16:
             raise ParameterError("2lls is defined at l=16")
         if self.q_g is not None:
@@ -78,15 +87,6 @@ class ScanStrategy:
                 raise ParameterError("q_g must be non-negative and sum to 1")
             q.flags.writeable = False
             object.__setattr__(self, "q_g", q)
-        keys = _TOKEN_KEYS[self.kind]
-        for key, (name, typ) in _KEY_FIELDS.items():
-            if typ is int:  # l, which every kind has
-                continue
-            value = getattr(self, name)
-            if (value is None) == (key in keys):
-                raise ParameterError(f"{self.kind} {'needs' if value is None else 'takes no'} {name}")
-            if value is not None and not 0.0 <= value <= 1.0:  # false for nan
-                raise ParameterError(f"{self.kind} needs {name} in [0, 1], got {value!r}")
         if self.kind == "2lls" and self.p_b + self.p_c > 1.0 + 1e-12:
             raise ParameterError("2lls needs p_b + p_c <= 1")
 
@@ -141,7 +141,7 @@ def parse_strategy(token: str) -> ScanStrategy:
         key = key.strip()
         if not sep or key not in keys:
             raise ParameterError(f"bad parameter {part.strip()!r} in {token!r}; {kind} accepts: {', '.join(keys)}")
-        name, typ = _KEY_FIELDS[key]
+        name, typ, _, _ = _KEY_FIELDS[key]
         if name in fields:
             raise ParameterError(f"duplicate parameter {key!r} in {token!r}")
         try:
@@ -273,16 +273,9 @@ class TargetLaw:
             k &= self.block - 1
             k |= np.left_shift(g, self.bits, dtype=np.uint64)
             return k.view(np.int64)
-        if kind == "is":
-            # searching the uniforms in sorted order is faster (the lookups walk
-            # cum monotonically) and gives each u the group an unsorted search would
-            u = rng.random(size)
-            order = np.argsort(u, axis=None)
-            g = np.empty(u.size, dtype=np.intp)
-            g[order] = np.searchsorted(self._cum, u.take(order), side="right")
-            np.minimum(g, self._cum.size - 1, out=g)
-            return ((self._groups[g.reshape(u.shape)] << self.bits)
-                    + rng.integers(0, self.block, size=size, dtype=np.int64))
+        if kind == "is":  # the first cumulative value above u; rounding may leave u above the last
+            g = np.minimum(np.searchsorted(self._cum, rng.random(size), side="right"), self._cum.size - 1)
+            return (self._groups[g] << self.bits) + rng.integers(0, self.block, size=size, dtype=np.int64)
         tiers = self.home_tiers(home)  # checks home before the draw
         out = rng.integers(*self._span, size=size, dtype=np.int64)
         if not tiers:  # rs, optis, and the random phase of mss

@@ -237,7 +237,8 @@ def test_non_finite_numbers_exit_2(dist_file, tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv, says", [
-    (["defense", "ipv6", "--s", "1e300", "--N", "1e300", "--beta32", "2"], "the IPv6 rate is inf"),
+    (["defense", "ipv6", "--s", "1e300", "--N", "1e19", "--beta32", "2"], "the IPv6 rate is inf"),
+    (["defense", "ipv6", "--s", "1", "--N", "1e20", "--beta32", "2"], "population N must be in [1, 2**64]"),
     (["defense", "ipv6", "--s", "1", "--N", "10", "--beta32", "1e10"], "beta32 must be in [1, 2**32]"),
     (["defense", "pp", "--beta", "50", "--d", "0.5", "--s", "1e308", "--N", "10"], "alpha_RS = s * N / omega is inf"),
     (["rates", "--s", "1e308", "--N", "4", "--beta16", "1e308", "--strategy", "is:l=16"],
@@ -253,12 +254,20 @@ def test_non_finite_numbers_exit_2(dist_file, tmp_path, capsys, argv):
     (["defense", "pp", "--beta", "4294967297", "--d-grid", "0.5:1:0.25"], "beta must be in [1, 2**32]"),
     (["defense", "pp", "--beta", "50", "--d", "0.5", "--s", "100"], "pp takes --s and --N together"),
     (["defense", "pp", "--beta", "50", "--d", "0.5", "--N", "10"], "pp takes --s and --N together"),
-], ids=["ipv6_overflow", "ipv6_beta32", "pp_alpha_rs", "rates_beta16_huge", "rates_alpha_rs_overflow",
-        "rates_beta_below_1", "rates_beta8_above", "rates_maxp_below", "rates_beta_level", "pp_beta_huge",
-        "pp_beta_above_2_32", "pp_s_without_N", "pp_N_without_s"])
+    # 30,000 hosts in one /16: the hit counts vary enough that s**2 times their variance overflows
+    (["simulate", "early", "{dense}", "--strategy", "optis:l=16", "--s", "1e200", "--scans", "10", "--runs", "20",
+      "--seed", "1"], "var_alpha is inf"),
+    (["simulate", "early", "{dense}", "--strategy", "mss:l=16", "--s", "1e200", "--budgets", "10,1000000",
+      "--runs", "20", "--seed", "1"], "var_alpha is inf"),
+], ids=["ipv6_overflow", "ipv6_N_past_2_64", "ipv6_beta32", "pp_alpha_rs", "rates_beta16_huge",
+        "rates_alpha_rs_overflow", "rates_beta_below_1", "rates_beta8_above", "rates_maxp_below", "rates_beta_level",
+        "pp_beta_huge", "pp_beta_above_2_32", "pp_s_without_N", "pp_N_without_s", "early_variance_overflow",
+        "mss_budgets_variance_overflow"])
 def test_rates_that_overflow_or_rest_on_impossible_factors_exit_2(tmp_path, capsys, argv, says):
+    dense = tmp_path / "dense.csv"
+    ss.synth_uniform(1, 16, 30000).to_csv(dense)
     out = tmp_path / "o"
-    assert run_cli(*argv, "--out-dir", str(out)) == 2
+    assert run_cli(*(a.format(dense=dense) for a in argv), "--out-dir", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and says in err
     assert not out.exists() or not any(out.iterdir())

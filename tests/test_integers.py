@@ -45,6 +45,7 @@ PARAMETERS = [
     ("override level", "override level", 8,
      lambda v: ss.ScanContext(s=1.0, N=100, beta_overrides={v: 2.0}).beta_at(8)),
     ("ipv6_alpha N", "population N", 100, lambda v: ss.ipv6_alpha(1.0, v, 2.0)),
+    ("group index", "group index", 1, lambda v: ss.synth_uniform(3, 8, 2).count_of(v)),
 ]
 IDS = [p[0] for p in PARAMETERS]
 
@@ -97,3 +98,22 @@ def test_check_int_returns_a_python_int_and_has_no_upper_bound_by_default():
     # still reaches the capacity message
     with pytest.raises(ss.CapacityError, match="needs 100000000000000000000 distinct hosts"):
         ss.synth_uniform(2, 8, 10**20)
+
+
+@pytest.mark.parametrize("call, says", [
+    (lambda: ss.ipv6_alpha(1.0, 2**64 + 1, 2.0), "population N must be in [1, 2**64], got 18446744073709551617"),
+    (lambda: ss.ipv6_alpha(1.0, 10**400, 2.0), "population N must be in [1, 2**64], got 1000"),
+    (lambda: ss.ipv6_alpha(1.0, 0, 2.0), "population N must be in [1, 2**64], got 0"),
+    (lambda: ss.synth_uniform(3, 8, 2).count_of(256), "group index must be in [0, 255], got 256"),
+    (lambda: ss.synth_uniform(3, 8, 2).count_of(-1), "group index must be in [0, 255], got -1"),
+], ids=["ipv6_N_past_2_64", "ipv6_N_past_the_floats", "ipv6_N_zero", "group_index_past_2_l", "group_index_negative"])
+def test_out_of_range_integers_are_refused_by_name(call, says):
+    with pytest.raises(ParameterError) as caught:
+        call()
+    assert type(caught.value) is ParameterError and str(caught.value).startswith(says)
+
+
+def test_the_ipv6_population_reaches_the_whole_space_and_counts_stay_exact():
+    assert ss.ipv6_alpha(1.0, 2**64, 1.0) == 1.0
+    d = ss.synth_uniform(3, 8, 2)
+    assert [d.count_of(g) for g in (0, 2, 3, 255)] == [2, 2, 0, 0]

@@ -408,7 +408,7 @@ def test_each_homed_draw_keeps_its_address_offset_in_its_tier_block(token, home)
 @pytest.mark.parametrize("n", [1, 7, 50_000])
 @pytest.mark.parametrize("ties", [False, True])
 def test_sorted_importance_lookup_equals_the_unsorted_search(n, ties):
-    # TargetLaw.draw's sorted lookup against the unsorted search of the dense
+    # TargetLaw.draw's search of an explicit q_g against the search of the dense
     # law: q_g with zero entries and dyadic masses, so each cumulative value
     # is exact; with ties, half the uniforms sit on 0 or a cumulative boundary
     # (repeated values included), where side="right" takes the next group
