@@ -185,13 +185,17 @@ class HostSet:
     def _below(self, bound):
         """Hosts below each integer bound: the uint32 addresses are searched
         for the bound clipped into [0, 2**32), and a bound >= 2**32 counts N.
-        The bounds are searched in ascending order (_ascending_search)."""
+        The bounds are searched in ascending order, so that numpy starts each
+        search at the last one's result, and their counts scattered back."""
         bound = np.asarray(bound)
         if bound.dtype == np.uint64:  # a bound from 2**63 would wrap below 0
             bound = np.minimum(bound, ADDRESS_SPACE)
         bound = _query_int64(bound, "interval bounds")
-        n = _ascending_search(self._addr, np.clip(bound, 0, ADDRESS_SPACE - 1).astype(np.uint32))
-        return np.where(bound < ADDRESS_SPACE, n, self._addr.size)
+        keys = np.clip(bound, 0, ADDRESS_SPACE - 1).astype(np.uint32).reshape(-1)
+        order = keys.argsort()
+        n = np.empty(keys.size, dtype=np.intp)
+        n[order] = np.searchsorted(self._addr, keys.take(order))
+        return np.where(bound < ADDRESS_SPACE, n.reshape(bound.shape), self._addr.size)
 
     def count_members(self, targets: np.ndarray) -> int:
         """How many entries of `targets` (with multiplicity) are hosts."""
@@ -203,17 +207,6 @@ class HostSet:
         if self._members is None:
             self._members = _MemberIndex(self._addr)
         return self._members.count_per_row(_query_int64(targets, "targets"))
-
-
-def _ascending_search(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """np.searchsorted(a, keys) for keys of a's dtype, in keys' shape: the
-    keys are searched in ascending order, so that numpy starts each search
-    at the last one's result, and their results scattered back."""
-    flat = keys.reshape(-1)
-    order = flat.argsort()
-    n = np.empty(flat.size, dtype=np.intp)
-    n[order] = np.searchsorted(a, flat.take(order))
-    return n.reshape(keys.shape)
 
 
 def _query_int64(values, what: str) -> np.ndarray:

@@ -59,7 +59,6 @@ from .addrspace import (
     ADDRESS_SPACE,
     GroupDistribution,
     HostSet,
-    _ascending_search,
     _run_starts,
     _square_sum,
     check_int,
@@ -96,6 +95,8 @@ class EarlyStageConfig:
     record_hits: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.strategy, ScanStrategy):
+            raise ParameterError(f"strategy must be a ScanStrategy, got {self.strategy!r}")
         object.__setattr__(self, "s", check_real(self.s, "scanning rate s", 0, open_lo=True))
         # Arrays of runs and of scans are allocated; at most 2**32 entries
         # keeps every request a MemoryError at worst (numpy raises ValueError
@@ -152,11 +153,9 @@ class _EarlyEngine:
         self.hosts = hosts
         self.total = cfg.total_scans
         self.bits = ADDRESS_BITS - st.l
-        self.law = self.sweep = None
+        self.law = None
         self.rows = _SWEEP_ROWS
-        if st.kind == "mss":
-            self.sweep = _sweeps(hosts, self.bits)
-        else:
+        if st.kind != "mss":
             self.law = TargetLaw(st, hosts)
             self.rows = max(1, _BLOCK_TARGETS // cfg.total_scans)
 
@@ -164,57 +163,36 @@ class _EarlyEngine:
         """Hits of the `n` runs of block = (rng, n), in order."""
         rng, n = block
         hosts = self.hosts
-        if self.sweep is not None:
+        if self.law is None:
             # stage 2 in isolation: sweep anchored at a random vulnerable
             # host's block, starting just past it.  Sequential scanning is
             # deterministic given the anchor, so hits are an exact interval count.
             i = rng.integers(0, hosts.N, size=n)
-            return self.sweep(hosts.addresses[i], self.total, i + 1)
+            return _sweep_hits(hosts, self.bits, hosts.addresses[i], self.total, i + 1)
         homes = hosts.addresses[rng.integers(0, hosts.N, size=(n, 1))] >> self.bits if self.law.tiers else None
         return hosts.count_members_per_row(self.law.draw(rng, (n, self.total), homes))
 
 
-def _sweeps(hosts: HostSet, bits: int):
-    """The hits of cyclic ascending sweeps of hosts' 2**bits-address blocks:
-    sweep(anchor, n_scans, upto) scans n_scans addresses of anchor's block
-    from anchor + 1, where `upto` counts the hosts at or below anchor (i + 1
-    for anchor = hosts.addresses[i]); anchors and scan counts are scalars or
-    arrays.  A block's first and past host ranks come from a search of its
-    index among the occupied blocks, so only the head's end and the wrapped
-    tail's end search the hosts."""
-    key = hosts.addresses >> bits
-    first = np.flatnonzero(_run_starts(key))  # rank of each occupied block's first host
-    groups = np.append(key[first], 1 << (ADDRESS_BITS - bits))  # then one past every block
-    ranks = np.append(first, hosts.N)
+def _sweep_hits(hosts: HostSet, bits: int, anchor, n_scans, upto):
+    """Hits of cyclic ascending sweeps of hosts' 2**bits-address blocks: each
+    scans n_scans addresses of anchor's block from anchor + 1, where `upto`
+    counts the hosts at or below anchor (i + 1 for anchor = hosts.addresses[i]);
+    anchors, scan counts and ranks are scalars or arrays that broadcast.  Below
+    its whole passes a sweep either ends inside its head (anchor + 1 to the
+    block's end; the whole block when anchor is its last address) or wraps
+    into a tail from the block's start, so one count of the hosts below three
+    bounds per anchor -- the block's start, its end, and the end of the head
+    or of the tail -- gives every term."""
+    anchor = np.asarray(anchor, dtype=np.int64)
     block = 1 << bits
-
-    def sweep(anchor, n_scans, upto):
-        anchor = np.asarray(anchor, dtype=np.int64)
-        g = anchor >> bits
-        start = g << bits
-        offset = (anchor - start + 1) % block
-        full, rem = np.divmod(np.asarray(n_scans, dtype=np.int64), block)
-        end = offset + rem
-        k = _ascending_search(groups, g)
-        lo = ranks.take(k)
-        passed = ranks.take(k + (groups.take(k) == g)) - lo  # 0 for a block without hosts
-        # hosts below the head's start (anchor + 1, or the block's start when
-        # anchor is its last address) and below the head's end, and from the
-        # block's start to the wrapped tail's end (empty without a tail)
-        head_start = np.where(offset == 0, lo, upto)
-        ends = np.stack(np.broadcast_arrays(np.minimum(end, block), np.maximum(end - block, 0)), axis=-1)
-        head_end, tail_end = np.moveaxis(hosts.count_in_interval(0, start[..., None] + ends), -1, 0)
-        return full * passed + (head_end - head_start) + (tail_end - lo)
-
-    return sweep
-
-
-def _sweep_hits(hosts: HostSet, anchor, bits: int, n_scans):
-    """Hits of a cyclic ascending sweep of anchor's block, from anchor+1, for
-    scalar or array-valued anchors and scan counts whose ranks are not known:
-    one search counts the hosts at or below each anchor."""
-    upto = hosts.count_in_interval(0, np.asarray(anchor, dtype=np.int64) + 1)
-    return _sweeps(hosts, bits)(anchor, n_scans, upto)
+    start = anchor >> bits << bits
+    offset = (anchor - start + 1) % block
+    full, rem = np.divmod(np.asarray(n_scans, dtype=np.int64), block)
+    end = offset + rem
+    wrap = end > block
+    bounds = np.broadcast_arrays(start, start + block, start + end - wrap * block)
+    lo, hi, last = hosts.count_in_interval(0, np.stack(bounds))
+    return full * (hi - lo) + (np.where(wrap, hi, last) - np.where(offset == 0, lo, upto)) + wrap * (last - lo)
 
 
 def _per_run_hits(cfg: EarlyStageConfig, seq: np.random.SeedSequence, rows: int,
@@ -280,7 +258,7 @@ def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[Ea
     if not budgets:
         raise ParameterError("estimate_mss_full needs at least one scan budget")
     hosts = _resolve_hosts(cfg)
-    sweep = _sweeps(hosts, ADDRESS_BITS - cfg.strategy.l)
+    bits = ADDRESS_BITS - cfg.strategy.l
     p_first = hosts.N / ADDRESS_SPACE
 
     def block_hits(budget: int, block) -> np.ndarray:
@@ -289,7 +267,7 @@ def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[Ea
         found = stage1 <= budget  # whether a run finds a host within budget
         i = rng.integers(0, hosts.N, size=int(np.count_nonzero(found)))
         hits = np.zeros(n, dtype=np.int64)
-        hits[found] = 1 + sweep(hosts.addresses[i], budget - stage1[found], i + 1)
+        hits[found] = 1 + _sweep_hits(hosts, bits, hosts.addresses[i], budget - stage1[found], i + 1)
         return hits
 
     seqs = np.random.SeedSequence(cfg.seed).spawn(len(budgets))
@@ -320,6 +298,8 @@ class EpidemicConfig:
     record_per_subnet: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.strategy, ScanStrategy):
+            raise ParameterError(f"strategy must be a ScanStrategy, got {self.strategy!r}")
         object.__setattr__(self, "s", check_real(self.s, "scanning rate s", 0, open_lo=True))
         object.__setattr__(self, "tick", check_real(self.tick, "tick", 0, open_lo=True))
         # horizon + 1 values of n(t) are allocated; the bound keeps that a
@@ -328,7 +308,11 @@ class EpidemicConfig:
         if not (isinstance(self.initial, str) and self.initial == "densest"):
             object.__setattr__(self, "initial", check_int(self.initial, "initial", 0, (1 << self.strategy.l) - 1))
         if self.pp is not None:
-            pp_factor(*self.pp)
+            try:
+                d, p = self.pp
+            except (TypeError, ValueError):
+                raise ParameterError(f"pp must be a pair (d, p), got {self.pp!r}") from None
+            pp_factor(d, p)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .addrspace import GroupDistribution, HostSet, _run_lengths, aggregate, check_real
+from .addrspace import GroupDistribution, HostSet, _run_lengths, aggregate, check_prefix_level, check_real
 from .errors import ParameterError
 
 # Orders this close to 1 are rejected; the q -> 1 limit is shannon_entropy.
@@ -104,8 +104,15 @@ def entropy_report(dist: GroupDistribution) -> EntropyReport:
 
 @dataclass(frozen=True)
 class NonUniformity:
+    """beta(l) of a distribution at level l, in [1, 2**l] as every beta(l) is;
+    stored as the int and float their checks return."""
+
     l: int
     beta: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "l", check_prefix_level(self.l))
+        object.__setattr__(self, "beta", check_real(self.beta, f"beta({self.l})", 1, math.ldexp(1.0, self.l)))
 
 
 def non_uniformity_factor(dist: GroupDistribution) -> NonUniformity:

@@ -58,10 +58,9 @@ def code_red_alpha_per_second() -> float:
 
 def _pp_beta(beta: NonUniformity | float) -> float:
     """The beta a proactive-protection bound reads, in [1, 2**l] as every beta(l)
-    is: a NonUniformity at its own level l, a bare number at l = 32."""
-    if isinstance(beta, NonUniformity):
-        return check_real(beta.beta, f"beta({beta.l})", 1, math.ldexp(1.0, beta.l))
-    return check_real(beta, "beta", 1, ADDRESS_SPACE)
+    is: a NonUniformity at its own level l (checked when it was built), a bare
+    number at l = 32."""
+    return beta.beta if isinstance(beta, NonUniformity) else check_real(beta, "beta", 1, ADDRESS_SPACE)
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,11 @@ class ScanContext:
     table values), then `dist` (coarsened as needed), then `hosts`.  Every
     distribution over the 2**l groups of level l has beta in [1, 2**l] and
     max p in [2**-l, 1], so an override outside those ranges, or at a level
-    that is not an integer in 0..32, is refused.  N (at most omega, IPv4's
-    2**32 addresses) and s are stored as the int and float their checks return.
+    that is not an integer in 0..32, is refused: a beta override at
+    construction, stored as the float its check returns, and a max-p override
+    when a rate reads it (`--maxp` fills every level with one value).  N (at
+    most omega, IPv4's 2**32 addresses) and s are stored as the int and float
+    their checks return.
     """
 
     s: float
@@ -86,9 +88,12 @@ class ScanContext:
     def __post_init__(self):
         object.__setattr__(self, "s", check_real(self.s, "scanning rate s", 0, open_lo=True))
         object.__setattr__(self, "N", check_int(self.N, "population N", 1, ADDRESS_SPACE))
-        for overrides in (self.beta_overrides, self.max_p_overrides):
-            for l in overrides or ():
-                check_int(l, "override level", 0, ADDRESS_BITS)
+        for l in self.max_p_overrides or ():
+            check_int(l, "override level", 0, ADDRESS_BITS)
+        if self.beta_overrides is not None:
+            levels = [check_int(l, "override level", 0, ADDRESS_BITS) for l in self.beta_overrides]
+            object.__setattr__(self, "beta_overrides", {l: check_real(v, f"beta({l})", 1, math.ldexp(1.0, l))
+                                                        for l, v in zip(levels, self.beta_overrides.values())})
 
     def _dist_at(self, l: int) -> GroupDistribution | None:
         if self.dist is not None and self.dist.l >= l:
@@ -99,7 +104,7 @@ class ScanContext:
 
     def beta_at(self, l: int) -> float:
         if self.beta_overrides is not None and l in self.beta_overrides:
-            return check_real(self.beta_overrides[l], f"beta({l})", 1, math.ldexp(1.0, l))
+            return self.beta_overrides[l]
         d = self._dist_at(l)
         if d is None:
             raise ParameterError(f"no source for beta({l}): supply hosts, a distribution at l >= {l}, or an override")

@@ -83,8 +83,8 @@ class ScanStrategy:
             q = np.asarray(self.q_g, dtype=np.float64).reshape(-1)
             if q.size != (1 << self.l):
                 raise ParameterError(f"q_g must have length 2**{self.l}")
-            if np.any(q < 0) or abs(float(q.sum()) - 1.0) > 1e-9:
-                raise ParameterError("q_g must be non-negative and sum to 1")
+            if not (np.all(q >= 0) and abs(float(q.sum()) - 1.0) <= 1e-9):  # false for nan and inf
+                raise ParameterError("q_g must be finite, non-negative and sum to 1")
             q.flags.writeable = False
             object.__setattr__(self, "q_g", q)
         if self.kind == "2lls" and self.p_b + self.p_c > 1.0 + 1e-12:

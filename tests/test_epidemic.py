@@ -3,6 +3,7 @@ import itertools
 import math
 import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,6 +34,13 @@ def scalar_recursion(n0, pop, s, omega, ticks, tick=1.0):
 # -- sweep counting --------------------------------------------------------
 
 
+def unranked_sweep(hosts, anchor, bits, n_scans):
+    """_sweep_hits for anchors whose rank is not known: one count of the
+    hosts at or below each anchor gives it."""
+    upto = hosts.count_in_interval(0, np.asarray(anchor, dtype=np.int64) + 1)
+    return _sweep_hits(hosts, bits, anchor, n_scans, upto)
+
+
 def test_sweep_hits_matches_enumeration():
     def enumerated(hosts, anchor, bits, n_scans):
         block = 1 << bits
@@ -49,7 +57,7 @@ def test_sweep_hits_matches_enumeration():
         hosts = ss.HostSet(base + rng.permutation(block)[:k])
         anchor = base + int(rng.integers(0, block))
         n_scans = int(rng.integers(0, 4 * block))
-        assert _sweep_hits(hosts, anchor, bits, n_scans) == enumerated(hosts, anchor, bits, n_scans)
+        assert unranked_sweep(hosts, anchor, bits, n_scans) == enumerated(hosts, anchor, bits, n_scans)
     # anchors at their block's last address, where anchor + 1 wraps to the
     # block start (in the space's last block, anchor + 1 is 2**32), with
     # budgets of no scan, one scan, one pass and one scan past it: as
@@ -63,23 +71,24 @@ def test_sweep_hits_matches_enumeration():
     want = [0, 1, 3, 4]
     for anchor in anchors.tolist():
         assert [enumerated(hosts, anchor, bits, n) for n in budgets] == want
-        assert [_sweep_hits(hosts, anchor, bits, n) for n in budgets] == want
-    assert [_sweep_hits(hosts, anchors, bits, n).tolist() for n in budgets] == [[hits] * 2 for hits in want]
-    got = _sweep_hits(hosts, np.repeat(anchors, len(budgets)), bits, np.array(budgets * 2))
+        assert [unranked_sweep(hosts, anchor, bits, n) for n in budgets] == want
+    assert [unranked_sweep(hosts, anchors, bits, n).tolist() for n in budgets] == [[hits] * 2 for hits in want]
+    got = unranked_sweep(hosts, np.repeat(anchors, len(budgets)), bits, np.array(budgets * 2))
     assert got.tolist() == want * 2
 
 
-@pytest.mark.parametrize("bits", [0, 4, 32])
+@pytest.mark.parametrize("bits", [0, 4, 8, 16, 32])
 def test_sweeps_from_anchor_ranks_equal_the_literal_sweep(bits):
     # the engine callers pass each anchor's rank i (upto = i + 1): every host
     # as an anchor, among them each block's first and last address, 0 and
-    # 2**32 - 1, with budgets around one pass and past several
+    # 2**32 - 1, with budgets around one pass and past several, and per
+    # anchor the budgets whose head ends at the block's end or wraps by one
     block = 1 << bits
     edges = [g * block + d for g in (1, 2, 7) for d in (0, block - 1)] if bits < 32 else []
     raw = np.concatenate([[0, 1, 2**32 - 2, 2**32 - 1], edges, np.random.default_rng(9).integers(0, 2**32, 60)])
     hosts = ss.HostSet(raw)
     addr = hosts.addresses
-    sweep = epidemic._sweeps(hosts, bits)
+    sweep = partial(_sweep_hits, hosts, bits)
     ranks = np.arange(hosts.N)
     budgets = [0, 1, block - 1, block, block + 1, 3 * block + 2]
     want = {n: [literal_sweep(hosts, int(a), bits, n) for a in addr.tolist()] for n in budgets}
@@ -88,6 +97,10 @@ def test_sweeps_from_anchor_ranks_equal_the_literal_sweep(bits):
         assert [int(sweep(int(addr[i]), n, i + 1)) for i in (0, hosts.N - 1)] == [want[n][0], want[n][-1]]
     per_run = np.array(budgets * 100)[:hosts.N]
     assert sweep(addr, per_run, ranks + 1).tolist() == [want[n][i] for i, n in enumerate(per_run.tolist())]
+    head = block - (addr.astype(np.int64) + 1) % block  # scans from anchor + 1 to the block's end
+    for edge in (head, head + 1, head + 2 * block, head + 2 * block + 1):
+        literal = [literal_sweep(hosts, a, bits, n) for a, n in zip(addr.tolist(), edge.tolist())]
+        assert sweep(addr, edge, ranks + 1).tolist() == literal
 
 
 # -- early-stage Monte Carlo ----------------------------------------------

@@ -261,11 +261,13 @@ def test_pp_validation():
     with pytest.raises(ParameterError):
         ss.pp_requirement(50.0, 1.1)
     # beta(l) <= 2**l, so a bare beta lies in [1, 2**32] and a measured one in [1, 2**l]
-    for beta in (2.0**32 + 1, 1e10, float("nan"), ss.NonUniformity(l=8, beta=300.0)):
+    for beta in (2.0**32 + 1, 1e10, float("nan")):
         with pytest.raises(ParameterError, match=r"must be in \[1, 2\*\*(32|8)\]"):
             ss.pp_requirement(beta, 0.5)
         with pytest.raises(ParameterError, match=r"must be in \[1, 2\*\*(32|8)\]"):
             ss.pp_min_deployment(beta)
+    with pytest.raises(ParameterError, match=r"must be in \[1, 2\*\*(32|8)\]"):  # a measured beta, when built
+        ss.NonUniformity(l=8, beta=300.0)
     assert ss.pp_min_deployment(2.0**32) == 1.0 - 2.0**-32
     assert ss.pp_min_deployment(ss.NonUniformity(l=8, beta=256.0)) == 1.0 - 1.0 / 256
 
