@@ -153,11 +153,8 @@ class _EarlyEngine:
         self.hosts = hosts
         self.total = cfg.total_scans
         self.bits = ADDRESS_BITS - st.l
-        self.law = None
-        self.rows = _SWEEP_ROWS
-        if st.kind != "mss":
-            self.law = TargetLaw(st, hosts)
-            self.rows = max(1, _BLOCK_TARGETS // cfg.total_scans)
+        self.law = None if st.kind == "mss" else TargetLaw(st, hosts)
+        self.rows = _SWEEP_ROWS if self.law is None else max(1, _BLOCK_TARGETS // cfg.total_scans)
 
     def run(self, block) -> np.ndarray:
         """Hits of the `n` runs of block = (rng, n), in order."""
