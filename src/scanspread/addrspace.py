@@ -102,6 +102,14 @@ def check_real(value, what: str, lo: float, hi: float = math.inf, open_lo: bool 
     return v
 
 
+def check_type(value, cls: type, what: str, optional: bool = False):
+    """value itself when it is a `cls` (or None under optional): the one check of
+    every object-typed field; anything else raises ParameterError naming `what`."""
+    if not (isinstance(value, cls) or optional and value is None):
+        raise ParameterError(f"{what} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
 def _bound_text(x: float) -> str:
     """A bound in check_real's messages: a power of two other than 1 as 2**k."""
     m, e = math.frexp(x)

@@ -5,7 +5,9 @@ Subcommands:
     analyze    profiles, CCDFs and entropy reports of a host list or
                group-distribution CSV
     rates      closed-form rate table for a set of strategy tokens
-    simulate   Monte Carlo early stage (early) or per-subnet dynamics
+    simulate   Monte Carlo early stage (early: the config takes the hosts
+               the runs scan, so a distribution input is drawn into hosts by
+               materialize_hosts with --mat-seed) or per-subnet dynamics
                (epidemic)
     defense    proactive-protection requirements or the 2**64-space rate
     synth      synthetic distributions and materialized host lists
@@ -43,6 +45,7 @@ from .addrspace import (
     _opens_distribution,
     aggregate,
     ccdf,
+    check_int,
     load_host_list,
     materialize_hosts,
     refine,
@@ -78,7 +81,7 @@ from .rates import (
     rate_table,
     write_rates_csv,
 )
-from .strategies import parse_strategy
+from .strategies import ScanStrategy, parse_strategy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -207,7 +210,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
 # -- rates -----------------------------------------------------------------
 
 
-def _build_context(args: argparse.Namespace, dist: GroupDistribution | None,
+def _build_context(args: argparse.Namespace, strategies: list[ScanStrategy], dist: GroupDistribution | None,
                    hosts: HostSet | None) -> ScanContext:
     beta_overrides = {}
     if args.beta8 is not None:
@@ -220,9 +223,9 @@ def _build_context(args: argparse.Namespace, dist: GroupDistribution | None,
             beta_overrides[int(level)] = _finite_float(value)
         except ValueError:
             raise ParameterError(f"bad --beta entry {item!r}; expected L=VALUE") from None
-    max_p_overrides = None
+    max_p_overrides = None  # --maxp at the levels of the optis strategies, the rates that read it
     if args.maxp is not None:
-        max_p_overrides = {l: args.maxp for l in range(0, 33)}
+        max_p_overrides = {st.l: args.maxp for st in strategies if st.kind == "optis"}
     n = args.N
     if n is None:
         if hosts is not None:
@@ -246,7 +249,7 @@ def cmd_rates(args: argparse.Namespace) -> None:
     if args.input is not None:
         loaded, dist = _load_input(Path(args.input), args.kind)
     strategies = [parse_strategy(tok) for tok in (args.strategy or ["rs"])]
-    ctx = _build_context(args, dist, loaded.hosts if loaded else None)
+    ctx = _build_context(args, strategies, dist, loaded.hosts if loaded else None)
     reports = rate_table(strategies, ctx)
     write_rates_csv(reports, Path(args.out_dir) / "rates.csv", time_unit=args.time_unit)
 
@@ -258,16 +261,16 @@ def cmd_simulate_early(args: argparse.Namespace) -> None:
     out_dir = Path(args.out_dir)
     loaded, dist = _load_input(Path(args.input), args.kind)
     strategy = parse_strategy(args.strategy)
-    mat_seed = args.mat_seed if args.mat_seed is not None else args.seed
+    # a distribution is drawn into the hosts the runs scan; a bad --seed is refused there by its own name
+    mat_seed = args.seed if args.mat_seed is None else check_int(args.mat_seed, "materialize_seed", 0)
+    hosts = loaded.hosts if loaded else materialize_hosts(dist, mat_seed)
     cfg = EarlyStageConfig(
         strategy=strategy,
         s=args.s,
         total_scans=args.scans,
         runs=args.runs,
         seed=args.seed,
-        hosts=loaded.hosts if loaded else None,
-        dist=dist,
-        materialize_seed=mat_seed,
+        hosts=hosts,
         threads=args.threads,
     )
     if args.budgets:

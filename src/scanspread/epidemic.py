@@ -1,19 +1,21 @@
 """Outbreak simulation: Monte Carlo early-stage rate estimation and a
 deterministic per-subnet mean-field model.
 
-Early stage.  One infected scanner draws `total_scans` targets by its
-strategy's `TargetLaw`; each run counts probes that land on vulnerable hosts
-(with multiplicity) and yields a rate estimate hits * s / total_scans.  Runs
-go serially in blocks of about 2**16 targets (2**12 runs for MSS sweeps):
-block b draws all its runs' inputs as whole-block arrays from one Generator
-on the b-th child stream spawned from the master seed (the runs' homes for
-ls and 2lls, then one (runs, scans) TargetLaw draw for every kind but MSS:
-one integer per target for is with q_g = p_g, a uniform address and a
-uniform tier choice per target for ls and 2lls), and takes one membership
-pass.  The block size depends on total_scans alone, so results are
-reproducible and the `threads` setting changes neither the results nor the
-work done.  Only exact sums of hits and hits**2 are kept across blocks, so
-memory does not grow with the number of runs.
+Early stage.  The runs scan the HostSet their config holds (a distribution
+is drawn into one by `materialize_hosts` first).  One infected scanner
+draws `total_scans` targets by its strategy's `TargetLaw`; each run counts
+probes that land on vulnerable hosts (with multiplicity) and yields a rate
+estimate hits * s / total_scans.  Runs go serially in blocks of about 2**16
+targets (2**12 runs for MSS sweeps): block b draws all its runs' inputs as
+whole-block arrays from one Generator on the b-th child stream spawned from
+the master seed (the runs' homes for ls and 2lls, then one (runs, scans)
+TargetLaw draw for every kind but MSS: one integer per target for is with
+q_g = p_g, a uniform address and a uniform tier choice per target for ls
+and 2lls), and takes one membership pass.  The block size depends on
+total_scans alone, so results are reproducible and the `threads` setting
+changes neither the results nor the work done.  Only exact sums of hits and
+hits**2 are kept across blocks, so memory does not grow with the number of
+runs.
 
 Full dynamics.  Time advances in ticks.  With n_t infected in total and m_i
 infected in /l group i, each (source, target-group) pair has a per-scan
@@ -63,7 +65,7 @@ from .addrspace import (
     _square_sum,
     check_int,
     check_real,
-    materialize_hosts,
+    check_type,
 )
 from .errors import InternalConsistencyError, ParameterError, UnsupportedStrategyError
 from .rates import _finite_rate, pp_factor
@@ -74,13 +76,13 @@ from .strategies import ScanStrategy, TargetLaw
 class EarlyStageConfig:
     """Inputs of a Monte Carlo early-stage estimate.
 
-    Hosts come either from `hosts` directly or by materializing `dist` with
-    `materialize_seed`; the runs scan those hosts and read their target law
-    (is, optis) from them, so `dist` is used only when `hosts` is None.
-    Integer fields and s are stored as the Python ints and float their checks
-    return.  `seed` drives the per-block streams.  `threads` is validated and
-    kept for the record only: runs are serial.  The runs-long array of
-    per-run hits is built only under `record_hits`.
+    `hosts` is the HostSet the runs scan, with at least one host; the target
+    law (is, optis) is read from it too.  A distribution is drawn into hosts
+    by `materialize_hosts` first.  Integer fields and s are stored as the
+    Python ints and float their checks return.  `seed` drives the per-block
+    streams.  `threads` is validated and kept for the record only: runs are
+    serial.  The runs-long array of per-run hits is built only under
+    `record_hits`.
     """
 
     strategy: ScanStrategy
@@ -88,15 +90,12 @@ class EarlyStageConfig:
     total_scans: int
     runs: int
     seed: int
-    hosts: HostSet | None = None
-    dist: GroupDistribution | None = None
-    materialize_seed: int | None = None
+    hosts: HostSet = None  # required; None is refused by name
     threads: int = 1
     record_hits: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.strategy, ScanStrategy):
-            raise ParameterError(f"strategy must be a ScanStrategy, got {self.strategy!r}")
+        check_type(self.strategy, ScanStrategy, "strategy")
         object.__setattr__(self, "s", check_real(self.s, "scanning rate s", 0, open_lo=True))
         # Arrays of runs and of scans are allocated; at most 2**32 entries
         # keeps every request a MemoryError at worst (numpy raises ValueError
@@ -105,13 +104,9 @@ class EarlyStageConfig:
         object.__setattr__(self, "total_scans", check_int(self.total_scans, "total_scans", 1, ADDRESS_SPACE))
         object.__setattr__(self, "runs", check_int(self.runs, "runs", 2, ADDRESS_SPACE))
         object.__setattr__(self, "seed", check_int(self.seed, "seed", 0))
-        if self.materialize_seed is not None:
-            object.__setattr__(self, "materialize_seed", check_int(self.materialize_seed, "materialize_seed", 0))
         object.__setattr__(self, "threads", check_int(self.threads, "threads", 1))
-        if self.hosts is None and self.dist is None:
-            raise ParameterError("supply hosts or a distribution to materialize")
-        if self.hosts is None and self.materialize_seed is None:
-            raise ParameterError("materializing a distribution needs materialize_seed")
+        if check_type(self.hosts, HostSet, "hosts").N == 0:
+            raise ParameterError("simulation needs at least one vulnerable host")
 
 
 @dataclass(frozen=True)
@@ -133,13 +128,6 @@ _BLOCK_TARGETS = 1 << 16  # targets per membership pass: one block of runs
 _SWEEP_ROWS = 1 << 12  # runs per block of an MSS sweep, which draws no targets
 
 
-def _resolve_hosts(cfg: EarlyStageConfig) -> HostSet:
-    hosts = cfg.hosts if cfg.hosts is not None else materialize_hosts(cfg.dist, cfg.materialize_seed)
-    if hosts.N == 0:
-        raise ParameterError("simulation needs at least one vulnerable host")
-    return hosts
-
-
 class _EarlyEngine:
     """`run` gives the per-run hits of one block of estimate_infection_rate's
     runs from the block's (generator, runs) pair: the block's homes (ls,
@@ -148,12 +136,12 @@ class _EarlyEngine:
     the MSS sweep.  The law is read from `hosts`, the hosts the runs scan.
     `perfbench/selftest.py` injects its Monte Carlo fault by patching `run`."""
 
-    def __init__(self, cfg: EarlyStageConfig, hosts: HostSet):
+    def __init__(self, cfg: EarlyStageConfig):
         st = cfg.strategy
-        self.hosts = hosts
+        self.hosts = cfg.hosts
         self.total = cfg.total_scans
         self.bits = ADDRESS_BITS - st.l
-        self.law = None if st.kind == "mss" else TargetLaw(st, hosts)
+        self.law = None if st.kind == "mss" else TargetLaw(st, cfg.hosts)
         self.rows = _SWEEP_ROWS if self.law is None else max(1, _BLOCK_TARGETS // cfg.total_scans)
 
     def run(self, block) -> np.ndarray:
@@ -235,7 +223,7 @@ def estimate_infection_rate(cfg: EarlyStageConfig) -> EarlyStageResult:
     sample variance (ddof=1) over runs.  MSS here measures the sequential
     stage alone (sweep anchored at a random vulnerable host).
     """
-    engine = _EarlyEngine(cfg, _resolve_hosts(cfg))
+    engine = _EarlyEngine(cfg)
     moments = _per_run_hits(cfg, np.random.SeedSequence(cfg.seed), engine.rows, engine.run)
     return _result(cfg, cfg.total_scans, *moments)
 
@@ -254,7 +242,7 @@ def estimate_mss_full(cfg: EarlyStageConfig, scan_budgets: list[int]) -> list[Ea
     budgets = [check_int(b, "scan budget", 1, ADDRESS_SPACE) for b in scan_budgets]  # as total_scans
     if not budgets:
         raise ParameterError("estimate_mss_full needs at least one scan budget")
-    hosts = _resolve_hosts(cfg)
+    hosts = cfg.hosts
     bits = ADDRESS_BITS - cfg.strategy.l
     p_first = hosts.N / ADDRESS_SPACE
 
@@ -295,8 +283,8 @@ class EpidemicConfig:
     record_per_subnet: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.strategy, ScanStrategy):
-            raise ParameterError(f"strategy must be a ScanStrategy, got {self.strategy!r}")
+        check_type(self.strategy, ScanStrategy, "strategy")
+        check_type(self.dist, GroupDistribution, "dist")
         object.__setattr__(self, "s", check_real(self.s, "scanning rate s", 0, open_lo=True))
         object.__setattr__(self, "tick", check_real(self.tick, "tick", 0, open_lo=True))
         # horizon + 1 values of n(t) are allocated; the bound keeps that a

@@ -32,17 +32,17 @@ The time unit is carried symbolically: alpha inherits the unit of s.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
 
 import numpy as np
 
-from .addrspace import (ADDRESS_BITS, ADDRESS_SPACE, GroupDistribution, HostSet, aggregate, check_int, check_real,
+from .addrspace import (ADDRESS_BITS, ADDRESS_SPACE, GroupDistribution, HostSet, check_int, check_real, check_type,
                         write_table)
 from .errors import ParameterError
 from .infometrics import NonUniformity, non_uniformity_factor
-from .strategies import ScanStrategy, TargetLaw
+from .strategies import ScanStrategy, TargetLaw, _resolve_p
 
 # Code Red v2 reference point: 360k infected hosts scanning at 358/min.
 CODE_RED_POPULATION = 360_000
@@ -68,14 +68,14 @@ class ScanContext:
     """Scenario parameters for rate calculations.
 
     Group-level metrics resolve in this order: explicit overrides (injected
-    table values), then `dist` (coarsened as needed), then `hosts`.  Every
-    distribution over the 2**l groups of level l has beta in [1, 2**l] and
-    max p in [2**-l, 1], so an override outside those ranges, or at a level
-    that is not an integer in 0..32, is refused: a beta override at
-    construction, stored as the float its check returns, and a max-p override
-    when a rate reads it (`--maxp` fills every level with one value).  N (at
-    most omega, IPv4's 2**32 addresses) and s are stored as the int and float
-    their checks return.
+    table values), then the group counts `strategies._resolve_p` gives of
+    `dist` when it reaches the level, else of `hosts`.  Every distribution
+    over the 2**l groups of level l has beta in [1, 2**l] and max p in
+    [2**-l, 1], so an override outside those ranges, or at a level that is
+    not an integer in 0..32, is refused at construction, and each override
+    is stored as the float its check returns.  N (at most omega, IPv4's
+    2**32 addresses) and s are stored as the int and float their checks
+    return.
     """
 
     s: float
@@ -88,35 +88,31 @@ class ScanContext:
     def __post_init__(self):
         object.__setattr__(self, "s", check_real(self.s, "scanning rate s", 0, open_lo=True))
         object.__setattr__(self, "N", check_int(self.N, "population N", 1, ADDRESS_SPACE))
-        for l in self.max_p_overrides or ():
-            check_int(l, "override level", 0, ADDRESS_BITS)
-        if self.beta_overrides is not None:
-            levels = [check_int(l, "override level", 0, ADDRESS_BITS) for l in self.beta_overrides]
-            object.__setattr__(self, "beta_overrides", {l: check_real(v, f"beta({l})", 1, math.ldexp(1.0, l))
-                                                        for l, v in zip(levels, self.beta_overrides.values())})
+        check_type(self.dist, GroupDistribution, "dist", optional=True)
+        check_type(self.hosts, HostSet, "hosts", optional=True)
+        # beta(l) in [2**0, 2**l], max p in [2**-l, 2**0]: the exponents are lo * l and hi * l
+        for name, what, lo, hi in (("beta_overrides", "beta({})", 0, 1), ("max_p_overrides", "max p at l={}", -1, 0)):
+            table = check_type(getattr(self, name), Mapping, name, optional=True)
+            if table is not None:
+                levels = [check_int(l, "override level", 0, ADDRESS_BITS) for l in table]
+                object.__setattr__(self, name, {l: check_real(v, what.format(l), math.ldexp(1.0, lo * l),
+                                                              math.ldexp(1.0, hi * l))
+                                                for l, v in zip(levels, table.values())})
 
-    def _dist_at(self, l: int) -> GroupDistribution | None:
-        if self.dist is not None and self.dist.l >= l:
-            return self.dist.coarsen(l)
-        if self.hosts is not None:
-            return aggregate(self.hosts, l)
-        return None
+    def _groups_at(self, l: int, what: str) -> GroupDistribution:
+        """Group counts at level l, of dist when it reaches l, else of hosts."""
+        coarse = self.dist is None or self.dist.l < l
+        return _resolve_p(self.hosts if coarse and self.hosts is not None else self.dist, l, what)
 
     def beta_at(self, l: int) -> float:
         if self.beta_overrides is not None and l in self.beta_overrides:
             return self.beta_overrides[l]
-        d = self._dist_at(l)
-        if d is None:
-            raise ParameterError(f"no source for beta({l}): supply hosts, a distribution at l >= {l}, or an override")
-        return non_uniformity_factor(d).beta
+        return non_uniformity_factor(self._groups_at(l, f"beta({l})")).beta
 
     def max_p_at(self, l: int) -> float:
         if self.max_p_overrides is not None and l in self.max_p_overrides:
-            return check_real(self.max_p_overrides[l], f"max p at l={l}", math.ldexp(1.0, -l), 1)
-        d = self._dist_at(l)
-        if d is None:
-            raise ParameterError(f"no source for max p at l={l}: supply hosts, a distribution, or an override")
-        return d.max_probability
+            return self.max_p_overrides[l]
+        return self._groups_at(l, f"max p at l={l}").max_probability
 
 
 def _finite_rate(alpha: float, what: str) -> float:
@@ -162,10 +158,7 @@ def _collision_for(strategy: ScanStrategy, ctx: ScanContext) -> float:
     kind, l = strategy.kind, strategy.l
     scale = math.ldexp(1.0, -l)
     if kind == "is" and strategy.q_g is not None:
-        d = ctx._dist_at(l)
-        if d is None:
-            raise ParameterError("is with an explicit q_g needs hosts or a distribution")
-        return collision_probability(d, strategy.q_g)
+        return collision_probability(ctx._groups_at(l, "is with an explicit q_g"), strategy.q_g)
     if kind == "optis":
         return ctx.max_p_at(l)
     if kind in ("is", "mss"):

@@ -155,6 +155,9 @@ def parse_strategy(token: str) -> ScanStrategy:
 
 
 def _resolve_p(dist: GroupDistribution | HostSet | None, l: int, what: str) -> GroupDistribution:
+    """The group counts at level l of hosts or of a distribution at l or finer:
+    the one resolver every law and rate reads; refuses no source, an empty one
+    or a coarser one, naming `what`."""
     if isinstance(dist, HostSet):
         dist = aggregate(dist, l)
     if dist is None or dist.total == 0:

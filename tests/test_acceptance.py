@@ -73,7 +73,7 @@ def test_criterion_2_monte_carlo_matches_closed_forms():
     for i, (token, scans) in enumerate(cases):
         st = ss.parse_strategy(token)
         cfg = ss.EarlyStageConfig(st, s=100.0, total_scans=scans, runs=10000,
-                                  seed=1000 + i, hosts=hosts, dist=dist)
+                                  seed=1000 + i, hosts=hosts)
         r = ss.estimate_infection_rate(cfg)
         want = ss.alpha_for(st, ctx).alpha
         se = r.standard_error
@@ -249,7 +249,7 @@ def test_criterion_6_mss_budget_curve():
     dist = ss.synth_uniform(1256, 16, 357)  # beta16 ~ 52, N ~ 448k
     cfg = ss.EarlyStageConfig(ss.ScanStrategy.sequential(16), s=100.0,
                               total_scans=50000, runs=100000, seed=77,
-                              dist=dist, materialize_seed=21)
+                              hosts=ss.materialize_hosts(dist, 21))
     budgets = [10, 100, 1000, 10000, 50000]
     results = ss.estimate_mss_full(cfg, budgets)
     means = [r.mean_alpha for r in results]

@@ -647,6 +647,21 @@ def test_simulate_early_mss_budgets(dist_file, tmp_path):
     assert all("mean_alpha_per_second" in r for r in rows)
 
 
+@pytest.mark.parametrize("strategy", ["rs", "is:l=8", "mss:l=8"])
+def test_a_distribution_input_scans_the_hosts_synth_hosts_draws(tmp_path, strategy):
+    # simulate early draws a distribution input into hosts with --mat-seed, as
+    # synth hosts does with --seed, so both inputs give the same early.json
+    dist, hosts = tmp_path / "dist.csv", tmp_path / "hosts.txt"
+    ss.synth_zipf(8, 1.0, 50000, seed=7).to_csv(dist)
+    assert run_cli("synth", "hosts", "--dist", str(dist), "--seed", "11", "--out", str(hosts)) == 0
+    argv = ["simulate", "early", "--strategy", strategy, "--s", "10", "--scans", "20000", "--runs", "50", "--seed", "3"]
+    assert run_cli(*argv, str(dist), "--mat-seed", "11", "--out-dir", str(tmp_path / "d")) == 0
+    assert run_cli(*argv, str(hosts), "--out-dir", str(tmp_path / "h")) == 0
+    blob = (tmp_path / "d" / "early.json").read_bytes()
+    assert blob == (tmp_path / "h" / "early.json").read_bytes()
+    assert json.loads(blob)["mean_alpha"] > 0
+
+
 def test_simulate_epidemic_outputs(dist_file, tmp_path):
     out = tmp_path / "o"
     code = run_cli("simulate", "epidemic", str(dist_file), "--strategy", "is:l=8",

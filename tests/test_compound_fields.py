@@ -1,9 +1,10 @@
 """Compound fields of the public constructors are checked when the object is
-built: an explicit q_g, the beta overrides of a ScanContext, the strategy of
-the Monte Carlo and outbreak configs, the protection pair and both fields of
-a NonUniformity.  Each bad value raises exactly ParameterError, naming the
-field, at construction: never later in a run, never a NaN result and never
-a raw TypeError or AttributeError."""
+built: an explicit q_g, the host sources and the beta and max-p overrides of
+a ScanContext, the strategy of the Monte Carlo and outbreak configs, the
+hosts the Monte Carlo runs scan, the outbreak's distribution, the protection
+pair and both fields of a NonUniformity.  Each bad value raises exactly
+ParameterError, naming the field, at construction: never later in a run,
+never a NaN result and never a raw TypeError or AttributeError."""
 
 import math
 
@@ -14,11 +15,16 @@ import scanspread as ss
 from scanspread.errors import ParameterError
 
 DIST = ss.synth_zipf(8, 1.0, 300, seed=2)
+HOSTS = ss.materialize_hosts(DIST, seed=5)
 UNIFORM = [1 / 256] * 256
 
 
-def early(strategy):
-    return ss.EarlyStageConfig(strategy, s=1.0, total_scans=100, runs=20, seed=1, dist=DIST, materialize_seed=5)
+def early(strategy, hosts=HOSTS):
+    return ss.EarlyStageConfig(strategy, s=1.0, total_scans=100, runs=20, seed=1, hosts=hosts)
+
+
+def context(**fields):
+    return ss.ScanContext(s=1.0, N=100, **fields)
 
 
 def outbreak(**fields):
@@ -31,9 +37,18 @@ NOT_STRATEGIES = ["rs", None, 16, ss.parse_strategy]
 FIELDS = [
     ("q_g", "q_g", UNIFORM, lambda v: ss.ScanStrategy.importance(8, q_g=v),
      [[math.nan] * 256, [math.nan] + UNIFORM[1:], [math.inf] + [0.0] * 255, [-math.inf] + UNIFORM[1:]]),
-    ("beta override", r"beta\(8\)", 2.0, lambda v: ss.ScanContext(s=1.0, N=100, beta_overrides={8: v}),
+    ("beta override", r"beta\(8\)", 2.0, lambda v: context(beta_overrides={8: v}),
      [0.5, 2.0**8 + 1, math.nan, math.inf, "2", True, None]),
+    ("max p override", "max p at l=8", 0.5, lambda v: context(max_p_overrides={8: v}),
+     [2.0**-9, 1.5, math.nan, math.inf, "0.5", True, None]),
+    ("beta overrides", "beta_overrides", {8: 2.0}, lambda v: context(beta_overrides=v), [[8], 8, "8"]),
+    ("max p overrides", "max_p_overrides", {8: 0.5}, lambda v: context(max_p_overrides=v), [[8], 8, "8"]),
+    ("ScanContext dist", "dist", DIST, lambda v: context(dist=v), ["x", [1, 2], HOSTS]),
+    ("ScanContext hosts", "hosts", HOSTS, lambda v: context(hosts=v), [[1, 2], "x", DIST]),
     ("EarlyStageConfig strategy", "strategy", ss.parse_strategy("is:l=8"), early, NOT_STRATEGIES),
+    ("EarlyStageConfig hosts", "hosts|at least one vulnerable host", HOSTS,
+     lambda v: early(ss.parse_strategy("is:l=8"), v), [[1, 2, 3], DIST, None, ss.HostSet([])]),
+    ("EpidemicConfig dist", "dist", DIST, lambda v: outbreak(dist=v), ["x", HOSTS, None]),
     ("EpidemicConfig strategy", "strategy", ss.parse_strategy("is:l=8"), lambda v: outbreak(strategy=v),
      NOT_STRATEGIES),
     ("EpidemicConfig pp", "pp must be a pair|deployment fraction d", (0.5, 0.5), lambda v: outbreak(pp=v),

@@ -115,7 +115,7 @@ def test_early_config_validation(four_hosts):
         ss.EarlyStageConfig(ss.ScanStrategy.rs(), s=1.0, total_scans=10, runs=10, seed=0)
     d = ss.aggregate(four_hosts, 8)
     with pytest.raises(ParameterError):
-        ss.EarlyStageConfig(ss.ScanStrategy.rs(), s=1.0, total_scans=10, runs=10, seed=0, dist=d)
+        ss.EarlyStageConfig(ss.ScanStrategy.rs(), s=1.0, total_scans=10, runs=10, seed=0, hosts=d)
 
 
 def test_early_estimate_is_deterministic():
@@ -147,8 +147,7 @@ def test_no_thread_starts_and_threads_change_no_hit(monkeypatch):
 
     def go(threads):
         optis = ss.EarlyStageConfig(ss.ScanStrategy.optimal(16), s=1.0, total_scans=100, runs=50,
-                                    seed=3, hosts=hosts, dist=ss.aggregate(hosts, 16),
-                                    threads=threads, record_hits=True)
+                                    seed=3, hosts=hosts, threads=threads, record_hits=True)
         mss = ss.EarlyStageConfig(ss.ScanStrategy.sequential(16), s=1.0, total_scans=10**6, runs=50,
                                   seed=3, hosts=hosts, threads=threads, record_hits=True)
         return [ss.estimate_infection_rate(optis).per_run_hits,
@@ -162,8 +161,7 @@ def test_no_thread_starts_and_threads_change_no_hit(monkeypatch):
 
 def test_early_estimate_scaling_identities(four_hosts):
     cfg = ss.EarlyStageConfig(ss.ScanStrategy.optimal(8), s=60.0, total_scans=400,
-                              runs=100, seed=1, hosts=four_hosts,
-                              dist=ss.aggregate(four_hosts, 8), record_hits=True)
+                              runs=100, seed=1, hosts=four_hosts, record_hits=True)
     r = ss.estimate_infection_rate(cfg)
     assert r.mean_alpha == pytest.approx(r.per_run_hits.mean() * 60.0 / 400, rel=1e-12)
     assert r.standard_error == pytest.approx(math.sqrt(r.var_alpha / r.runs), rel=1e-12)
@@ -198,18 +196,6 @@ def test_only_the_laws_that_read_a_distribution_aggregate_the_hosts(token, calls
     cfg = ss.EarlyStageConfig(ss.parse_strategy(token), s=1.0, total_scans=100, runs=2, seed=0, hosts=hosts)
     ss.estimate_infection_rate(cfg)
     assert len(seen) == calls
-
-
-def test_materialized_input_equals_prematerialized():
-    d, hosts = zipf_hosts()
-    via_dist = ss.EarlyStageConfig(ss.ScanStrategy.rs(), s=10.0, total_scans=100,
-                                   runs=50, seed=3, dist=d, materialize_seed=11,
-                                   record_hits=True)
-    via_hosts = ss.EarlyStageConfig(ss.ScanStrategy.rs(), s=10.0, total_scans=100,
-                                    runs=50, seed=3, hosts=hosts, record_hits=True)
-    a = ss.estimate_infection_rate(via_dist)
-    b = ss.estimate_infection_rate(via_hosts)
-    assert np.array_equal(a.per_run_hits, b.per_run_hits)
 
 
 def test_variance_ordering_on_uneven_blocks():
@@ -438,7 +424,7 @@ def test_a_one_run_block_peaks_at_most_48_bytes_a_target(token):
     hosts.count_members_per_row(np.zeros((1, 0), dtype=np.int64))
     scans = 2**22
     cfg = ss.EarlyStageConfig(ss.parse_strategy(token), s=1.0, total_scans=scans, runs=2, seed=0, hosts=hosts)
-    engine = epidemic._EarlyEngine(cfg, hosts)
+    engine = epidemic._EarlyEngine(cfg)
     assert engine.rows == 1
     tracemalloc.start()
     try:

@@ -14,8 +14,7 @@ HOSTS = ss.materialize_hosts(DIST, seed=5)
 
 
 def early(**fields):
-    cfg = dict(strategy=ss.parse_strategy("is:l=8"), s=1.0, total_scans=100, runs=20, seed=1, dist=DIST,
-               materialize_seed=5)
+    cfg = dict(strategy=ss.parse_strategy("is:l=8"), s=1.0, total_scans=100, runs=20, seed=1, hosts=HOSTS)
     return ss.EarlyStageConfig(**{**cfg, **fields})
 
 
@@ -35,7 +34,6 @@ PARAMETERS = [
     ("total_scans", "total_scans", 100, lambda v: ss.estimate_infection_rate(early(total_scans=v))),
     ("runs", "runs", 20, lambda v: ss.estimate_infection_rate(early(runs=v))),
     ("seed", "seed", 1, lambda v: ss.estimate_infection_rate(early(seed=v))),
-    ("materialize_seed", "materialize_seed", 5, lambda v: ss.estimate_infection_rate(early(materialize_seed=v))),
     ("threads", "threads", 2, lambda v: ss.estimate_infection_rate(early(threads=v))),
     ("scan budget", "scan budget", 1000,
      lambda v: ss.estimate_mss_full(early(strategy=ss.parse_strategy("mss:l=8")), [10, v])),
@@ -65,9 +63,8 @@ def test_every_scalar_integer_takes_numpy_integers_as_python_ints(name, what, go
 
 
 def test_frozen_configs_store_python_ints():
-    cfg = early(total_scans=np.int64(100), runs=np.uint32(20), seed=np.int8(1), materialize_seed=np.int64(5),
-                threads=np.int64(2))
-    assert {type(getattr(cfg, f)) for f in ("total_scans", "runs", "seed", "materialize_seed", "threads")} == {int}
+    cfg = early(total_scans=np.int64(100), runs=np.uint32(20), seed=np.int8(1), threads=np.int64(2))
+    assert {type(getattr(cfg, f)) for f in ("total_scans", "runs", "seed", "threads")} == {int}
     cfg = ss.EpidemicConfig(ss.parse_strategy("rs:l=8"), DIST, 1.0, np.int64(5), initial=np.int64(3))
     assert (type(cfg.horizon), type(cfg.initial)) == (int, int)
     assert type(ss.ScanContext(s=1.0, N=np.int64(100)).N) is int

@@ -14,12 +14,12 @@ from scanspread.errors import ParameterError
 from scanspread.rates import pp_factor
 
 DIST = ss.synth_zipf(8, 1.0, 300, seed=2)
+HOSTS = ss.materialize_hosts(DIST, seed=5)
 TRACE = ss.propagate(ss.EpidemicConfig(ss.parse_strategy("rs:l=8"), DIST, s=1e6, horizon=50))
 
 
 def early(**fields):
-    cfg = dict(strategy=ss.parse_strategy("is:l=8"), s=1.0, total_scans=100, runs=20, seed=1, dist=DIST,
-               materialize_seed=5)
+    cfg = dict(strategy=ss.parse_strategy("is:l=8"), s=1.0, total_scans=100, runs=20, seed=1, hosts=HOSTS)
     return ss.EarlyStageConfig(**{**cfg, **fields})
 
 
